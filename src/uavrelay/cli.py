@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
 
 from . import __version__
 from .channel import (
@@ -78,23 +78,14 @@ DEFAULT_SCENARIO = {
         "rate": 1.0,
         "total_power_w": 0.25,
     },
-    "solver": {
-        "alpha_tol": 1e-8,
-        "max_iter": 200,
-        "bracket_epsilon": 1e-6,
-        "grid_points": 201,
-    },
+    "solver": dataclasses.asdict(SolverConfig()),
     "sim": {"trials": 1_000_000, "seed": 12345, "chunk_size": 100_000},
     "excess_loss_convention": "standard",
 }
 
-_INT_FIELDS = {
-    ("solver", "max_iter"),
-    ("solver", "grid_points"),
-    ("sim", "trials"),
-    ("sim", "seed"),
-    ("sim", "chunk_size"),
-}
+#: Scenario keys that differ from their field name, with the factor that
+#: converts the scenario unit to the internal one.
+_RENAMED = {"f_c_mhz": ("f_c", 1e6), "path_loss_exponent": ("n", 1.0)}
 
 
 class ScenarioError(ValueError):
@@ -121,18 +112,34 @@ def _merge_scenario(data: dict) -> dict:
     return merged
 
 
-def _number(merged: dict, section: str, key: str) -> float:
-    value = merged[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"scenario field {section!r}.{key!r} must be a number")
-    if (section, key) in _INT_FIELDS:
-        if value != int(value):
-            raise ScenarioError(f"scenario field {section!r}.{key!r} must be an integer")
-        return int(value)
-    return float(value)
+def _field_values(section: str, content: dict) -> dict:
+    """Constructor arguments of one section, checked and typed by its fields.
+
+    Keys whose default is null may stay null and are then left out.
+    """
+    values = {}
+    for key, value in content.items():
+        if value is None and DEFAULT_SCENARIO[section][key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"scenario field {section!r}.{key!r} must be a number")
+        if not math.isfinite(value):
+            raise ScenarioError(f"scenario field {section!r}.{key!r} must be finite")
+        name, scale = _RENAMED.get(key, (key, 1.0))
+        if name in _INTEGER_FIELDS[section]:
+            if value != int(value):
+                raise ScenarioError(f"scenario field {section!r}.{key!r} must be an integer")
+            values[name] = int(value)
+        else:
+            values[name] = float(value) * scale
+    return values
 
 
-@dataclass(frozen=True)
+def _reject_constant(name: str):
+    raise ScenarioError(f"scenario numbers must be finite, not {name}")
+
+
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     """A fully validated scenario with internal units."""
 
@@ -148,15 +155,22 @@ class Scenario:
     sha256: str
 
     def budget(self) -> LinkBudget:
-        return link_budget(
-            self.geometry,
-            self.env_su,
-            self.env_ud,
-            self.rician_su,
-            self.rician_ud,
-            self.radio,
-            self.excess_loss_convention,
-        )
+        """The link budget; a geometry or radio outside the model is a ScenarioError."""
+        try:
+            return link_budget(
+                self.geometry, self.env_su, self.env_ud, self.rician_su, self.rician_ud,
+                self.radio, self.excess_loss_convention,
+            )
+        except (ValueError, OverflowError) as exc:
+            raise ScenarioError(f"invalid link budget: {exc}") from exc
+
+
+#: The dataclass each scenario section builds, read from the Scenario fields,
+#: and the fields of each whose annotation asks for an integer.
+_SECTIONS = {
+    name: cls for name, cls in typing.get_type_hints(Scenario).items() if dataclasses.is_dataclass(cls)
+}
+_INTEGER_FIELDS = {s: {f.name for f in dataclasses.fields(c) if f.type == "int"} for s, c in _SECTIONS.items()}
 
 
 def load_scenario(
@@ -172,7 +186,7 @@ def load_scenario(
     else:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = json.load(handle, parse_constant=_reject_constant)
         except OSError as exc:
             raise ScenarioError(f"cannot read scenario file: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -188,76 +202,22 @@ def load_scenario(
 
     convention_value = merged["excess_loss_convention"]
     if convention_value not in EXCESS_LOSS_CONVENTIONS:
-        raise ScenarioError(
-            f"excess_loss_convention must be one of {EXCESS_LOSS_CONVENTIONS}"
-        )
+        raise ScenarioError(f"excess_loss_convention must be one of {EXCESS_LOSS_CONVENTIONS}")
 
     try:
-        h_u = _number(merged, "geometry", "h_u")
-        length = _number(merged, "geometry", "L")
-        if merged["geometry"]["r_s"] is None:
-            geometry = LinkGeometry.midpoint(h_u, length)
-        else:
-            geometry = LinkGeometry.from_split(h_u, length, _number(merged, "geometry", "r_s"))
-        env_su = HopEnvironment(
-            a=_number(merged, "env_su", "a"),
-            b=_number(merged, "env_su", "b"),
-            eta_los_db=_number(merged, "env_su", "eta_los_db"),
-            eta_nlos_db=_number(merged, "env_su", "eta_nlos_db"),
-        )
-        env_ud = HopEnvironment(
-            a=_number(merged, "env_ud", "a"),
-            b=_number(merged, "env_ud", "b"),
-            eta_los_db=_number(merged, "env_ud", "eta_los_db"),
-            eta_nlos_db=_number(merged, "env_ud", "eta_nlos_db"),
-        )
-        rician_su = RicianEndpoints(
-            k0_db=_number(merged, "rician_su", "k0_db"),
-            kpi2_db=_number(merged, "rician_su", "kpi2_db"),
-        )
-        rician_ud = RicianEndpoints(
-            k0_db=_number(merged, "rician_ud", "k0_db"),
-            kpi2_db=_number(merged, "rician_ud", "kpi2_db"),
-        )
-        rate = _number(merged, "radio", "rate")
-        if rate <= 0.0:
+        values = {section: _field_values(section, merged[section]) for section in _SECTIONS}
+        geometry = values.pop("geometry")
+        geometry.setdefault("r_s", 0.5 * geometry["L"])  # null r_s: relay at the midpoint
+        sections = {section: _SECTIONS[section](**kwargs) for section, kwargs in values.items()}
+        sections["geometry"] = LinkGeometry.from_split(**geometry)
+        if sections["radio"].rate <= 0.0:
             raise ValueError("rate must be positive")
-        radio = RadioConfig(
-            f_c=_number(merged, "radio", "f_c_mhz") * 1e6,
-            n=_number(merged, "radio", "path_loss_exponent"),
-            noise_power_dbm=_number(merged, "radio", "noise_power_dbm"),
-            rate=rate,
-            total_power_w=_number(merged, "radio", "total_power_w"),
-        )
-        solver = SolverConfig(
-            alpha_tol=_number(merged, "solver", "alpha_tol"),
-            max_iter=_number(merged, "solver", "max_iter"),
-            bracket_epsilon=_number(merged, "solver", "bracket_epsilon"),
-            grid_points=_number(merged, "solver", "grid_points"),
-        )
-        sim = SimSpec(
-            trials=_number(merged, "sim", "trials"),
-            seed=_number(merged, "sim", "seed"),
-            chunk_size=_number(merged, "sim", "chunk_size"),
-        )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: integer beyond the float range
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
-    digest = hashlib.sha256(
-        json.dumps(merged, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-    return Scenario(
-        geometry=geometry,
-        env_su=env_su,
-        env_ud=env_ud,
-        rician_su=rician_su,
-        rician_ud=rician_ud,
-        radio=radio,
-        solver=solver,
-        sim=sim,
-        excess_loss_convention=convention_value,
-        sha256=digest,
-    )
+    canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return Scenario(**sections, excess_loss_convention=convention_value, sha256=digest)
 
 
 def _with_override(scenario: Scenario, name: str, value: float) -> Scenario:
@@ -299,6 +259,20 @@ def _render(scenario: Scenario, header: str, rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _allocation(result) -> tuple:
+    """Sweep cells alpha, p_s_w, p_u_w, outage and method of one solved allocation."""
+    return (result.alpha_star, result.p_s, result.p_u, result.outage, result.method)
+
+
+def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells) -> str:
+    """Sweep table: ``cells(swept, budget)`` yields the rows of each override value."""
+    rows = []
+    for value in override_values:
+        swept = _with_override(scenario, override_name, value)
+        rows.extend((override_name, value, *row) for row in cells(swept, swept.budget()))
+    return _render(scenario, SWEEP_HEADER, rows)
+
+
 def cmd_sweep_alpha(
     scenario: Scenario,
     alpha_grid: list[float],
@@ -309,40 +283,15 @@ def cmd_sweep_alpha(
     for alpha in alpha_grid:
         if not 0.0 < alpha < 1.0:
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
-    rows = []
-    for value in override_values:
-        swept = _with_override(scenario, override_name, value)
-        budget = swept.budget()
-        total = swept.radio.total_power_w
+
+    def cells(swept, budget):
         for alpha in alpha_grid:
-            split = PowerSplit.from_alpha(alpha, total)
-            rows.append(
-                (
-                    override_name,
-                    value,
-                    alpha,
-                    split.p_s,
-                    split.p_u,
-                    end_to_end_outage(budget, split, swept.radio),
-                    "grid",
-                )
-            )
-        for result in (
-            minimize_outage_exact(budget, swept.radio, swept.solver),
-            solve_theorem1(budget, swept.radio, swept.solver),
-        ):
-            rows.append(
-                (
-                    override_name,
-                    value,
-                    result.alpha_star,
-                    result.p_s,
-                    result.p_u,
-                    result.outage,
-                    result.method,
-                )
-            )
-    return _render(scenario, SWEEP_HEADER, rows)
+            split = PowerSplit.from_alpha(alpha, swept.radio.total_power_w)
+            yield alpha, split.p_s, split.p_u, end_to_end_outage(budget, split, swept.radio), "grid"
+        yield _allocation(minimize_outage_exact(budget, swept.radio, swept.solver))
+        yield _allocation(solve_theorem1(budget, swept.radio, swept.solver))
+
+    return _sweep(scenario, override_name, override_values, cells)
 
 
 def cmd_sweep_power(
@@ -355,30 +304,15 @@ def cmd_sweep_power(
     for total in pt_grid:
         if total <= 0.0:
             raise ScenarioError("total power grid values must be positive")
-    rows = []
-    for value in override_values:
-        swept = _with_override(scenario, override_name, value)
-        budget = swept.budget()
+
+    def cells(swept, budget):
         for total in pt_grid:
-            at_power = _with_override(swept, "pt", total)
-            results = (
-                minimize_outage_exact(budget, at_power.radio, at_power.solver),
-                solve_theorem1(budget, at_power.radio, at_power.solver),
-                equal_power(at_power.radio, budget),
-            )
-            for result in results:
-                rows.append(
-                    (
-                        override_name,
-                        value,
-                        result.alpha_star,
-                        result.p_s,
-                        result.p_u,
-                        result.outage,
-                        result.method,
-                    )
-                )
-    return _render(scenario, SWEEP_HEADER, rows)
+            radio = dataclasses.replace(swept.radio, total_power_w=total)
+            yield _allocation(minimize_outage_exact(budget, radio, swept.solver))
+            yield _allocation(solve_theorem1(budget, radio, swept.solver))
+            yield _allocation(equal_power(radio, budget))
+
+    return _sweep(scenario, override_name, override_values, cells)
 
 
 def cmd_solve(scenario: Scenario) -> str:
@@ -436,8 +370,7 @@ def _parse_alpha_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ScenarioError("--alpha-grid expects START:STOP:COUNT")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ScenarioError(f"bad --alpha-grid: {exc}") from exc
     if count < 1:
@@ -457,9 +390,24 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ScenarioError(f"bad {flag}: {exc}") from exc
     if not values:
         raise ScenarioError(f"{flag} needs at least one value")
-    if any(v <= 0.0 for v in values):
-        raise ScenarioError(f"{flag} values must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ScenarioError(f"{flag} values must be finite and positive")
     return values
+
+
+def _sweep_override(args: argparse.Namespace, scenario: Scenario, *names: str) -> tuple[str, list[float]]:
+    """Name and values of the swept parameter.
+
+    The one of the two override flags in ``names`` that was given, or else
+    the first, held at its scenario value.
+    """
+    given = [name for name in names if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise ScenarioError(f"choose one of --{names[0]} or --{names[1]} for a sweep")
+    if given:
+        return given[0], _parse_float_list(getattr(args, given[0]), f"--{given[0]}")
+    current = {"pt": scenario.radio.total_power_w, "L": scenario.geometry.L}
+    return names[0], [current[names[0]]]
 
 
 _DEFAULT_ALPHA_GRID = "0.01:0.99:99"
@@ -507,18 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
 
@@ -529,36 +468,17 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             convention=args.excess_loss_convention,
         )
+        code = EXIT_OK
         if args.command == "sweep-alpha":
-            if args.pt is not None and args.L is not None:
-                raise ScenarioError("choose one of --pt or --L for a sweep")
-            alpha_grid = _parse_alpha_grid(args.alpha_grid)
-            if args.pt is not None:
-                name, values = "pt", _parse_float_list(args.pt, "--pt")
-            elif args.L is not None:
-                name, values = "L", _parse_float_list(args.L, "--L")
-            else:
-                name, values = "pt", [scenario.radio.total_power_w]
-            text = cmd_sweep_alpha(scenario, alpha_grid, name, values)
-            code = EXIT_OK
+            grid = _parse_alpha_grid(args.alpha_grid)
+            text = cmd_sweep_alpha(scenario, grid, *_sweep_override(args, scenario, "pt", "L"))
         elif args.command == "sweep-power":
-            if args.L is not None and args.R is not None:
-                raise ScenarioError("choose one of --L or --R for a sweep")
-            pt_grid = _parse_float_list(args.pt, "--pt")
-            if args.L is not None:
-                name, values = "L", _parse_float_list(args.L, "--L")
-            elif args.R is not None:
-                name, values = "R", _parse_float_list(args.R, "--R")
-            else:
-                name, values = "L", [scenario.geometry.L]
-            text = cmd_sweep_power(scenario, pt_grid, name, values)
-            code = EXIT_OK
+            grid = _parse_float_list(args.pt, "--pt")
+            text = cmd_sweep_power(scenario, grid, *_sweep_override(args, scenario, "L", "R"))
         elif args.command == "solve":
             text = cmd_solve(scenario)
-            code = EXIT_OK
         else:
-            alphas = _parse_alpha_grid(args.alpha_grid)
-            text, passed = cmd_validate(scenario, alphas)
+            text, passed = cmd_validate(scenario, _parse_alpha_grid(args.alpha_grid))
             code = EXIT_OK if passed else EXIT_VALIDATION
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -567,7 +487,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    _emit(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     return code
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -85,6 +86,21 @@ class TestScenarioLoading:
         assert scenario.sim.trials == 5000
         assert scenario.excess_loss_convention == "paper"
 
+    def test_default_table_matches_dataclass_fields(self):
+        # Derived fields (r_d from L - r_s) and fields the CLI does not expose (c).
+        not_keys = {"geometry": {"r_d"}, "radio": {"c"}}
+        tables = {key for key, value in cli.DEFAULT_SCENARIO.items() if isinstance(value, dict)}
+        assert tables == set(cli._SECTIONS)
+        for section, cls in cli._SECTIONS.items():
+            keys = {cli._RENAMED.get(key, (key,))[0] for key in cli.DEFAULT_SCENARIO[section]}
+            fields = {field.name for field in dataclasses.fields(cls) if field.init}
+            assert keys == fields - not_keys.get(section, set()), section
+
+    def test_invalid_link_budget_is_a_scenario_error(self, tmp_path):
+        path = write_scenario(tmp_path, geometry={"h_u": 0.01, "L": 0.02})
+        with pytest.raises(ScenarioError, match="mean path gains"):
+            load_scenario(path).budget()
+
     def test_relay_split_override(self, tmp_path):
         path = write_scenario(tmp_path, geometry={"r_s": 600.0})
         scenario = load_scenario(path)
@@ -115,6 +131,46 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["solve", "--frobnicate"]) == EXIT_SCENARIO
+
+    @pytest.mark.parametrize(
+        "scenario_text, argv",
+        [
+            ('{"radio": {"total_power_w": NaN}}', ["solve"]),
+            ('{"geometry": {"h_u": Infinity}}', ["solve"]),
+            ('{"solver": {"max_iter": 1e400}}', ["solve"]),
+            ('{"geometry": {"h_u": 1' + "0" * 400 + "}}", ["solve"]),
+            ('{"geometry": {"h_u": 0.01, "L": 0.02}}', ["solve"]),
+            ('{"geometry": {"h_u": 0.01}}', ["sweep-alpha", "--L", "0.02"]),
+            (None, ["sweep-power", "--pt", "nan"]),
+            (None, ["sweep-alpha", "--pt", "nan"]),
+            (None, ["sweep-power", "--L", "nan"]),
+            (None, ["sweep-alpha", "--L", "inf"]),
+            (None, ["sweep-power", "--R", "inf", "--pt", "0.1"]),
+        ],
+        ids=[
+            "nan-power",
+            "infinite-height",
+            "max-iter-overflow",
+            "integer-beyond-float",
+            "gain-above-unity",
+            "gain-above-unity-after-L",
+            "sweep-power-pt-nan",
+            "sweep-alpha-pt-nan",
+            "sweep-power-L-nan",
+            "sweep-alpha-L-inf",
+            "sweep-power-R-inf",
+        ],
+    )
+    def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv):
+        if scenario_text is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(scenario_text, encoding="utf-8")
+            argv = argv + ["--scenario", str(path)]
+        assert main(argv) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     def test_bracket_failure_exits_3(self, tmp_path, monkeypatch):
         path = paper_scenario(tmp_path)
