@@ -108,8 +108,9 @@ class RadioConfig:
     """Carrier, propagation exponent, noise, target rate, and power budget.
 
     f_c is in Hz, noise power in dBm, rate in bits/s/Hz, total power in
-    watts. rate = 0 is tolerated as a boundary probe for the simulator; the
-    closed-form operations require rate > 0.
+    watts. The rate must be positive and below 512, where its outage SNR
+    threshold 2^(2R) - 1 overflows; the noise power must be positive and
+    finite in watts.
     """
 
     f_c: float
@@ -124,10 +125,18 @@ class RadioConfig:
             raise ValueError("carrier frequency must be positive")
         if self.n < 2.0:
             raise ValueError("path-loss exponent must be at least 2")
-        if self.rate < 0.0:
-            raise ValueError("rate must be non-negative")
+        if not self.rate > 0.0:
+            raise ValueError("rate must be positive")
+        if self.rate >= 512.0:
+            raise ValueError("rate must be below 512 bits/s/Hz, where 2^(2R) overflows")
         if self.total_power_w <= 0.0:
             raise ValueError("total power budget must be positive")
+        try:
+            noise = self.noise_power_w
+        except OverflowError:
+            noise = math.inf
+        if not 0.0 < noise < math.inf:
+            raise ValueError("noise power must be positive and finite in watts")
 
     @property
     def noise_power_w(self) -> float:

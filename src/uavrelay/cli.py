@@ -210,8 +210,6 @@ def load_scenario(
         geometry.setdefault("r_s", 0.5 * geometry["L"])  # null r_s: relay at the midpoint
         sections = {section: _SECTIONS[section](**kwargs) for section, kwargs in values.items()}
         sections["geometry"] = LinkGeometry.from_split(**geometry)
-        if sections["radio"].rate <= 0.0:
-            raise ValueError("rate must be positive")
     except (ValueError, OverflowError) as exc:  # OverflowError: integer beyond the float range
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
@@ -226,15 +224,18 @@ def _with_override(scenario: Scenario, name: str, value: float) -> Scenario:
     Distance overrides redeploy the relay at the midpoint, matching the sweep
     convention of the reference experiments.
     """
-    if name == "pt":
-        radio = dataclasses.replace(scenario.radio, total_power_w=value)
-        return dataclasses.replace(scenario, radio=radio)
-    if name == "L":
-        geometry = LinkGeometry.midpoint(scenario.geometry.h_u, value)
-        return dataclasses.replace(scenario, geometry=geometry)
-    if name == "R":
-        radio = dataclasses.replace(scenario.radio, rate=value)
-        return dataclasses.replace(scenario, radio=radio)
+    try:
+        if name == "pt":
+            radio = dataclasses.replace(scenario.radio, total_power_w=value)
+            return dataclasses.replace(scenario, radio=radio)
+        if name == "L":
+            geometry = LinkGeometry.midpoint(scenario.geometry.h_u, value)
+            return dataclasses.replace(scenario, geometry=geometry)
+        if name == "R":
+            radio = dataclasses.replace(scenario.radio, rate=value)
+            return dataclasses.replace(scenario, radio=radio)
+    except ValueError as exc:
+        raise ScenarioError(f"invalid --{name} value {value}: {exc}") from exc
     raise ScenarioError(f"unknown override {name!r}")
 
 

@@ -112,8 +112,9 @@ def end_to_end_outage(
 def hop_capacity(power, gain, fading_power, noise):
     """Instantaneous hop capacity 0.5 * log2(1 + P * G * |h|^2 / N0) in bits/s/Hz.
 
-    Accepts scalars or numpy arrays for ``fading_power`` so the Monte Carlo
-    simulator can evaluate whole batches at once.
+    Accepts scalars or numpy arrays for ``fading_power``. It is the reference
+    definition of the outage event C < R, which the Monte Carlo simulator
+    evaluates as the equivalent threshold test P * G * |h|^2 < snr_threshold(R) * N0.
     """
     if noise <= 0.0:
         raise ValueError("noise power must be positive")

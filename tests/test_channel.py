@@ -194,6 +194,21 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             RadioConfig(f_c=2e9, n=3.0, noise_power_dbm=-110.0, rate=1.0, total_power_w=0.0)
 
+    def test_radio_ranges(self):
+        def radio(**fields):
+            values = dict(f_c=2e9, n=3.0, noise_power_dbm=-110.0, rate=1.0, total_power_w=0.25)
+            return RadioConfig(**{**values, **fields})
+
+        # rate 0 has no outage threshold; from 512 on, 2^(2R) overflows.
+        for rate in (0.0, -1.0, math.nan, 512.0, 600.0):
+            with pytest.raises(ValueError):
+                radio(rate=rate)
+        # The noise power in watts overflows, underflows to 0, or is NaN.
+        for dbm in (4000.0, -4000.0, math.nan):
+            with pytest.raises(ValueError):
+                radio(noise_power_dbm=dbm)
+        assert radio(rate=511.9).rate == 511.9
+
     def test_noise_conversion(self):
         radio = make_radio()
         assert radio.noise_power_w == pytest.approx(1e-14, rel=1e-12)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,10 @@ class TestExitCodes:
             (None, ["sweep-power", "--L", "nan"]),
             (None, ["sweep-alpha", "--L", "inf"]),
             (None, ["sweep-power", "--R", "inf", "--pt", "0.1"]),
+            ('{"radio": {"rate": 600}}', ["solve"]),
+            (None, ["sweep-power", "--R", "600", "--pt", "0.1"]),
+            ('{"radio": {"noise_power_dbm": 4000}}', ["solve"]),
+            ('{"radio": {"noise_power_dbm": -4000}}', ["solve"]),
         ],
         ids=[
             "nan-power",
@@ -159,6 +167,10 @@ class TestExitCodes:
             "sweep-power-L-nan",
             "sweep-alpha-L-inf",
             "sweep-power-R-inf",
+            "rate-threshold-overflow",
+            "sweep-power-R-threshold-overflow",
+            "noise-power-overflow",
+            "noise-power-underflow",
         ],
     )
     def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv):
@@ -434,3 +446,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "# seed: 777" in out
         assert "# scenario_sha256: " in out
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # Only validate needs the Monte Carlo thread pool, so importing the CLI
+    # must not pay for concurrent.futures; every command's start-up would.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, uavrelay.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -6,10 +6,10 @@ import pytest
 from uavrelay import (
     OutageEstimate,
     PowerSplit,
-    RadioConfig,
     SimSpec,
     end_to_end_outage,
     estimate_outage,
+    hop_capacity,
     sample_rician_power,
 )
 from uavrelay.mcsim import _chunk_events, _chunk_rng
@@ -60,14 +60,23 @@ class TestEstimateOutage:
         assert first.std_err == second.std_err
 
     def test_chunk_order_invariance(self, radio, table1_budget):
+        # Threaded chunks against a serial tally in another order; the
+        # uneven split leaves a partial last chunk.
         split = PowerSplit.from_alpha(0.3, radio.total_power_w)
-        spec = SimSpec(trials=300_000, seed=77, chunk_size=100_000)
-        estimate = estimate_outage(table1_budget, split, radio, spec)
-        counts = [
-            _chunk_events(table1_budget, split, radio, spec.seed, index, 100_000)
-            for index in (2, 0, 1)
-        ]
-        assert sum(counts) / spec.trials == estimate.p_hat
+        for spec in (
+            SimSpec(trials=300_000, seed=77, chunk_size=100_000),
+            SimSpec(trials=250_001, seed=78, chunk_size=64_000),
+        ):
+            estimate = estimate_outage(table1_budget, split, radio, spec)
+            starts = range(0, spec.trials, spec.chunk_size)
+            counts = [
+                _chunk_events(
+                    table1_budget, split, radio, spec.seed, index,
+                    min(spec.chunk_size, spec.trials - start),
+                )
+                for index, start in reversed(list(enumerate(starts)))
+            ]
+            assert sum(counts) / spec.trials == estimate.p_hat
 
     def test_zero_bs_power_is_certain_outage(self, radio, table1_budget):
         estimate = estimate_outage(
@@ -78,18 +87,6 @@ class TestEstimateOutage:
         )
         assert estimate.p_hat == 1.0
         assert estimate.std_err == 0.0
-
-    def test_zero_rate_never_in_outage(self, table1_budget):
-        zero_rate = RadioConfig(
-            f_c=2000e6, n=3.0, noise_power_dbm=-110.0, rate=0.0, total_power_w=0.25
-        )
-        estimate = estimate_outage(
-            table1_budget,
-            PowerSplit.from_alpha(0.5, 0.25),
-            zero_rate,
-            SimSpec(trials=20_000, seed=6),
-        )
-        assert estimate.p_hat == 0.0
 
     def test_agrees_with_closed_form(self, radio, table1_budget):
         split = PowerSplit.from_alpha(0.5, radio.total_power_w)
@@ -111,6 +108,27 @@ class TestEstimateOutage:
         ]
         assert errs[0] / errs[1] == pytest.approx(math.sqrt(10.0), rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(math.sqrt(10.0), rel=0.15)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
+    def test_threshold_event_equals_capacity_shortfall(self, table1_budget, rate):
+        # hop_capacity is the reference definition of the outage event; the
+        # chunk tally compares fading power with the SNR threshold instead.
+        # alpha 0 and 1 leave one hop without power.
+        radio = make_radio(rate=rate)
+        noise = radio.noise_power_w
+        for alpha in (0.0, 0.3, 0.7, 1.0):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            for seed in (3, 4, 5):
+                rng = _chunk_rng(seed, 1)
+                su = sample_rician_power(table1_budget.k_su, rng, 50_000)
+                ud = sample_rician_power(table1_budget.k_ud, rng, 50_000)
+                capacity = np.minimum(
+                    hop_capacity(split.p_s, table1_budget.g_su, su, noise),
+                    hop_capacity(split.p_u, table1_budget.g_ud, ud, noise),
+                )
+                expected = int(np.count_nonzero(capacity < rate))
+                got = _chunk_events(table1_budget, split, radio, seed, 1, 50_000)
+                assert got == expected
 
     def test_hop_draws_uncorrelated(self, table1_budget):
         rng = _chunk_rng(123, 0)
