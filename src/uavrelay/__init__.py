@@ -37,13 +37,13 @@ from .optimizer import (
 from .outage import (
     PowerSplit,
     end_to_end_outage,
+    end_to_end_outage_grid,
     hop_capacity,
     hop_outage,
     snr_threshold,
 )
 from .specfun import (
     SpecFunConfig,
-    bessel_i0_asymptotic,
     bessel_i_n,
     marcum_q1,
     marcum_q1_partial_a,
@@ -65,10 +65,10 @@ __all__ = [
     "SolverConfig",
     "SpecFunConfig",
     "Theorem1Constants",
-    "bessel_i0_asymptotic",
     "bessel_i_n",
     "elevation_angle",
     "end_to_end_outage",
+    "end_to_end_outage_grid",
     "equal_power",
     "estimate_outage",
     "hop_capacity",

@@ -40,7 +40,7 @@ from .optimizer import (
     theorem1_residual,
     theorem1_constants,
 )
-from .outage import PowerSplit, end_to_end_outage
+from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid
 
 __all__ = [
     "Scenario",
@@ -286,9 +286,10 @@ def cmd_sweep_alpha(
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
     def cells(swept, budget):
-        for alpha in alpha_grid:
+        outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
+        for alpha, outage in zip(alpha_grid, outages):
             split = PowerSplit.from_alpha(alpha, swept.radio.total_power_w)
-            yield alpha, split.p_s, split.p_u, end_to_end_outage(budget, split, swept.radio), "grid"
+            yield alpha, split.p_s, split.p_u, outage, "grid"
         yield _allocation(minimize_outage_exact(budget, swept.radio, swept.solver))
         yield _allocation(solve_theorem1(budget, swept.radio, swept.solver))
 

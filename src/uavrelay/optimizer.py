@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
-from .outage import PowerSplit, end_to_end_outage, snr_threshold
+from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid, hop_outage, snr_threshold
 from .specfun import marcum_q1, marcum_q1_partial_b
 
 __all__ = [
@@ -142,6 +142,8 @@ def solve_theorem1(
     Bisects the log-domain residual over [bracket_epsilon, 1 - bracket_epsilon]
     down to ``cfg.alpha_tol``; the boundary divergences make bisection
     unconditionally convergent whenever the endpoint residuals differ in sign.
+    When the constants overflow because one hop is in certain outage at every
+    split, the BracketError names the saturated objective.
     """
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
@@ -152,6 +154,12 @@ def solve_theorem1(
         )
 
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    overflow = math.isinf(consts.gamma_1) or math.isinf(consts.gamma_2)
+    if overflow and _saturated(budget, radio, lo, hi):
+        raise BracketError(
+            "saturated objective: the outage is 1 at every split, since one hop"
+            " misses the SNR threshold even at full power"
+        )
     r_lo, r_hi = residual(lo), residual(hi)
     if r_lo == 0.0:
         alpha = lo
@@ -187,13 +195,22 @@ def solve_theorem1(
     )
 
 
+def _saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> bool:
+    """Whether one hop is in outage with probability 1 even at the most power
+    an allocation factor in [lo, hi] gives it, hence at every such split."""
+    noise, total = radio.noise_power_w, radio.total_power_w
+    snr_su = PowerSplit.from_alpha(hi, total).p_s * budget.g_su / noise
+    snr_ud = PowerSplit.from_alpha(lo, total).p_u * budget.g_ud / noise
+    return hop_outage(budget.k_su, snr_su, radio.rate) == 1.0 or hop_outage(budget.k_ud, snr_ud, radio.rate) == 1.0
+
+
 def minimize_outage_exact(
     budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig = DEFAULT_SOLVER
 ) -> AllocationResult:
     """Minimize the closed-form outage over the allocation factor.
 
-    A coarse scan over ``cfg.grid_points`` values of alpha brackets the best
-    cell (the objective is cheap and unimodality is empirical, so the grid
+    A coarse scan over ``cfg.grid_points`` values of alpha, evaluated in one
+    batch, brackets the best cell (unimodality is empirical, so the grid
     guards against missing the basin), then golden-section refinement narrows
     the bracket to ``cfg.alpha_tol``. The total power constraint is treated
     as active: p_u = P_t - p_s.
@@ -206,7 +223,7 @@ def minimize_outage_exact(
     lo_edge, hi_edge = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     step = (hi_edge - lo_edge) / (cfg.grid_points - 1)
     grid = [lo_edge + i * step for i in range(cfg.grid_points)]
-    values = [objective(alpha) for alpha in grid]
+    values = end_to_end_outage_grid(budget, grid, radio)
     best = min(range(cfg.grid_points), key=values.__getitem__)
 
     lo = grid[max(best - 1, 0)]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .channel import LinkBudget, RadioConfig
 from .specfun import DEFAULT_SPECFUN, SpecFunConfig, _marcum_q1_complement
 
@@ -21,6 +22,7 @@ __all__ = [
     "snr_threshold",
     "hop_outage",
     "end_to_end_outage",
+    "end_to_end_outage_grid",
     "hop_capacity",
 ]
 
@@ -76,9 +78,21 @@ def hop_outage(
     (linear). The complement is evaluated directly by its own positive
     series, so small outages keep full relative accuracy instead of dying in
     the subtraction from 1.
+
+    ``mean_snr`` may be a 1-D numpy array; the outages, one per entry, are
+    then evaluated in one batched Marcum call and equal the scalar results
+    bit for bit.
     """
     if k <= 0.0:
         raise ValueError("Rician factor must be positive")
+    if isinstance(mean_snr, np.ndarray):
+        if np.any(mean_snr <= 0.0):
+            raise ValueError("mean SNR must be positive")
+        with np.errstate(over="ignore"):  # an overflow is inf, as in the scalar arithmetic
+            b = np.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
+        # Called through the module attribute, which per-call instrumentation
+        # of the scalar entry points leaves alone; the kernel already clamps.
+        return specfun._marcum_q1_complement(math.sqrt(2.0 * k), b, cfg)
     if mean_snr <= 0.0:
         raise ValueError("mean SNR must be positive")
     gamma = snr_threshold(rate) / mean_snr
@@ -107,6 +121,36 @@ def end_to_end_outage(
     # Same quantity as 1 - (1 - out_su)(1 - out_ud), arranged so small
     # outages are not rounded away against the leading 1.
     return out_su + out_ud - out_su * out_ud
+
+
+def end_to_end_outage_grid(
+    budget: LinkBudget,
+    alphas: list[float],
+    radio: RadioConfig,
+    cfg: SpecFunConfig = DEFAULT_SPECFUN,
+) -> list[float]:
+    """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
+    of each allocation factor in ``alphas``, bit for bit, with each hop
+    evaluated in one batched call.
+
+    The factors must lie in [0, 1]; the total power is ``radio.total_power_w``.
+    """
+    alpha = np.asarray(alphas, dtype=float)
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
+        raise ValueError("allocation factor must lie in [0, 1]")
+    total = radio.total_power_w
+    p_s = alpha * total
+    p_u = (1.0 - alpha) * total
+    live = (p_s != 0.0) & (p_u != 0.0)
+    out = np.ones(alpha.shape)
+    noise = radio.noise_power_w
+    with np.errstate(over="ignore"):
+        snr_su = p_s[live] * budget.g_su / noise
+        snr_ud = p_u[live] * budget.g_ud / noise
+    out_su = hop_outage(budget.k_su, snr_su, radio.rate, cfg)
+    out_ud = hop_outage(budget.k_ud, snr_ud, radio.rate, cfg)
+    out[live] = out_su + out_ud - out_su * out_ud
+    return out.tolist()
 
 
 def hop_capacity(power, gain, fading_power, noise):

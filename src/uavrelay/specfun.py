@@ -1,6 +1,7 @@
 """Modified Bessel functions of the first kind and the first-order Marcum Q-function.
 
-All routines here are scalar, pure, and evaluated in IEEE double precision.
+All routines here are pure and evaluated in IEEE double precision; all are
+scalar, except that the Marcum complement also takes an array of thresholds.
 The Marcum function and its partial derivatives sit underneath every outage
 evaluation in this package, so the default truncation tolerance is set far
 below anything the link-level results can resolve.
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SpecFunConfig",
     "DEFAULT_SPECFUN",
     "bessel_i_n",
-    "bessel_i0_asymptotic",
     "marcum_q1",
     "marcum_q1_partial_a",
     "marcum_q1_partial_b",
@@ -56,6 +58,11 @@ _SERIES_HALF_SQ_LIMIT = 700.0
 # With |a - b| >= 9 the smaller of Q_1 and 1 - Q_1 is below exp(-40.5) < 3e-18,
 # one ulp of 1, so the negligible side can be returned exactly.
 _NEGLIGIBLE_GAP = 9.0
+# Rows times terms per block of the array complement: each of its three float
+# temporaries is then 32 kB. On the benchmark's alpha grids, 1024 cells paid
+# more in per-block overhead, and 16384 or more ran slower and raised the
+# peak RSS.
+_BLOCK_CELLS = 4096
 
 
 def _bessel_series(order: int, x: float, cfg: SpecFunConfig) -> float:
@@ -133,17 +140,6 @@ def _bessel_i_n_scaled(order: int, x: float, cfg: SpecFunConfig = DEFAULT_SPECFU
     return _asymptotic_sum(order, x, cfg) / math.sqrt(2.0 * math.pi * x)
 
 
-def bessel_i0_asymptotic(x: float) -> float:
-    """Leading-order large-argument approximation of I_0: e^x / sqrt(2*pi*x).
-
-    Exposed separately because the approximate power-allocation root equation
-    is derived with exactly this one-term form.
-    """
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x)
-
-
 def marcum_q1(a: float, b: float, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> float:
     """First-order Marcum Q-function Q_1(a, b).
 
@@ -202,7 +198,12 @@ def _marcum_q1_complement(a: float, b: float, cfg: SpecFunConfig = DEFAULT_SPECF
     Swapping the summation order of the double series gives
         1 - Q_1(a, b) = sum_{j>=1} pmf(j; b^2/2) * cdf(j - 1; a^2/2),
     with the same outer-tail stopping rule as ``marcum_q1`` mirrored in b.
+
+    ``b`` may also be a 1-D numpy array; the result is then an array equal,
+    bit for bit, to this loop applied to each entry (see ``_complement_array``).
     """
+    if isinstance(b, np.ndarray):
+        return _complement_array(a, b, cfg)
     if a < 0.0 or b < 0.0:
         raise ValueError("Marcum Q arguments must be non-negative")
     if b == 0.0:
@@ -236,6 +237,92 @@ def _marcum_q1_complement(a: float, b: float, cfg: SpecFunConfig = DEFAULT_SPECF
     else:
         raise RuntimeError(f"Marcum Q complement series did not converge for a={a}, b={b}")
     return min(1.0, max(0.0, total))
+
+
+@np.errstate(all="ignore")  # inf and NaN arise silently, as in the loop's float arithmetic
+def _complement_array(a: float, b: np.ndarray, cfg: SpecFunConfig) -> np.ndarray:
+    """The scalar complement loop at every entry of ``b``, with the same arithmetic.
+
+    The loop's running ``*=`` and ``+=`` become ``np.cumprod`` and
+    ``np.cumsum`` along a term axis, which accumulate strictly left to right,
+    so every partial sum is the loop's own. Each row then stops at the first
+    term where the loop's stopping tests hold. Rows are sorted by b^2/2 and
+    taken in blocks sized from a term estimate; rows that need more terms go
+    round again with twice as many, up to ``cfg.max_terms``. An entry
+    the loop would raise on is handed to the loop, so the first such entry
+    raises the same exception.
+    """
+    out = np.zeros(b.shape)
+    a2h = 0.5 * a * a
+    b2h = 0.5 * b * b
+    # Entries the loop raises on: negative arguments, a NaN threshold (which
+    # meets no stopping test), and the overflow band without a clear gap.
+    fails = (a < 0.0) | (b < 0.0) | np.isnan(b)
+    band = ~fails & (b != 0.0) & ((a2h >= _SERIES_HALF_SQ_LIMIT) | (b2h >= _SERIES_HALF_SQ_LIMIT))
+    high = band & (b - a >= _NEGLIGIBLE_GAP)
+    out[high] = 1.0
+    fails |= band & ~high & ~(a - b >= _NEGLIGIBLE_GAP)
+    series = np.flatnonzero(~fails & ~band & (b != 0.0))
+
+    # Work items (rows, term floor), rows in descending b^2/2 so that the
+    # first row of any item bounds its series length.
+    pending = [(series[np.argsort(-b2h[series], kind="stable")], 0)] if series.size else []
+    cdf_a = np.empty(0)
+    while pending:
+        rows, floor = pending.pop()
+        largest = b2h[rows[0]]
+        terms = max(floor, min(cfg.max_terms, int(2.0 * largest + 8.0 * math.sqrt(largest) + 24.0)))
+        take = max(1, _BLOCK_CELLS // terms)
+        if rows.size > take:
+            pending.append((rows[take:], floor))
+            rows = rows[:take]
+        if cdf_a.size < terms:
+            cdf_a = np.cumsum(_poisson_pmf(a2h, terms))
+        value, found = _complement_block(b2h[rows], cdf_a[: terms - 1], cfg.series_tol)
+        out[rows[found]] = value[found]
+        if not found.all():
+            if terms == cfg.max_terms:
+                fails[rows[~found]] = True
+            else:
+                pending.append((rows[~found], min(cfg.max_terms, 2 * terms)))
+
+    if fails.any():  # the loop raises at its first failing entry
+        _marcum_q1_complement(a, float(b[np.argmax(fails)]), cfg)
+    # min(1, max(0, x)) as the loop takes it, NaN included.
+    out = np.where(out > 0.0, out, 0.0)
+    return np.where(out < 1.0, out, 1.0)
+
+
+def _poisson_pmf(mean: float, terms: int) -> np.ndarray:
+    """pmf(j; mean) for j < terms, by the loop's recursion pmf *= mean / j."""
+    factors = np.empty(terms)
+    factors[0] = math.exp(-mean)
+    np.divide(mean, np.arange(1.0, terms), out=factors[1:])
+    return np.cumprod(factors, out=factors)
+
+
+def _complement_block(b2h: np.ndarray, cdf_a: np.ndarray, tol: float):
+    """Complement series of one block of rows over ``cdf_a.size + 1`` terms.
+
+    Column m holds the loop's state after m terms. Returns each row's sum at
+    its first column where the loop stops, and whether that column exists.
+    """
+    rows, terms = b2h.size, cdf_a.size + 1
+    pmf_b = np.empty((rows, terms))
+    pmf_b[:, 0] = [math.exp(-h) for h in b2h.tolist()]  # the loop's libm exp
+    np.divide(b2h[:, None], np.arange(1.0, terms), out=pmf_b[:, 1:])
+    np.cumprod(pmf_b, axis=1, out=pmf_b)
+    total = np.empty((rows, terms))
+    total[:, 0] = 0.0
+    np.multiply(pmf_b[:, 1:], cdf_a, out=total[:, 1:])
+    np.cumsum(total, axis=1, out=total)
+    bound = tol * total
+    # Term m + 1 is the loop's counter j when it tests the state after m terms.
+    stop = (pmf_b == 0.0) | ((np.arange(1.0, terms + 1) >= 2.0 * b2h[:, None]) & (pmf_b <= bound))
+    tail = np.cumsum(pmf_b, axis=1, out=pmf_b)
+    stop |= np.subtract(1.0, tail, out=tail) <= bound
+    first = stop.argmax(axis=1)
+    return total[np.arange(rows), first], stop[np.arange(rows), first]
 
 
 def marcum_q1_partial_a(a: float, b: float, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> float:

@@ -1,6 +1,7 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 from uavrelay import (
     HopEnvironment,
@@ -9,6 +10,11 @@ from uavrelay import (
     RicianEndpoints,
     link_budget,
 )
+
+# Property tests draw the same examples on every run and write no example
+# database into the checkout.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def count_sign_changes(values):

@@ -193,6 +193,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "solve_theorem1", explode)
         assert main(["solve", "--scenario", path]) == EXIT_SOLVER
 
+    @pytest.mark.parametrize("command", ["solve", "sweep-alpha", "sweep-power"])
+    @pytest.mark.parametrize(
+        "radio", [{"rate": 511.9}, {"noise_power_dbm": 3000}], ids=["rate-511.9", "noise-3000-dbm"]
+    )
+    def test_saturated_objective_exits_3(self, tmp_path, capsys, command, radio):
+        # The SNR threshold is out of reach at every split, and the root
+        # equation's constants overflow to inf.
+        path = write_scenario(tmp_path, radio=radio)
+        assert main([command, "--scenario", path]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "solver error: saturated objective: the outage is 1 at every split,"
+            " since one hop misses the SNR threshold even at full power"
+        ]
+
 
 class TestSolve:
     def test_symmetric_methods_agree(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from uavrelay import (
     RicianEndpoints,
     SolverConfig,
     end_to_end_outage,
+    end_to_end_outage_grid,
     equal_power,
     link_budget,
     minimize_outage_exact,
@@ -21,6 +22,7 @@ from uavrelay import (
     theorem1_constants,
     theorem1_residual,
 )
+from uavrelay import optimizer
 
 from conftest import make_budget, make_radio
 
@@ -180,6 +182,25 @@ class TestMinimizeOutageExact:
     def test_respects_power_budget(self, radio, table1_budget):
         result = minimize_outage_exact(table1_budget, radio)
         assert result.p_s + result.p_u == pytest.approx(radio.total_power_w, rel=1e-12)
+
+
+    def test_one_grid_call_then_scalar_probes(self, radio, table1_budget, monkeypatch):
+        grid_calls, scalar_calls = [], []
+
+        def grid(budget, alphas, radio, *args):
+            grid_calls.append(len(alphas))
+            return end_to_end_outage_grid(budget, alphas, radio, *args)
+
+        def scalar(*args):
+            scalar_calls.append(args)
+            return end_to_end_outage(*args)
+
+        monkeypatch.setattr(optimizer, "end_to_end_outage_grid", grid)
+        monkeypatch.setattr(optimizer, "end_to_end_outage", scalar)
+        cfg = SolverConfig()
+        res = minimize_outage_exact(table1_budget, radio, cfg)
+        assert grid_calls == [cfg.grid_points]
+        assert len(scalar_calls) == res.iterations - cfg.grid_points + 1
 
 
 class TestEqualPower:

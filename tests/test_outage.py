@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay import (
+    LinkBudget,
     PowerSplit,
     end_to_end_outage,
+    end_to_end_outage_grid,
     estimate_outage,
     hop_capacity,
     hop_outage,
@@ -14,7 +18,7 @@ from uavrelay import (
     SimSpec,
 )
 
-from conftest import count_sign_changes
+from conftest import count_sign_changes, make_radio
 
 # Frozen quadrature value of Q_1(2, sqrt(1.8)), the survival term for
 # (k = 2, mean_snr = 10, rate = 1).
@@ -132,6 +136,39 @@ class TestEndToEndOutage:
             for a in alphas
         ]
         assert count_sign_changes(outages) == 1
+
+
+class TestEndToEndOutageGrid:
+    @given(
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+        # K up to 25 dB keeps every threshold argument clear of the Marcum
+        # overflow band, where the grid and the scalar calls would raise.
+        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_alpha_outage(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
+        budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
+        radio = make_radio(total_power_w=10.0**pt, rate=rate)
+        try:
+            expected = [
+                end_to_end_outage(budget, PowerSplit.from_alpha(alpha, radio.total_power_w), radio).hex()
+                for alpha in alphas
+            ]
+        except ValueError:  # a split so small that its mean SNR underflows to 0
+            with pytest.raises(ValueError):
+                end_to_end_outage_grid(budget, alphas, radio)
+            return
+        assert [value.hex() for value in end_to_end_outage_grid(budget, alphas, radio)] == expected
+
+    def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                end_to_end_outage_grid(table1_budget, [0.5, bad], radio)
 
 
 class TestPowerSplit:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from scipy.special import i0e
 from uavrelay.specfun import (
     SpecFunConfig,
     _marcum_q1_complement,
-    bessel_i0_asymptotic,
     bessel_i_n,
     marcum_q1,
     marcum_q1_partial_a,
@@ -147,21 +147,6 @@ class TestBesselIN:
             bessel_i_n(0, 800.0)
 
 
-class TestBesselI0Asymptotic:
-    def test_formula(self):
-        assert bessel_i0_asymptotic(10.0) == math.exp(10.0) / math.sqrt(20.0 * math.pi)
-        assert bessel_i0_asymptotic(100.0) == math.exp(100.0) / math.sqrt(200.0 * math.pi)
-
-    def test_close_to_series_at_20(self):
-        exact = bessel_i_n(0, 20.0)
-        approx = bessel_i0_asymptotic(20.0)
-        assert abs(approx - exact) / exact < 0.01
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            bessel_i0_asymptotic(0.0)
-
-
 # ---------------------------------------------------------------------------
 # marcum_q1 and partial derivatives
 # ---------------------------------------------------------------------------
@@ -249,6 +234,68 @@ class TestMarcumComplement:
             marcum_q1(38.0, 39.0)
         with pytest.raises(OverflowError):
             _marcum_q1_complement(38.0, 39.0)
+
+
+def _loop_outcomes(a, bs, cfg):
+    """The scalar loop at each threshold: its value, or the first exception type."""
+    values = []
+    for b in bs:
+        try:
+            values.append(_marcum_q1_complement(a, b, cfg))
+        except (OverflowError, RuntimeError) as exc:
+            return type(exc)
+    return [value.hex() for value in values]
+
+
+@st.composite
+def thresholds(draw):
+    """A noncentrality a and a mixed threshold list for it.
+
+    Besides ordinary thresholds the list can hold 0, inf, and thresholds in
+    the b^2/2 >= 700 band, either far enough from a for the exact 0/1
+    shortcut or too close to it (the overflow error path).
+    """
+    a = draw(st.floats(min_value=0.0, max_value=40.0))
+    band_floor = math.sqrt(1400.0)
+    special = st.sampled_from([0.0, math.inf, max(a, band_floor) + 9.0, a + 30.0])
+    if a - 9.0 >= band_floor:
+        special |= st.just(a - 9.0)
+    ordinary = st.floats(min_value=0.0, max_value=band_floor, exclude_max=True)
+    near_band = st.floats(min_value=band_floor, max_value=band_floor + 12.0)
+    bs = draw(st.lists(ordinary | special | near_band, min_size=1, max_size=60))
+    return a, bs
+
+
+class TestMarcumComplementArray:
+    """The array path equals the scalar loop bit for bit, errors included."""
+
+    @given(thresholds(), st.sampled_from([SpecFunConfig(), SpecFunConfig(max_terms=50)]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_loop(self, case, cfg):
+        a, bs = case
+        expected = _loop_outcomes(a, bs, cfg)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                _marcum_q1_complement(a, np.array(bs, dtype=float), cfg)
+        else:
+            got = _marcum_q1_complement(a, np.array(bs, dtype=float), cfg)
+            assert [value.hex() for value in got.tolist()] == expected
+
+    @pytest.mark.parametrize("a", [0.0, 0.7, 3.0, 8.0, 16.0, 24.0, 29.5, 37.0])
+    def test_dense_thresholds_equal_scalar_loop(self, a):
+        # Every regime below the band: tail and far-pmf stops, tiny and
+        # near-1 complements, and series long enough to double their block.
+        bs = np.linspace(0.0, math.sqrt(1400.0), 401, endpoint=False)
+        expected = [_marcum_q1_complement(a, b).hex() for b in bs.tolist()]
+        assert [value.hex() for value in _marcum_q1_complement(a, bs).tolist()] == expected
+
+    def test_error_paths(self):
+        with pytest.raises(OverflowError):
+            _marcum_q1_complement(38.0, np.array([1.0, 39.0, 0.0]))
+        with pytest.raises(RuntimeError):
+            _marcum_q1_complement(10.0, np.array([0.0, 12.0]), SpecFunConfig(max_terms=50))
+        with pytest.raises(ValueError):
+            _marcum_q1_complement(1.0, np.array([1.0, -0.5]))
 
 
 class TestMarcumPartials:
