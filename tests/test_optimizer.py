@@ -183,7 +183,6 @@ class TestMinimizeOutageExact:
         result = minimize_outage_exact(table1_budget, radio)
         assert result.p_s + result.p_u == pytest.approx(radio.total_power_w, rel=1e-12)
 
-
     def test_one_grid_call_then_scalar_probes(self, radio, table1_budget, monkeypatch):
         grid_calls, scalar_calls = [], []
 
