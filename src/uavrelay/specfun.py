@@ -252,7 +252,7 @@ def _complement_array(a: float, b: np.ndarray, cfg: SpecFunConfig) -> np.ndarray
     the loop would raise on is handed to the loop, so the first such entry
     raises the same exception.
     """
-    out = np.zeros(b.shape)
+    out = np.zeros(b.shape)  # b == 0 and the a - b >= 9 side of the band stay 0
     a2h = 0.5 * a * a
     b2h = 0.5 * b * b
     # Entries the loop raises on: negative arguments, a NaN threshold (which
