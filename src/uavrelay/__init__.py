@@ -43,7 +43,6 @@ from .outage import (
     snr_threshold,
 )
 from .specfun import (
-    SpecFunConfig,
     bessel_i_n,
     marcum_q1,
     marcum_q1_partial_a,
@@ -63,7 +62,6 @@ __all__ = [
     "RicianEndpoints",
     "SimSpec",
     "SolverConfig",
-    "SpecFunConfig",
     "Theorem1Constants",
     "bessel_i_n",
     "elevation_angle",

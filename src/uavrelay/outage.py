@@ -15,7 +15,7 @@ import numpy as np
 
 from . import specfun
 from .channel import LinkBudget, RadioConfig
-from .specfun import DEFAULT_SPECFUN, SpecFunConfig, _marcum_q1_complement
+from .specfun import _marcum_q1_complement
 
 __all__ = [
     "PowerSplit",
@@ -68,9 +68,7 @@ def snr_threshold(rate: float) -> float:
     return 2.0 ** (2.0 * rate) - 1.0
 
 
-def hop_outage(
-    k: float, mean_snr: float, rate: float, cfg: SpecFunConfig = DEFAULT_SPECFUN
-) -> float:
+def hop_outage(k: float, mean_snr: float, rate: float) -> float:
     """Outage probability of a single Rician hop.
 
     Returns 1 - Q_1(sqrt(2K), sqrt(2(K+1) * gamma_th / mean_snr)) where
@@ -92,43 +90,35 @@ def hop_outage(
             b = np.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
         # Called through the module attribute, which per-call instrumentation
         # of the scalar entry points leaves alone; the kernel already clamps.
-        return specfun._marcum_q1_complement(math.sqrt(2.0 * k), b, cfg)
+        return specfun._marcum_q1_complement(math.sqrt(2.0 * k), b)
     if mean_snr <= 0.0:
         raise ValueError("mean SNR must be positive")
     gamma = snr_threshold(rate) / mean_snr
-    out = _marcum_q1_complement(math.sqrt(2.0 * k), math.sqrt(2.0 * (k + 1.0) * gamma), cfg)
-    return min(1.0, max(0.0, out))
+    return _marcum_q1_complement(math.sqrt(2.0 * k), math.sqrt(2.0 * (k + 1.0) * gamma))
 
 
-def end_to_end_outage(
-    budget: LinkBudget,
-    split: PowerSplit,
-    radio: RadioConfig,
-    cfg: SpecFunConfig = DEFAULT_SPECFUN,
-) -> float:
+def end_to_end_outage(budget: LinkBudget, split: PowerSplit, radio: RadioConfig) -> float:
     """Outage probability of the relay link: 1 - (1 - out_su)(1 - out_ud).
 
     Hop fading is independent, so this equals the probability that the
-    smaller of the two hop capacities drops below the rate. A zero power on
-    either hop is a degenerate full outage (returned as 1, not an error) so
-    optimizer line searches can probe the boundary safely.
+    smaller of the two hop capacities drops below the rate. A zero mean SNR
+    on either hop, from a zero power or one so small that the SNR underflows,
+    is a degenerate full outage (returned as 1, not an error) so optimizer
+    line searches can probe the boundary safely.
     """
-    if split.p_s == 0.0 or split.p_u == 0.0:
-        return 1.0
     noise = radio.noise_power_w
-    out_su = hop_outage(budget.k_su, split.p_s * budget.g_su / noise, radio.rate, cfg)
-    out_ud = hop_outage(budget.k_ud, split.p_u * budget.g_ud / noise, radio.rate, cfg)
+    snr_su = split.p_s * budget.g_su / noise
+    snr_ud = split.p_u * budget.g_ud / noise
+    if snr_su == 0.0 or snr_ud == 0.0:
+        return 1.0
+    out_su = hop_outage(budget.k_su, snr_su, radio.rate)
+    out_ud = hop_outage(budget.k_ud, snr_ud, radio.rate)
     # Same quantity as 1 - (1 - out_su)(1 - out_ud), arranged so small
     # outages are not rounded away against the leading 1.
     return out_su + out_ud - out_su * out_ud
 
 
-def end_to_end_outage_grid(
-    budget: LinkBudget,
-    alphas: list[float],
-    radio: RadioConfig,
-    cfg: SpecFunConfig = DEFAULT_SPECFUN,
-) -> list[float]:
+def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
     """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
     of each allocation factor in ``alphas``, bit for bit, with each hop
     evaluated in one batched call.
@@ -141,14 +131,14 @@ def end_to_end_outage_grid(
     total = radio.total_power_w
     p_s = alpha * total
     p_u = (1.0 - alpha) * total
-    live = (p_s != 0.0) & (p_u != 0.0)
-    out = np.ones(alpha.shape)
     noise = radio.noise_power_w
     with np.errstate(over="ignore"):
-        snr_su = p_s[live] * budget.g_su / noise
-        snr_ud = p_u[live] * budget.g_ud / noise
-    out_su = hop_outage(budget.k_su, snr_su, radio.rate, cfg)
-    out_ud = hop_outage(budget.k_ud, snr_ud, radio.rate, cfg)
+        snr_su = p_s * budget.g_su / noise
+        snr_ud = p_u * budget.g_ud / noise
+    live = (snr_su != 0.0) & (snr_ud != 0.0)
+    out = np.ones(alpha.shape)
+    out_su = hop_outage(budget.k_su, snr_su[live], radio.rate)
+    out_ud = hop_outage(budget.k_ud, snr_ud[live], radio.rate)
     out[live] = out_su + out_ud - out_su * out_ud
     return out.tolist()
 

@@ -402,6 +402,18 @@ class TestValidate:
         assert float(row[2]) == 1.0
         assert float(row[4]) == 0.0
 
+    @pytest.mark.parametrize(
+        "command,header,column",
+        [("sweep-alpha", cli.SWEEP_HEADER, 5), ("validate", cli.VALIDATE_HEADER, 1)],
+    )
+    def test_underflowing_split_is_full_outage(self, capsys, command, header, column):
+        # p_s * G / N0 underflows to 0 at this alpha: a degenerate full outage.
+        argv = [command, "--excess-loss-convention", "paper", "--alpha-grid", "1e-320:1e-320:1"]
+        assert main(argv + ["--trials", "20000"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert parse_rows(captured.out, header)[0][column] == "1.000000000000e+00"
+
     def test_corrupted_gain_fails_with_exit_4(self, tmp_path, capsys, monkeypatch):
         path = paper_scenario(tmp_path)
         true_outage = cli.end_to_end_outage

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from uavrelay import (
@@ -22,7 +23,7 @@ from uavrelay import (
     theorem1_constants,
     theorem1_residual,
 )
-from uavrelay import optimizer
+from uavrelay import optimizer, outage
 
 from conftest import make_budget, make_radio
 
@@ -200,6 +201,25 @@ class TestMinimizeOutageExact:
         res = minimize_outage_exact(table1_budget, radio, cfg)
         assert grid_calls == [cfg.grid_points]
         assert len(scalar_calls) == res.iterations - cfg.grid_points + 1
+
+    def test_array_thresholds_skip_the_scalar_entry_point(self, radio, table1_budget, monkeypatch):
+        # The benchmark's per-call tracer replaces these module attributes and
+        # buckets each call by its scalar threshold b, so an array b must
+        # reach the Marcum kernel another way.
+        assert callable(optimizer.marcum_q1) and callable(optimizer.marcum_q1_partial_b)
+        scalar = outage._marcum_q1_complement
+        calls = []
+
+        def scalar_only(a, b):
+            if isinstance(b, np.ndarray):
+                raise TypeError("array threshold at the scalar entry point")
+            calls.append(b)
+            return scalar(a, b)
+
+        monkeypatch.setattr(outage, "_marcum_q1_complement", scalar_only)
+        end_to_end_outage_grid(table1_budget, [0.0, 0.25, 0.5, 0.75], radio)
+        minimize_outage_exact(table1_budget, radio)
+        assert calls  # the golden-section probes stay scalar calls
 
 
 class TestEqualPower:

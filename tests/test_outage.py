@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ncx2
 
 from uavrelay import (
     LinkBudget,
@@ -75,6 +76,28 @@ class TestHopOutage:
         std_err = math.sqrt(p_mc * (1.0 - p_mc) / 10_000_000)
         assert abs(hop_outage(2.0, 10.0, 1.0) - p_mc) <= 3.0 * std_err
 
+    @given(
+        st.floats(min_value=-10.0, max_value=30.0),
+        st.floats(min_value=0.05, max_value=4.0),
+        st.floats(min_value=-3.0, max_value=9.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_against_noncentral_chi_square(self, k_db, rate, log_snr):
+        # 1 - Q_1(a, b) is the cdf of a noncentral chi-square with 2 degrees
+        # of freedom and noncentrality a^2, at b^2; same tolerance as the
+        # benchmark's oracle.
+        k, mean_snr = 10.0 ** (k_db / 10.0), 10.0**log_snr
+        a = math.sqrt(2.0 * k)
+        b = math.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
+        try:
+            value = hop_outage(k, mean_snr, rate)
+        except OverflowError:
+            # Only in the known band where the series start underflows.
+            assert 0.5 * max(a * a, b * b) >= 700.0 and abs(a - b) < 9.0
+            return
+        expected = ncx2.cdf(b * b, 2.0, a * a)
+        assert abs(value - expected) <= 1e-7 * abs(expected) + 2e-15
+
     def test_domain(self):
         with pytest.raises(ValueError):
             hop_outage(0.0, 10.0, 1.0)
@@ -86,6 +109,12 @@ class TestEndToEndOutage:
     def test_zero_power_is_full_outage(self, radio, table1_budget):
         assert end_to_end_outage(table1_budget, PowerSplit(0.0, 0.125), radio) == 1.0
         assert end_to_end_outage(table1_budget, PowerSplit(0.125, 0.0), radio) == 1.0
+
+    def test_underflowing_snr_is_full_outage(self, radio, table1_budget):
+        # At 1e-320 p_s is positive, but p_s * G / N0 underflows to 0.
+        for alpha in (1e-320, 5e-324):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            assert end_to_end_outage(table1_budget, split, radio) == 1.0
 
     def test_identical_hops_compose(self, radio, symmetric_budget):
         split = PowerSplit.from_alpha(0.5, radio.total_power_w)
@@ -154,15 +183,10 @@ class TestEndToEndOutageGrid:
     def test_equals_per_alpha_outage(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
         budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
         radio = make_radio(total_power_w=10.0**pt, rate=rate)
-        try:
-            expected = [
-                end_to_end_outage(budget, PowerSplit.from_alpha(alpha, radio.total_power_w), radio).hex()
-                for alpha in alphas
-            ]
-        except ValueError:  # a split so small that its mean SNR underflows to 0
-            with pytest.raises(ValueError):
-                end_to_end_outage_grid(budget, alphas, radio)
-            return
+        expected = [
+            end_to_end_outage(budget, PowerSplit.from_alpha(alpha, radio.total_power_w), radio).hex()
+            for alpha in alphas
+        ]
         assert [value.hex() for value in end_to_end_outage_grid(budget, alphas, radio)] == expected
 
     def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):

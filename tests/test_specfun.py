@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e
 
+from uavrelay import specfun
 from uavrelay.specfun import (
-    SpecFunConfig,
     _marcum_q1_complement,
     bessel_i_n,
     marcum_q1,
@@ -128,12 +129,12 @@ class TestBesselIN:
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_branch_crossover_agreement(self):
-        force_series = SpecFunConfig(asymptotic_threshold=1e6)
-        force_asym = SpecFunConfig(asymptotic_threshold=20.0)
         for x in [25.0, 28.0, 30.0, 32.0, 35.0]:
             for n in range(0, 4):
-                series_val = bessel_i_n(n, x, force_series)
-                asym_val = bessel_i_n(n, x, force_asym)
+                with mock.patch.object(specfun, "_ASYMPTOTIC_THRESHOLD", 1e6):
+                    series_val = bessel_i_n(n, x)
+                with mock.patch.object(specfun, "_ASYMPTOTIC_THRESHOLD", 20.0):
+                    asym_val = bessel_i_n(n, x)
                 assert asym_val == pytest.approx(series_val, rel=1e-6)
 
     def test_domain_errors(self):
@@ -236,12 +237,12 @@ class TestMarcumComplement:
             _marcum_q1_complement(38.0, 39.0)
 
 
-def _loop_outcomes(a, bs, cfg):
+def _loop_outcomes(a, bs):
     """The scalar loop at each threshold: its value, or the first exception type."""
     values = []
     for b in bs:
         try:
-            values.append(_marcum_q1_complement(a, b, cfg))
+            values.append(_marcum_q1_complement(a, b))
         except (OverflowError, RuntimeError) as exc:
             return type(exc)
     return [value.hex() for value in values]
@@ -269,17 +270,18 @@ def thresholds(draw):
 class TestMarcumComplementArray:
     """The array path equals the scalar loop bit for bit, errors included."""
 
-    @given(thresholds(), st.sampled_from([SpecFunConfig(), SpecFunConfig(max_terms=50)]))
+    @given(thresholds(), st.sampled_from([specfun._MAX_TERMS, 50]))
     @settings(max_examples=200, deadline=None)
-    def test_equals_scalar_loop(self, case, cfg):
+    def test_equals_scalar_loop(self, case, max_terms):
         a, bs = case
-        expected = _loop_outcomes(a, bs, cfg)
-        if isinstance(expected, type):
-            with pytest.raises(expected):
-                _marcum_q1_complement(a, np.array(bs, dtype=float), cfg)
-        else:
-            got = _marcum_q1_complement(a, np.array(bs, dtype=float), cfg)
-            assert [value.hex() for value in got.tolist()] == expected
+        with mock.patch.object(specfun, "_MAX_TERMS", max_terms):
+            expected = _loop_outcomes(a, bs)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    _marcum_q1_complement(a, np.array(bs, dtype=float))
+            else:
+                got = _marcum_q1_complement(a, np.array(bs, dtype=float))
+                assert [value.hex() for value in got.tolist()] == expected
 
     @pytest.mark.parametrize("a", [0.0, 0.7, 3.0, 8.0, 16.0, 24.0, 29.5, 37.0])
     def test_dense_thresholds_equal_scalar_loop(self, a):
@@ -292,8 +294,8 @@ class TestMarcumComplementArray:
     def test_error_paths(self):
         with pytest.raises(OverflowError):
             _marcum_q1_complement(38.0, np.array([1.0, 39.0, 0.0]))
-        with pytest.raises(RuntimeError):
-            _marcum_q1_complement(10.0, np.array([0.0, 12.0]), SpecFunConfig(max_terms=50))
+        with mock.patch.object(specfun, "_MAX_TERMS", 50), pytest.raises(RuntimeError):
+            _marcum_q1_complement(10.0, np.array([0.0, 12.0]))
         with pytest.raises(ValueError):
             _marcum_q1_complement(1.0, np.array([1.0, -0.5]))
 
@@ -353,16 +355,3 @@ class TestMarcumPartials:
         with pytest.raises(ValueError):
             marcum_q1_partial_b(1.0, 0.0)
 
-
-class TestSpecFunConfig:
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            SpecFunConfig(series_tol=0.0)
-        with pytest.raises(ValueError):
-            SpecFunConfig(series_tol=1e-2)
-
-    def test_rejects_bad_caps(self):
-        with pytest.raises(ValueError):
-            SpecFunConfig(max_terms=10)
-        with pytest.raises(ValueError):
-            SpecFunConfig(asymptotic_threshold=-1.0)
