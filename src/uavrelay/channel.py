@@ -36,39 +36,29 @@ EXCESS_LOSS_CONVENTIONS = ("standard", "paper")
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Relay geometry in meters: UAV altitude and the two horizontal legs.
-
-    The legs must add up to the end-to-end ground distance L.
+    """Relay geometry in meters: UAV altitude, the horizontal distance r_s
+    from the base station to the relay, and the end-to-end ground distance L.
     """
 
     h_u: float
     r_s: float
-    r_d: float
     L: float
 
     def __post_init__(self):
-        if self.h_u <= 0.0:
+        if not self.h_u > 0.0:
             raise ValueError("UAV altitude h_u must be positive")
-        if self.r_s < 0.0 or self.r_d < 0.0:
-            raise ValueError("horizontal distances must be non-negative")
-        if not math.isclose(self.r_s + self.r_d, self.L, rel_tol=1e-9, abs_tol=1e-6):
-            raise ValueError("r_s + r_d must equal L")
+        if not 0.0 <= self.r_s <= self.L:
+            raise ValueError("relay distance r_s must lie in [0, L]")
 
     @classmethod
     def midpoint(cls, h_u: float, L: float) -> "LinkGeometry":
         """Relay deployed halfway between the endpoints."""
-        return cls(h_u=h_u, r_s=0.5 * L, r_d=0.5 * L, L=L)
+        return cls(h_u=h_u, r_s=0.5 * L, L=L)
 
-    @classmethod
-    def from_split(cls, h_u: float, L: float, r_s: float) -> "LinkGeometry":
-        """Relay at horizontal distance r_s from the base station."""
-        return cls(h_u=h_u, r_s=r_s, r_d=L - r_s, L=L)
-
-    def slant_su(self) -> float:
-        return math.hypot(self.h_u, self.r_s)
-
-    def slant_ud(self) -> float:
-        return math.hypot(self.h_u, self.r_d)
+    @property
+    def r_d(self) -> float:
+        """Horizontal distance from the relay to the ground user."""
+        return self.L - self.r_s
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,6 @@ class RadioConfig:
     noise_power_dbm: float
     rate: float
     total_power_w: float
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.f_c <= 0.0:
@@ -186,7 +175,7 @@ def path_gain_excess(
     """
     if d <= 0.0:
         raise ValueError("distance must be positive")
-    kernel = radio.c**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
+    kernel = SPEED_OF_LIGHT**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
     return kernel * _excess_factor(eta_db, convention)
 
 

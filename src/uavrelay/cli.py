@@ -6,8 +6,9 @@ runs. Geometry is in meters, powers in watts, the carrier in MHz, and losses
 in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
-Exit codes: 0 success, 2 scenario or argument error, 3 solver failure,
-4 validation failure.
+Exit codes: 0 success, 2 scenario or argument error, 3 solver failure
+(including a saturated objective and a non-finite result), 4 validation
+failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .channel import (
 )
 from .mcsim import SimSpec, estimate_outage
 from .optimizer import (
-    BracketError,
     SolverConfig,
     equal_power,
     minimize_outage_exact,
@@ -209,7 +209,7 @@ def load_scenario(
         geometry = values.pop("geometry")
         geometry.setdefault("r_s", 0.5 * geometry["L"])  # null r_s: relay at the midpoint
         sections = {section: _SECTIONS[section](**kwargs) for section, kwargs in values.items()}
-        sections["geometry"] = LinkGeometry.from_split(**geometry)
+        sections["geometry"] = LinkGeometry(**geometry)
     except (ValueError, OverflowError) as exc:  # OverflowError: integer beyond the float range
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
@@ -485,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except BracketError as exc:
+    except RuntimeError as exc:  # a BracketError, a non-finite output or an unconverged series
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

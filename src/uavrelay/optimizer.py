@@ -142,9 +142,16 @@ def solve_theorem1(
     Bisects the log-domain residual over [bracket_epsilon, 1 - bracket_epsilon]
     down to ``cfg.alpha_tol``; the boundary divergences make bisection
     unconditionally convergent whenever the endpoint residuals differ in sign.
-    When the constants overflow because one hop is in certain outage at every
-    split, the BracketError names the saturated objective.
+    When one hop is in certain outage at every split, whether from a zero
+    mean SNR or from constants that overflow, the BracketError names the
+    saturated objective.
     """
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    if _saturated(budget, radio, lo, hi):
+        raise BracketError(
+            "saturated objective: the outage is 1 at every split, since one hop"
+            " misses the SNR threshold even at full power"
+        )
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
@@ -153,13 +160,6 @@ def solve_theorem1(
             PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud
         )
 
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    overflow = math.isinf(consts.gamma_1) or math.isinf(consts.gamma_2)
-    if overflow and _saturated(budget, radio, lo, hi):
-        raise BracketError(
-            "saturated objective: the outage is 1 at every split, since one hop"
-            " misses the SNR threshold even at full power"
-        )
     r_lo, r_hi = residual(lo), residual(hi)
     if r_lo == 0.0:
         alpha = lo
@@ -182,26 +182,31 @@ def solve_theorem1(
             else:
                 hi = mid
         alpha = 0.5 * (lo + hi)
-
-    split = PowerSplit.from_alpha(alpha, total)
-    return AllocationResult(
-        alpha_star=alpha,
-        p_s=split.p_s,
-        p_u=split.p_u,
-        outage=end_to_end_outage(budget, split, radio),
-        method="theorem1",
-        iterations=iterations,
-        residual=residual(alpha),
-    )
+    return _allocation_at(budget, radio, alpha, "theorem1", iterations, residual(alpha))
 
 
 def _saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> bool:
     """Whether one hop is in outage with probability 1 even at the most power
-    an allocation factor in [lo, hi] gives it, hence at every such split."""
+    an allocation factor in [lo, hi] gives it, hence at every such split.
+
+    A zero mean SNR, from a power so small that it underflows, is full outage.
+    """
     noise, total = radio.noise_power_w, radio.total_power_w
     snr_su = PowerSplit.from_alpha(hi, total).p_s * budget.g_su / noise
     snr_ud = PowerSplit.from_alpha(lo, total).p_u * budget.g_ud / noise
-    return hop_outage(budget.k_su, snr_su, radio.rate) == 1.0 or hop_outage(budget.k_ud, snr_ud, radio.rate) == 1.0
+    return any(
+        snr == 0.0 or hop_outage(k, snr, radio.rate) == 1.0
+        for k, snr in ((budget.k_su, snr_su), (budget.k_ud, snr_ud))
+    )
+
+
+def _allocation_at(
+    budget: LinkBudget, radio: RadioConfig, alpha: float, method: str, iterations: int, residual: float
+) -> AllocationResult:
+    """The split at allocation factor alpha of the total power, with its outage."""
+    split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+    outage = end_to_end_outage(budget, split, radio)
+    return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
 
 
 def minimize_outage_exact(
@@ -245,17 +250,7 @@ def minimize_outage_exact(
             f_d = objective(d)
         iterations += 1
 
-    alpha = 0.5 * (lo + hi)
-    split = PowerSplit.from_alpha(alpha, total)
-    return AllocationResult(
-        alpha_star=alpha,
-        p_s=split.p_s,
-        p_u=split.p_u,
-        outage=objective(alpha),
-        method="exact",
-        iterations=iterations,
-        residual=hi - lo,
-    )
+    return _allocation_at(budget, radio, 0.5 * (lo + hi), "exact", iterations, hi - lo)
 
 
 def outage_gradient_ps(
@@ -290,13 +285,4 @@ def outage_gradient_ps(
 
 def equal_power(radio: RadioConfig, budget: LinkBudget) -> AllocationResult:
     """Baseline split with half the budget on each hop."""
-    split = PowerSplit.from_alpha(0.5, radio.total_power_w)
-    return AllocationResult(
-        alpha_star=0.5,
-        p_s=split.p_s,
-        p_u=split.p_u,
-        outage=end_to_end_outage(budget, split, radio),
-        method="equal",
-        iterations=0,
-        residual=0.0,
-    )
+    return _allocation_at(budget, radio, 0.5, "equal", 0, 0.0)

@@ -51,12 +51,6 @@ class PowerSplit:
     def total(self) -> float:
         return self.p_s + self.p_u
 
-    @property
-    def alpha(self) -> float:
-        if self.total == 0.0:
-            raise ValueError("allocation factor undefined for an all-zero split")
-        return self.p_s / self.total
-
 
 def snr_threshold(rate: float) -> float:
     """Outage SNR threshold 2^(2R) - 1 for rate R in bits/s/Hz.

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavrelay import (
     HopEnvironment,
@@ -13,6 +15,7 @@ from uavrelay import (
     path_gain_excess,
     rician_k,
 )
+from uavrelay.channel import SPEED_OF_LIGHT
 
 from conftest import TABLE1, make_radio
 
@@ -48,7 +51,7 @@ class TestElevationAngle:
 class TestPathGain:
     def test_unit_excess_gives_kernel(self, radio):
         d = 1500.0
-        kernel = radio.c**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
+        kernel = SPEED_OF_LIGHT**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
         assert path_gain_excess(d, 0.0, radio, "standard") == pytest.approx(kernel, rel=1e-15)
 
     def test_standard_twenty_db(self, radio):
@@ -148,7 +151,7 @@ class TestLinkBudget:
 
     def test_altitude_raises_k(self, radio):
         def k_at(h_u):
-            geom = LinkGeometry(h_u=h_u, r_s=1000.0, r_d=1000.0, L=2000.0)
+            geom = LinkGeometry(h_u=h_u, r_s=1000.0, L=2000.0)
             return link_budget(
                 geom, TABLE1["env_su"], TABLE1["env_ud"], TABLE1["rician"], TABLE1["rician"], radio
             ).k_su
@@ -161,7 +164,7 @@ class TestLinkBudget:
         budget = link_budget(
             geom, env, env, TABLE1["rician"], TABLE1["rician"], radio, "paper"
         )
-        d = geom.slant_su()
+        d = math.hypot(geom.h_u, geom.r_s)
         g_los = path_gain_excess(d, env.eta_los_db, radio, "paper")
         g_nlos = path_gain_excess(d, env.eta_nlos_db, radio, "paper")
         assert min(g_los, g_nlos) <= budget.g_su <= max(g_los, g_nlos)
@@ -169,12 +172,20 @@ class TestLinkBudget:
 
 class TestTypeInvariants:
     def test_geometry_consistency(self):
-        with pytest.raises(ValueError):
-            LinkGeometry(h_u=1000.0, r_s=900.0, r_d=900.0, L=2000.0)
-        with pytest.raises(ValueError):
-            LinkGeometry(h_u=-5.0, r_s=1000.0, r_d=1000.0, L=2000.0)
-        geom = LinkGeometry.from_split(1000.0, 2000.0, 600.0)
+        bad = [(1000.0, 2100.0), (1000.0, -1.0), (1000.0, math.nan), (-5.0, 1000.0), (math.nan, 1000.0)]
+        for h_u, r_s in bad:
+            with pytest.raises(ValueError):
+                LinkGeometry(h_u=h_u, r_s=r_s, L=2000.0)
+        geom = LinkGeometry(h_u=1000.0, r_s=600.0, L=2000.0)
         assert geom.r_d == pytest.approx(1400.0)
+
+    @given(h_u=st.floats(1e-3, 1e5), L=st.floats(1e-300, 1e7), share=st.floats(0.0, 1.0))
+    def test_leg_to_the_user_is_derived_from_L(self, h_u, L, share):
+        # Halving a normal float is exact, and so is L - 0.5 * L (Sterbenz),
+        # so the midpoint legs are equal bit for bit.
+        assert LinkGeometry.midpoint(h_u, L).r_d == 0.5 * L
+        r_s = share * L
+        assert LinkGeometry(h_u, r_s, L).r_d == L - r_s
 
     def test_environment_ordering(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from uavrelay import cli
+from uavrelay import cli, specfun
 from uavrelay import equal_power
 from uavrelay.cli import (
     EXIT_OK,
@@ -91,14 +91,12 @@ class TestScenarioLoading:
         assert scenario.excess_loss_convention == "paper"
 
     def test_default_table_matches_dataclass_fields(self):
-        # Derived fields (r_d from L - r_s) and fields the CLI does not expose (c).
-        not_keys = {"geometry": {"r_d"}, "radio": {"c"}}
         tables = {key for key, value in cli.DEFAULT_SCENARIO.items() if isinstance(value, dict)}
         assert tables == set(cli._SECTIONS)
         for section, cls in cli._SECTIONS.items():
             keys = {cli._RENAMED.get(key, (key,))[0] for key in cli.DEFAULT_SCENARIO[section]}
             fields = {field.name for field in dataclasses.fields(cls) if field.init}
-            assert keys == fields - not_keys.get(section, set()), section
+            assert keys == fields, section
 
     def test_invalid_link_budget_is_a_scenario_error(self, tmp_path):
         path = write_scenario(tmp_path, geometry={"h_u": 0.01, "L": 0.02})
@@ -195,18 +193,67 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "sweep-alpha", "sweep-power"])
     @pytest.mark.parametrize(
-        "radio", [{"rate": 511.9}, {"noise_power_dbm": 3000}], ids=["rate-511.9", "noise-3000-dbm"]
+        "scenario",
+        [
+            # The SNR threshold is out of reach at every split, and the root
+            # equation's constants overflow to inf.
+            {"radio": {"rate": 511.9}},
+            {"radio": {"noise_power_dbm": 3000}},
+            # Subnormal powers: each hop's mean SNR underflows to 0 at every
+            # split, and so does p_s at the lower bracket end.
+            {"radio": {"total_power_w": 1e-318}, "excess_loss_convention": "paper"},
+            # As above, under `standard`, with powers that stay positive at
+            # the bracket ends; the root-equation residual overflows instead.
+            {
+                "rician_su": {"k0_db": 10.510378902985291, "kpi2_db": 13.767755569500476},
+                "rician_ud": {"k0_db": 7.540060816532338, "kpi2_db": 13.35435396941673},
+                "radio": {
+                    "total_power_w": 5.3602725e-316,
+                    "rate": 0.040226070693807105,
+                    "noise_power_dbm": -219.39813132022633,
+                },
+                "geometry": {"h_u": 1742.7792516586358, "L": 8415.549469267444},
+                "excess_loss_convention": "standard",
+            },
+        ],
+        ids=["rate-511.9", "noise-3000-dbm", "power-underflow", "residual-overflow"],
     )
-    def test_saturated_objective_exits_3(self, tmp_path, capsys, command, radio):
-        # The SNR threshold is out of reach at every split, and the root
-        # equation's constants overflow to inf.
-        path = write_scenario(tmp_path, radio=radio)
-        assert main([command, "--scenario", path]) == EXIT_SOLVER
+    def test_saturated_objective_exits_3(self, tmp_path, capsys, command, scenario):
+        argv = [command, "--scenario", write_scenario(tmp_path, **scenario)]
+        if command == "sweep-power" and "total_power_w" in scenario["radio"]:
+            argv += ["--pt", repr(scenario["radio"]["total_power_w"])]
+        assert main(argv) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "solver error: saturated objective: the outage is 1 at every split,"
             " since one hop misses the SNR threshold even at full power"
+        ]
+
+    @pytest.mark.parametrize(
+        "target, name, value, message",
+        [
+            (cli, "theorem1_residual", lambda *args: math.inf, "refusing to emit a non-finite value"),
+            (specfun, "_MAX_TERMS", 3, "Marcum Q series did not converge"),
+        ],
+        ids=["non-finite-value", "unconverged-series"],
+    )
+    def test_numeric_failure_exits_3(self, monkeypatch, capsys, target, name, value, message):
+        monkeypatch.setattr(target, name, value)
+        assert main(["solve", "--excess-loss-convention", "paper"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"solver error: {message}")
+
+    @pytest.mark.parametrize("r_s", [2100.0, -1.0])
+    def test_relay_outside_the_link_exits_2(self, tmp_path, capsys, r_s):
+        path = write_scenario(tmp_path, geometry={"L": 2000.0, "r_s": r_s})
+        assert main(["solve", "--scenario", path]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: invalid scenario value: relay distance r_s must lie in [0, L]"
         ]
 
 
@@ -476,13 +523,26 @@ class TestValidate:
         assert "# scenario_sha256: " in out
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_thread_pool_unloaded():
     # Only validate needs the Monte Carlo thread pool, so importing the CLI
     # must not pay for concurrent.futures; every command's start-up would.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", "import sys, uavrelay.cli; print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_python_m_uavrelay_runs_the_cli():
+    golden = (Path(__file__).parent / "golden" / "solve_paper.txt").read_text(encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "uavrelay", "solve", "--excess-loss-convention", "paper"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert f"exit: {done.returncode}\n{done.stdout}" == golden

@@ -54,7 +54,7 @@ def random_budget(rng: random.Random, radio) -> LinkBudget:
     )
     endpoints = RicianEndpoints(k0_db=rng.uniform(3.0, 7.0), kpi2_db=rng.uniform(10.0, 16.0))
     return link_budget(
-        LinkGeometry.from_split(h_u, L, r_s), env_su, env_ud, endpoints, endpoints,
+        LinkGeometry(h_u, r_s, L), env_su, env_ud, endpoints, endpoints,
         radio, "paper",
     )
 

@@ -200,7 +200,6 @@ class TestPowerSplit:
         split = PowerSplit.from_alpha(0.3, 0.5)
         assert split.p_s == pytest.approx(0.15, rel=1e-15)
         assert split.p_u == pytest.approx(0.35, rel=1e-15)
-        assert split.alpha == pytest.approx(0.3, rel=1e-12)
         assert split.total == pytest.approx(0.5, rel=1e-15)
 
     def test_rejects_bad_alpha(self):
