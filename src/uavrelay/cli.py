@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
 import typing
+from itertools import repeat
+
+import numpy as np
 
 from . import __version__
 from .channel import (
@@ -63,6 +67,11 @@ EXIT_VALIDATION = 4
 SWEEP_HEADER = "override_name,override_value,alpha,p_s_w,p_u_w,outage_closed_form,method"
 VALIDATE_HEADER = "alpha,outage_closed_form,outage_mc,std_err,z_score"
 SOLVE_HEADER = "method,alpha,p_s_w,p_u_w,outage,iterations,residual"
+#: Row template of each table, one slot per header column: %s for a name,
+#: %d for a count and %.12e for a float, which must be finite.
+SWEEP_ROW = "%s,%.12e,%.12e,%.12e,%.12e,%.12e,%s"
+VALIDATE_ROW = "%.12e,%.12e,%.12e,%.12e,%.12e"
+SOLVE_ROW = "%s,%.12e,%.12e,%.12e,%.12e,%d,%.12e"
 
 #: Default scenario; values follow the reference system parameter table.
 DEFAULT_SCENARIO = {
@@ -239,24 +248,26 @@ def _with_override(scenario: Scenario, name: str, value: float) -> Scenario:
     raise ScenarioError(f"unknown override {name!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if not math.isfinite(value):
-        raise RuntimeError("refusing to emit a non-finite value")
-    return f"{value:.12e}"
+def _lines(template: str, rows: list[tuple]) -> list[str]:
+    """Each row formatted by ``template``.
+
+    Raises RuntimeError if a cell in a %.12e slot is not finite.
+    """
+    float_slots = [spec.startswith(".12e") for spec in template.split("%")[1:]]
+    for is_float, column in zip(float_slots, zip(*rows)):
+        if is_float and not all(map(math.isfinite, column)):
+            raise RuntimeError("refusing to emit a non-finite value")
+    return [template % row for row in rows]
 
 
-def _render(scenario: Scenario, header: str, rows: list[tuple]) -> str:
+def _render(scenario: Scenario, header: str, template: str, rows: list[tuple]) -> str:
     lines = [
         f"# uavrelay {__version__}",
         f"# scenario_sha256: {scenario.sha256}",
         f"# seed: {scenario.sim.seed}",
         header,
+        *_lines(template, rows),
     ]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -271,7 +282,7 @@ def _sweep(scenario: Scenario, override_name: str, override_values: list[float],
     for value in override_values:
         swept = _with_override(scenario, override_name, value)
         rows.extend((override_name, value, *row) for row in cells(swept, swept.budget()))
-    return _render(scenario, SWEEP_HEADER, rows)
+    return _render(scenario, SWEEP_HEADER, SWEEP_ROW, rows)
 
 
 def cmd_sweep_alpha(
@@ -285,11 +296,14 @@ def cmd_sweep_alpha(
         if not 0.0 < alpha < 1.0:
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
+    alphas = np.array(alpha_grid)
+
     def cells(swept, budget):
+        total = swept.radio.total_power_w
+        # The products of PowerSplit.from_alpha, entry by entry.
+        p_s, p_u = (alphas * total).tolist(), ((1.0 - alphas) * total).tolist()
         outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
-        for alpha, outage in zip(alpha_grid, outages):
-            split = PowerSplit.from_alpha(alpha, swept.radio.total_power_w)
-            yield alpha, split.p_s, split.p_u, outage, "grid"
+        yield from zip(alpha_grid, p_s, p_u, outages, repeat("grid"))
         yield _allocation(minimize_outage_exact(budget, swept.radio, swept.solver))
         yield _allocation(solve_theorem1(budget, swept.radio, swept.solver))
 
@@ -331,12 +345,14 @@ def cmd_solve(scenario: Scenario) -> str:
     residual_at_exact = theorem1_residual(
         PowerSplit(exact.p_s, exact.p_u), consts, budget.k_su, budget.k_ud
     )
-    text = _render(scenario, SOLVE_HEADER, rows)
-    text += f"# theorem1_residual_at_exact: {_fmt(residual_at_exact)}\n"
-    text += f"# theorem1_vs_exact_alpha_gap: {_fmt(abs(approx.alpha_star - exact.alpha_star))}\n"
+    comments = [
+        ("residual_at_exact", residual_at_exact),
+        ("vs_exact_alpha_gap", abs(approx.alpha_star - exact.alpha_star)),
+    ]
     if exact.outage > 0.0:
-        text += f"# theorem1_vs_exact_outage_ratio: {_fmt(approx.outage / exact.outage)}\n"
-    return text
+        comments.append(("vs_exact_outage_ratio", approx.outage / exact.outage))
+    text = _render(scenario, SOLVE_HEADER, SOLVE_ROW, rows)
+    return text + "\n".join(_lines("# theorem1_%s: %.12e", comments)) + "\n"
 
 
 def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
@@ -364,7 +380,7 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
             z_score = (estimate.p_hat - closed) * estimate.trials
         passed = passed and abs(z_score) <= 3.0
         rows.append((alpha, closed, estimate.p_hat, estimate.std_err, z_score))
-    return _render(scenario, VALIDATE_HEADER, rows), passed
+    return _render(scenario, VALIDATE_HEADER, VALIDATE_ROW, rows), passed
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -417,6 +433,7 @@ _DEFAULT_VALIDATE_GRID = "0.1:0.9:5"
 _DEFAULT_PT_GRID = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0"
 
 
+@functools.cache  # built on first use, then shared by every call in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavrelay",

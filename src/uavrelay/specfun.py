@@ -197,8 +197,10 @@ def _complement_array(a: float, b: np.ndarray) -> np.ndarray:
     ``np.cumsum`` along a term axis, which accumulate strictly left to right,
     so every partial sum is the loop's own. Each row then stops at the first
     term where the loop's stopping tests hold. Rows are sorted by b^2/2 and
-    taken in blocks sized from a term estimate; rows that need more terms go
-    round again with twice as many, up to ``_MAX_TERMS``. Every other entry
+    taken in blocks sized from a term estimate, or from the terms the
+    previous block's far-tail rows took where that is more; rows that need
+    more terms go round again with twice as many, up to ``_MAX_TERMS``. The
+    block sizes change only the work, never a value. Every other entry
     (0, inf, NaN, negative, the band, a row that reaches ``_MAX_TERMS``) is
     the scalar call, made in index order, so the first entry it raises on
     raises the same exception.
@@ -213,19 +215,25 @@ def _complement_array(a: float, b: np.ndarray) -> np.ndarray:
     # Work items (rows, term floor), rows in descending b^2/2 so that the
     # first row of any item bounds its series length.
     pending = [(series[np.argsort(-b2h[series], kind="stable")], 0)] if series.size else []
+    # Terms a row with this b^2/2 takes, by estimate. The loop stops at about
+    # 0.55-0.8 of it, except in the far tail (b well below a), where the stop
+    # falls more slowly than b and can pass the estimate up to ~3 times.
+    estimate = 2.0 * b2h + 8.0 * np.sqrt(b2h) + 24.0
     cdf_a = np.empty(0)
+    need = 0  # the most terms a far-tail row of the previous block took
     while pending:
         rows, floor = pending.pop()
-        largest = b2h[rows[0]]
-        terms = max(floor, min(_MAX_TERMS, int(2.0 * largest + 8.0 * math.sqrt(largest) + 24.0)))
+        terms = max(floor, need, min(_MAX_TERMS, int(estimate[rows[0]])))
         take = max(1, _BLOCK_CELLS // terms)
         if rows.size > take:
             pending.append((rows[take:], floor))
             rows = rows[:take]
         if cdf_a.size < terms:
             cdf_a = np.cumsum(_poisson_pmf(a2h, terms))
-        value, found = _complement_block(b2h[rows], cdf_a[: terms - 1])
+        value, found, first = _complement_block(b2h[rows], cdf_a[: terms - 1])
         out[rows[found]] = value[found]
+        # A row that stops in column m took m + 1 terms.
+        need = int(first.max(initial=-1, where=found & (first + 1 > estimate[rows]))) + 1
         if not found.all():
             if terms == _MAX_TERMS:
                 scalar.append(rows[~found])
@@ -251,7 +259,8 @@ def _complement_block(b2h: np.ndarray, cdf_a: np.ndarray):
     """Complement series of one block of rows over ``cdf_a.size + 1`` terms.
 
     Column m holds the loop's state after m terms. Returns each row's sum at
-    its first column where the loop stops, and whether that column exists.
+    its first column where the loop stops, whether that column exists, and
+    its index.
     """
     rows, terms = b2h.size, cdf_a.size + 1
     pmf_b = np.empty((rows, terms))
@@ -268,7 +277,7 @@ def _complement_block(b2h: np.ndarray, cdf_a: np.ndarray):
     tail = np.cumsum(pmf_b, axis=1, out=pmf_b)
     stop |= np.subtract(1.0, tail, out=tail) <= bound
     first = stop.argmax(axis=1)
-    return total[np.arange(rows), first], stop[np.arange(rows), first]
+    return total[np.arange(rows), first], stop[np.arange(rows), first], first
 
 
 def marcum_q1_partial_a(a: float, b: float) -> float:

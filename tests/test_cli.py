@@ -2,11 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uavrelay import cli, specfun
 from uavrelay import equal_power
@@ -134,6 +137,22 @@ class TestExitCodes:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["solve", "--frobnicate"]) == EXIT_SCENARIO
 
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # One parser serves every call in the process: flags given to one
+        # call, and a call that fails to parse, leave the next one unchanged.
+        assert cli._build_parser() is cli._build_parser()
+        argv = ["sweep-alpha", "--excess-loss-convention", "paper"]
+        assert main(argv + ["--alpha-grid", "0.5:0.5:1", "--pt", "0.5"]) == EXIT_OK
+        assert len(parse_rows(capsys.readouterr().out, cli.SWEEP_HEADER)) == 3
+        assert main(["sweep-alpha", "--frobnicate"]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--frobnicate" in captured.err
+        assert main(argv) == EXIT_OK
+        rows = parse_rows(capsys.readouterr().out, cli.SWEEP_HEADER)
+        assert len(rows) == 99 + 2
+        assert {row[1] for row in rows} == {"2.500000000000e-01"}
+
     @pytest.mark.parametrize(
         "scenario_text, argv",
         [
@@ -245,6 +264,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"solver error: {message}")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-power"])
+    def test_non_finite_table_cell_exits_3(self, monkeypatch, capsys, command, bad):
+        if command == "sweep-alpha":
+            # One grid row's outage.
+            true_grid = cli.end_to_end_outage_grid
+
+            def patched(budget, alphas, radio):
+                outages = true_grid(budget, alphas, radio)
+                outages[len(outages) // 2] = bad
+                return outages
+
+            monkeypatch.setattr(cli, "end_to_end_outage_grid", patched)
+        else:
+            # The relay power of the equal split. A non-finite outage never
+            # gets this far: AllocationResult rejects it.
+            monkeypatch.setattr(
+                cli, "equal_power", lambda radio, budget: dataclasses.replace(equal_power(radio, budget), p_u=bad)
+            )
+        assert main([command, "--excess-loss-convention", "paper"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["solver error: refusing to emit a non-finite value"]
 
     @pytest.mark.parametrize("r_s", [2100.0, -1.0])
     def test_relay_outside_the_link_exits_2(self, tmp_path, capsys, r_s):
@@ -521,6 +564,74 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "# seed: 777" in out
         assert "# scenario_sha256: " in out
+
+
+def _slots(template):
+    return re.findall(r"%[^a-z]*[a-z]", template)
+
+
+_CELLS = {
+    "%s": st.text(max_size=8),
+    "%d": st.integers(),
+    "%.12e": st.floats(allow_nan=False, allow_infinity=False),
+}
+_TABLES = [
+    (cli.SWEEP_HEADER, cli.SWEEP_ROW),
+    (cli.SOLVE_HEADER, cli.SOLVE_ROW),
+    (cli.VALIDATE_HEADER, cli.VALIDATE_ROW),
+]
+
+
+def _table_rows(table):
+    """A table and up to three rows of cells of its column types."""
+    row = st.tuples(*(_CELLS[slot] for slot in _slots(table[1])))
+    return st.tuples(st.just(table), st.lists(row, max_size=3))
+
+
+class TestRowTemplates:
+    @pytest.mark.parametrize("header, template", _TABLES, ids=["sweep", "solve", "validate"])
+    def test_one_slot_per_column(self, header, template):
+        assert template == ",".join(_slots(template))
+        assert len(_slots(template)) == len(header.split(","))
+
+    @given(st.sampled_from(_TABLES).flatmap(_table_rows))
+    def test_rows_render_cell_by_cell(self, case):
+        (_, template), rows = case
+        expected = [
+            ",".join(f"{cell:.12e}" if slot == "%.12e" else str(cell) for slot, cell in zip(_slots(template), row))
+            for row in rows
+        ]
+        assert cli._lines(template, rows) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["sweep-alpha", "--alpha-grid", "0.2:0.8:4", "--L", "1800,2200"],
+            ["sweep-power", "--pt", "0.1,0.5", "--R", "1,2"],
+            ["validate", "--alpha-grid", "0.3:0.7:2", "--trials", "20000"],
+        ],
+        ids=["solve", "sweep-alpha", "sweep-power", "validate"],
+    )
+    def test_every_cell_matches_its_slot(self, monkeypatch, capsys, argv):
+        # An int in a %.12e slot, or a float in a %d or %s slot, would still
+        # format, with other bytes than the cell's own format.
+        emitted = []
+        true_lines = cli._lines
+
+        def recording(template, rows):
+            emitted.append((template, rows))
+            return true_lines(template, rows)
+
+        monkeypatch.setattr(cli, "_lines", recording)
+        assert main(argv + ["--excess-loss-convention", "paper"]) == EXIT_OK
+        kinds = {"%s": (str,), "%d": (int,), "%.12e": (float,)}
+        assert emitted and all(rows for _, rows in emitted)
+        for template, rows in emitted:
+            for row in rows:
+                assert len(row) == len(_slots(template))
+                for slot, cell in zip(_slots(template), row):
+                    assert isinstance(cell, kinds[slot]) and not isinstance(cell, bool), (template, row)
 
 
 def _src_env():

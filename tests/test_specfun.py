@@ -291,6 +291,34 @@ class TestMarcumComplementArray:
         expected = [_marcum_q1_complement(a, b).hex() for b in bs.tolist()]
         assert [value.hex() for value in _marcum_q1_complement(a, bs).tolist()] == expected
 
+    @pytest.mark.parametrize(
+        "a, bs, cells",
+        [
+            # An alpha grid of one hop at K = 25 dB: b scales as alpha^(-1/2),
+            # from the far tail (b well below a) through the transition.
+            (math.sqrt(2.0 * 10**2.5), np.sqrt(0.1 * 2.0 * 10**2.5 / np.linspace(0.001, 0.999, 999)), 315165),
+            (37.0, np.linspace(0.0, math.sqrt(1400.0), 401, endpoint=False), 274270),
+        ],
+        ids=["alpha-grid-25-db", "dense-37"],
+    )
+    def test_far_tail_rows_are_computed_once(self, monkeypatch, a, bs, cells):
+        # Far-tail rows stop past the term estimate for their b; the blocks
+        # after them are sized from the terms they took, so no row misses its
+        # block and goes round again. Deterministic counts, not timings.
+        bs = bs[0.5 * bs * bs < 700.0]
+        blocks = []
+        true_block = specfun._complement_block
+
+        def counting(b2h, cdf_a):
+            blocks.append((b2h.size, cdf_a.size + 1))
+            return true_block(b2h, cdf_a)
+
+        monkeypatch.setattr(specfun, "_complement_block", counting)
+        got = _marcum_q1_complement(a, bs)
+        assert sum(rows for rows, _ in blocks) == np.count_nonzero(bs)
+        assert sum(rows * terms for rows, terms in blocks) == cells
+        assert [value.hex() for value in got.tolist()] == [_marcum_q1_complement(a, b).hex() for b in bs.tolist()]
+
     def test_error_paths(self):
         with pytest.raises(OverflowError):
             _marcum_q1_complement(38.0, np.array([1.0, 39.0, 0.0]))
