@@ -7,8 +7,8 @@ in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
 Exit codes: 0 success, 2 scenario or argument error, 3 solver failure
-(including a saturated objective and a non-finite result), 4 validation
-failure.
+(including a saturated objective, a non-finite result and an outage that is
+not a probability), 4 validation failure.
 """
 
 from __future__ import annotations

@@ -1,19 +1,22 @@
 """Power-allocation optimization for the relay link.
 
 Three routes to a power split are provided: the approximate closed-form root
-equation solved by bisection, an exact numerical minimizer of the outage
-used as ground truth, and the equal-split baseline. The analytic outage
-derivative along the total-power constraint is exposed for consistency
-checks.
+equation solved by bisection, an exact minimizer of the outage used as
+ground truth, and the equal-split baseline. The exact minimizer solves
+d log S/d alpha = 0 for the link survival S = 1 - outage, which is
+log-concave in alpha, by a bracketed root search. The analytic outage
+derivative along the total-power constraint comes from the same per-hop
+chain rule and is exposed for consistency checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
-from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid, hop_outage, snr_threshold
+from .outage import PowerSplit, end_to_end_outage, hop_outage, snr_threshold
 from .specfun import marcum_q1, marcum_q1_partial_b
 
 __all__ = [
@@ -32,8 +35,10 @@ __all__ = [
 
 _METHODS = ("theorem1", "exact", "equal")
 
-#: Inverse golden ratio used by the bracketing minimizer.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SATURATED = (
+    "saturated objective: the outage is 1 at every split, since one hop"
+    " misses the SNR threshold even at full power"
+)
 
 
 class BracketError(RuntimeError):
@@ -44,12 +49,13 @@ class BracketError(RuntimeError):
 class SolverConfig:
     """Tolerances for the allocation solvers.
 
-    alpha_tol: absolute tolerance on the allocation factor.
-    max_iter: iteration cap for the bisection and golden-section loops.
+    alpha_tol: absolute tolerance on the allocation factor: the width of
+        the final bracket of both solvers.
+    max_iter: cap on the bisection steps of the root equation and on the
+        slope evaluations of the exact minimizer.
     bracket_epsilon: exclusion margin at alpha in {0, 1}, where the residual
         diverges and the outage degenerates.
-    grid_points: resolution of the coarse scan that brackets the exact
-        minimizer before refinement.
+    grid_points: not read by either solver.
     """
 
     alpha_tol: float = 1e-8
@@ -147,11 +153,7 @@ def solve_theorem1(
     saturated objective.
     """
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    if _saturated(budget, radio, lo, hi):
-        raise BracketError(
-            "saturated objective: the outage is 1 at every split, since one hop"
-            " misses the SNR threshold even at full power"
-        )
+    _check_saturated(budget, radio, lo, hi)
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
@@ -185,19 +187,21 @@ def solve_theorem1(
     return _allocation_at(budget, radio, alpha, "theorem1", iterations, residual(alpha))
 
 
-def _saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> bool:
-    """Whether one hop is in outage with probability 1 even at the most power
-    an allocation factor in [lo, hi] gives it, hence at every such split.
+def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
+    """Raise the saturated-objective BracketError if one hop is in outage with
+    probability 1 even at the most power an allocation factor in [lo, hi]
+    gives it, hence at every such split.
 
     A zero mean SNR, from a power so small that it underflows, is full outage.
     """
     noise, total = radio.noise_power_w, radio.total_power_w
     snr_su = PowerSplit.from_alpha(hi, total).p_s * budget.g_su / noise
     snr_ud = PowerSplit.from_alpha(lo, total).p_u * budget.g_ud / noise
-    return any(
+    if any(
         snr == 0.0 or hop_outage(k, snr, radio.rate) == 1.0
         for k, snr in ((budget.k_su, snr_su), (budget.k_ud, snr_ud))
-    )
+    ):
+        raise BracketError(_SATURATED)
 
 
 def _allocation_at(
@@ -206,7 +210,27 @@ def _allocation_at(
     """The split at allocation factor alpha of the total power, with its outage."""
     split = PowerSplit.from_alpha(alpha, radio.total_power_w)
     outage = end_to_end_outage(budget, split, radio)
+    if not 0.0 <= outage <= 1.0:  # a numerical fault, reported as a solver failure
+        raise RuntimeError(f"outage {outage!r} at alpha {alpha!r} is not a probability")
     return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
+
+
+def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float, float]]:
+    """(b, Q_1(a, b), hazard) of each hop at the powers of ``split``.
+
+    Hop i survives with Q_1(a_i, b_i), where a_i = sqrt(2 K_i) and
+    b_i = c_i / sqrt(p_i) with c_i = sqrt(2 (K_i + 1) (2^(2R) - 1) N_0 / G_i),
+    so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i), with the hazard
+    -dQ_1/db / Q_1. The hazard of a Q_1 that underflows to 0 is inf.
+    """
+    scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
+    hops = []
+    for k, gain, power in ((budget.k_su, budget.g_su, split.p_s), (budget.k_ud, budget.g_ud, split.p_u)):
+        a = math.sqrt(2.0 * k)
+        b = math.sqrt(scale * (k + 1.0) / gain) / math.sqrt(power) if power > 0.0 else math.inf
+        q = marcum_q1(a, b)
+        hops.append((b, q, -marcum_q1_partial_b(a, b) / q if q > 0.0 else math.inf))
+    return hops
 
 
 def minimize_outage_exact(
@@ -214,43 +238,98 @@ def minimize_outage_exact(
 ) -> AllocationResult:
     """Minimize the closed-form outage over the allocation factor.
 
-    A coarse scan over ``cfg.grid_points`` values of alpha, evaluated in one
-    batch, brackets the best cell (unimodality is empirical, so the grid
-    guards against missing the basin), then golden-section refinement narrows
-    the bracket to ``cfg.alpha_tol``. The total power constraint is treated
-    as active: p_u = P_t - p_s.
+    The survival S = Q_1(a_1, b_1) Q_1(a_2, b_2) is log-concave in alpha:
+    Q_1 is log-concave in b (Sun, Baricz & Zhou, IEEE T-IT 56(3), 2010), and
+    each b is convex and decreasing in its own hop's power, which is linear
+    in alpha. So the outage 1 - S is least at the one root of the slope
+
+        g(alpha) = d log S/d alpha = h_1 b_1 / (2 alpha) - h_2 b_2 / (2 (1 - alpha))
+
+    (see ``_hop_hazards``), which ``_slope_root`` brackets over
+    [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at most
+    ``cfg.max_iter`` slope evaluations. A probe where hop 1's Q_1 underflows
+    to 0 reads g > 0, hop 2's g < 0, and both a saturated objective, as does
+    a hop in certain outage at full power; that is a BracketError, never an
+    arbitrary alpha. ``iterations`` counts slope evaluations and
+    ``residual`` is the final bracket width. The total power constraint is
+    treated as active: p_u = P_t - p_s.
     """
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    _check_saturated(budget, radio, lo, hi)
     total = radio.total_power_w
 
-    def objective(alpha: float) -> float:
-        return end_to_end_outage(budget, PowerSplit.from_alpha(alpha, total), radio)
+    def slope(alpha: float) -> float:
+        (b_1, q_1, h_1), (b_2, q_2, h_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+        if q_1 == 0.0 and q_2 == 0.0:
+            raise BracketError(_SATURATED)
+        # g = (up - down) / (2 alpha (1 - alpha)). Where both are positive and
+        # finite the search runs on log(up / down), which has g's sign and
+        # root but not its range of tens of decades over the bracket.
+        up, down = h_1 * b_1 * (1.0 - alpha), h_2 * b_2 * alpha
+        if 0.0 < min(up, down) and max(up, down) < math.inf:
+            return math.log(up) - math.log(down)
+        return up - down
 
-    lo_edge, hi_edge = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    step = (hi_edge - lo_edge) / (cfg.grid_points - 1)
-    grid = [lo_edge + i * step for i in range(cfg.grid_points)]
-    values = end_to_end_outage_grid(budget, grid, radio)
-    best = min(range(cfg.grid_points), key=values.__getitem__)
+    alpha, evaluations, width = _slope_root(slope, lo, hi, cfg)
+    return _allocation_at(budget, radio, alpha, "exact", evaluations, width)
 
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, cfg.grid_points - 1)]
-    iterations = cfg.grid_points
 
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    f_c, f_d = objective(c), objective(d)
-    iterations += 2
-    while hi - lo > cfg.alpha_tol and iterations < cfg.max_iter + cfg.grid_points:
-        if f_c < f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - _INVPHI * (hi - lo)
-            f_c = objective(c)
+def _slope_root(slope, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, int, float]:
+    """Root of a decreasing ``slope`` on [lo, hi] by Brent's method.
+
+    Returns the root, the slope evaluations and the final bracket width.
+    Each step is a secant or inverse quadratic step where that shrinks the
+    bracket fast enough, and a bisection otherwise, or while a bracket end
+    has an infinite slope. It stops once the bracket is narrower than
+    ``cfg.alpha_tol`` (width 0 if a slope is exactly 0), or at
+    ``cfg.max_iter`` evaluations, counting the ends, which are evaluated
+    whatever the cap. A slope of the root's side at an end (<= 0 at lo,
+    >= 0 at hi) puts the root at that end. Follows Brent, Algorithms for Minimization without
+    Derivatives (1973), ch. 4.
+    """
+    x_pre, f_pre = lo, slope(lo)
+    if f_pre <= 0.0:
+        return lo, 1, 0.0
+    x_cur, f_cur = hi, slope(hi)
+    if f_cur >= 0.0:
+        return hi, 2, 0.0
+    evaluations = 2
+    # x_cur is the best point, x_blk the end of the bracket across the root
+    # from it, x_pre the previous x_cur; s_cur and s_pre are the last two steps.
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = 0.0
+    while True:
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        # Half the tolerance, and never below the spacing of doubles at x_cur.
+        delta = 0.5 * cfg.alpha_tol + 2.0 * sys.float_info.epsilon * abs(x_cur)
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta or evaluations >= cfg.max_iter:
+            break
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) and math.isfinite(f_pre) and math.isfinite(f_blk):
+            # The step is num / den; both are formed first so that a zero
+            # denominator or a non-finite product falls back to bisection.
+            if x_pre == x_blk:  # secant
+                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
+            else:  # inverse quadratic through the three points
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                num, den = -f_cur * (f_blk * d_blk - f_pre * d_pre), d_blk * d_pre * (f_blk - f_pre)
+            if 2.0 * abs(num) < min(abs(s_pre), 3.0 * abs(s_bis) - delta) * abs(den):
+                s_pre, s_cur = s_cur, num / den
+            else:
+                s_pre = s_cur = s_bis
         else:
-            lo, c, f_c = c, d, f_d
-            d = lo + _INVPHI * (hi - lo)
-            f_d = objective(d)
-        iterations += 1
-
-    return _allocation_at(budget, radio, 0.5 * (lo + hi), "exact", iterations, hi - lo)
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = slope(x_cur)
+        evaluations += 1
+    return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur)
 
 
 def outage_gradient_ps(
@@ -258,29 +337,19 @@ def outage_gradient_ps(
 ) -> float:
     """Derivative of the end-to-end outage in p_s along p_u = P_t - p_s.
 
-    Assembled from the Marcum Q chain rule: the noncentrality arguments do
-    not depend on the powers, and the threshold arguments scale as
-    p^(-1/2), so d(beta_1)/d(p_s) = -coef_1 * p_s^(-3/2) / 2 and
-    d(beta_2)/d(p_s) = +coef_2 * p_u^(-3/2) / 2.
+    With survival S = Q_1(a_1, b_1) Q_1(a_2, b_2) and the per-hop hazards of
+    ``_hop_hazards``, dO/dp_s = -S g / P_t, where
+    g / P_t = d log S/dp_s = h_1 b_1 / (2 p_s) - h_2 b_2 / (2 p_u).
     """
     if split.p_s <= 0.0 or split.p_u <= 0.0:
         raise ValueError("gradient is defined only for interior splits")
     if not math.isclose(split.total, radio.total_power_w, rel_tol=1e-9):
         raise ValueError("split must exhaust the total power budget")
-
-    scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
-    coef_1 = math.sqrt(scale * (budget.k_su + 1.0) / budget.g_su)
-    coef_2 = math.sqrt(scale * (budget.k_ud + 1.0) / budget.g_ud)
-    a_1 = math.sqrt(2.0 * budget.k_su)
-    a_2 = math.sqrt(2.0 * budget.k_ud)
-    b_1 = coef_1 / math.sqrt(split.p_s)
-    b_2 = coef_2 / math.sqrt(split.p_u)
-
-    q_1 = marcum_q1(a_1, b_1)
-    q_2 = marcum_q1(a_2, b_2)
-    dq_1 = marcum_q1_partial_b(a_1, b_1) * (-0.5 * coef_1 * split.p_s**-1.5)
-    dq_2 = marcum_q1_partial_b(a_2, b_2) * (0.5 * coef_2 * split.p_u**-1.5)
-    return -(dq_1 * q_2 + dq_2 * q_1)
+    (b_1, q_1, h_1), (b_2, q_2, h_2) = _hop_hazards(budget, radio, split)
+    survival = q_1 * q_2
+    if survival == 0.0:  # the outage is 1 to double precision around this split
+        return 0.0
+    return -survival * (h_1 * b_1 / (2.0 * split.p_s) - h_2 * b_2 / (2.0 * split.p_u))
 
 
 def equal_power(radio: RadioConfig, budget: LinkBudget) -> AllocationResult:

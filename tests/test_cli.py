@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavrelay import cli, specfun
+from uavrelay import cli, optimizer, specfun
 from uavrelay import equal_power
 from uavrelay.cli import (
     EXIT_OK,
@@ -265,6 +265,14 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"solver error: {message}")
 
+    def test_non_finite_solver_outage_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(optimizer, "end_to_end_outage", lambda *args: math.nan)
+        assert main(["sweep-power", "--excess-loss-convention", "paper", "--pt", "0.25"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("solver error: outage nan at alpha ")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-power"])
     def test_non_finite_table_cell_exits_3(self, monkeypatch, capsys, command, bad):
@@ -280,7 +288,7 @@ class TestExitCodes:
             monkeypatch.setattr(cli, "end_to_end_outage_grid", patched)
         else:
             # The relay power of the equal split. A non-finite outage never
-            # gets this far: AllocationResult rejects it.
+            # gets this far: the solvers reject it (see the test above).
             monkeypatch.setattr(
                 cli, "equal_power", lambda radio, budget: dataclasses.replace(equal_power(radio, budget), p_u=bad)
             )

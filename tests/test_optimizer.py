@@ -4,9 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import ncx2
 
 from uavrelay import (
     AllocationResult,
+    BracketError,
     HopEnvironment,
     LinkBudget,
     LinkGeometry,
@@ -19,13 +23,14 @@ from uavrelay import (
     link_budget,
     minimize_outage_exact,
     outage_gradient_ps,
+    snr_threshold,
     solve_theorem1,
     theorem1_constants,
     theorem1_residual,
 )
 from uavrelay import optimizer, outage
 
-from conftest import make_budget, make_radio
+from conftest import make_budget, make_radio, make_symmetric_budget
 
 # Frozen 50-digit evaluations of the root-equation constants at the
 # reference parameters, per excess-loss convention.
@@ -184,23 +189,78 @@ class TestMinimizeOutageExact:
         result = minimize_outage_exact(table1_budget, radio)
         assert result.p_s + result.p_u == pytest.approx(radio.total_power_w, rel=1e-12)
 
-    def test_one_grid_call_then_scalar_probes(self, radio, table1_budget, monkeypatch):
-        grid_calls, scalar_calls = [], []
+    @pytest.mark.parametrize("budget", ["table1", "symmetric"])
+    def test_slope_evaluations_and_no_grid(self, radio, budget, monkeypatch):
+        budget = make_budget() if budget == "table1" else make_symmetric_budget()
+        grid_calls, marcum_calls = [], []
+        true_grid, true_marcum = outage.end_to_end_outage_grid, optimizer.marcum_q1
 
-        def grid(budget, alphas, radio, *args):
-            grid_calls.append(len(alphas))
-            return end_to_end_outage_grid(budget, alphas, radio, *args)
+        def grid(*args):
+            grid_calls.append(args)
+            return true_grid(*args)
 
-        def scalar(*args):
-            scalar_calls.append(args)
-            return end_to_end_outage(*args)
+        def marcum(a, b):
+            marcum_calls.append(b)
+            return true_marcum(a, b)
 
-        monkeypatch.setattr(optimizer, "end_to_end_outage_grid", grid)
-        monkeypatch.setattr(optimizer, "end_to_end_outage", scalar)
-        cfg = SolverConfig()
-        res = minimize_outage_exact(table1_budget, radio, cfg)
-        assert grid_calls == [cfg.grid_points]
-        assert len(scalar_calls) == res.iterations - cfg.grid_points + 1
+        monkeypatch.setattr(outage, "end_to_end_outage_grid", grid)
+        monkeypatch.setattr(optimizer, "marcum_q1", marcum)
+        res = minimize_outage_exact(budget, radio)
+        assert grid_calls == []
+        assert len(marcum_calls) == 2 * res.iterations  # one Q_1 per hop per slope evaluation
+        assert res.iterations <= 20
+
+    @pytest.mark.parametrize(
+        "radio",
+        [make_radio(rate=511.9), make_radio(total_power_w=1e-318)],
+        ids=["rate-511.9", "power-1e-318"],
+    )
+    def test_saturated_objective_raises(self, radio):
+        with pytest.raises(BracketError, match="^saturated objective: "):
+            minimize_outage_exact(make_budget(radio=radio), radio)
+
+    def test_saturated_probe_raises(self, radio, table1_budget, monkeypatch):
+        # Both hops' Q_1 underflow to 0 at a probe that the full-power check
+        # (which goes through hop_outage) lets through.
+        monkeypatch.setattr(optimizer, "marcum_q1", lambda a, b: 0.0)
+        with pytest.raises(BracketError, match="^saturated objective: "):
+            minimize_outage_exact(table1_budget, radio)
+
+    @given(
+        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-1.0, max_value=4.0),
+        st.floats(min_value=-1.0, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_better_split_by_noncentral_chi_square(self, k_su_db, k_ud_db, log_margin_su, log_margin_ud):
+        # Each hop's mean SNR at full power is 10^log_margin times the SNR
+        # threshold. K stays below 25 dB, clear of the Marcum overflow band.
+        radio = make_radio()
+        k_su, k_ud = 10.0 ** (k_su_db / 10.0), 10.0 ** (k_ud_db / 10.0)
+        unit_gain = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+        budget = LinkBudget(unit_gain * 10.0**log_margin_su, unit_gain * 10.0**log_margin_ud, k_su, k_ud)
+        try:
+            exact = minimize_outage_exact(budget, radio)
+            approx = solve_theorem1(budget, radio)
+        except BracketError:
+            assume(False)
+
+        def oracle(alpha):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            hops = [
+                ncx2.cdf(2.0 * (k + 1.0) * unit_gain * radio.total_power_w / (p * g), 2.0, 2.0 * k)
+                for k, g, p in ((k_su, budget.g_su, split.p_s), (k_ud, budget.g_ud, split.p_u))
+            ]
+            return hops[0] + hops[1] - hops[0] * hops[1]
+
+        best = oracle(exact.alpha_star)
+        # Below ~1e-30 ncx2.cdf loses relative accuracy: on one budget checked
+        # with mpmath it gave 3.73e-47 for a true outage of 4.74e-47.
+        assume(best > 1e-30)
+        for alpha in (exact.alpha_star - 1e-3, exact.alpha_star + 1e-3, approx.alpha_star):
+            if 0.0 < alpha < 1.0:
+                assert best <= oracle(alpha) * (1.0 + 1e-12)
 
     def test_array_thresholds_skip_the_scalar_entry_point(self, radio, table1_budget, monkeypatch):
         # The benchmark's per-call tracer replaces these module attributes and
@@ -219,7 +279,67 @@ class TestMinimizeOutageExact:
         monkeypatch.setattr(outage, "_marcum_q1_complement", scalar_only)
         end_to_end_outage_grid(table1_budget, [0.0, 0.25, 0.5, 0.75], radio)
         minimize_outage_exact(table1_budget, radio)
-        assert calls  # the golden-section probes stay scalar calls
+        assert calls  # the solver's own outage evaluations stay scalar calls
+
+
+class TestLogSurvival:
+    @given(
+        st.floats(min_value=-10.0, max_value=30.0),
+        st.floats(min_value=-10.0, max_value=30.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_concave_in_alpha(self, k_su_db, k_ud_db, log_margin_su, log_margin_ud):
+        # log S = log Q_1(a_1, b_1) + log Q_1(a_2, b_2), with b_i^2 = c_i / p_i
+        # over a 999-point alpha grid and the full-power SNR 10^log_margin
+        # times the threshold, by ncx2.logsf: Q_1(a, b) = ncx2.sf(b^2, 2, a^2).
+        alphas = np.linspace(0.001, 0.999, 999)
+        logs = []
+        for k_db, log_margin, share in ((k_su_db, log_margin_su, alphas), (k_ud_db, log_margin_ud, 1.0 - alphas)):
+            k = 10.0 ** (k_db / 10.0)
+            with np.errstate(divide="ignore"):  # an underflowing sf is -inf
+                logs.append(ncx2.logsf(2.0 * (k + 1.0) / (10.0**log_margin * share), 2.0, 2.0 * k))
+        log_s = logs[0] + logs[1]
+        with np.errstate(invalid="ignore"):  # -inf - -inf, skipped below
+            second = log_s[:-2] - 2.0 * log_s[1:-1] + log_s[2:]
+        # Triples where a hop's logsf is below -400 are skipped: there scipy
+        # loses accuracy (spurious second differences up to ~0.06 at depths
+        # of -450 to -600) and underflows to -inf further down.
+        trusted = np.all([np.min([h[:-2], h[1:-1], h[2:]], axis=0) > -400.0 for h in logs], axis=0)
+        scale = 1.0 + np.max(np.abs([log_s[:-2], log_s[1:-1], log_s[2:]]), axis=0)
+        assert np.all(second[trusted] <= 1e-12 * scale[trusted])
+
+
+class TestSlopeRoot:
+    @pytest.mark.parametrize(
+        "slope, root",
+        [
+            (lambda x: 0.3 - x, 0.3),
+            (lambda x: math.log(0.7 / x), 0.7),
+            # Infinite ends, as where a hop's Q_1 underflows: bisection until
+            # both bracket ends are finite.
+            (lambda x: math.inf if x < 0.01 else (-math.inf if x > 0.99 else 0.2 - x), 0.2),
+        ],
+        ids=["linear", "log", "infinite-ends"],
+    )
+    def test_brackets_the_root(self, slope, root):
+        cfg = SolverConfig()
+        x, evaluations, width = optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, cfg)
+        assert 0.0 <= width <= cfg.alpha_tol
+        assert abs(x - root) <= cfg.alpha_tol
+        assert evaluations <= 60
+
+    @pytest.mark.parametrize("sign, edge", [(-1.0, 1e-6), (1.0, 1.0 - 1e-6)])
+    def test_one_signed_slope_gives_the_edge(self, sign, edge):
+        assert optimizer._slope_root(lambda x: sign * (2.0 - x), 1e-6, 1.0 - 1e-6, SolverConfig()) == (
+            edge, 1 if sign < 0 else 2, 0.0
+        )
+
+    def test_stops_at_max_iter(self):
+        x, evaluations, width = optimizer._slope_root(lambda x: math.log(0.3 / x), 1e-6, 1.0 - 1e-6, SolverConfig(max_iter=3))
+        assert evaluations == 3
+        assert width > 1e-8
 
 
 class TestEqualPower:
