@@ -55,21 +55,17 @@ class SolverConfig:
         slope evaluations of the exact minimizer.
     bracket_epsilon: exclusion margin at alpha in {0, 1}, where the residual
         diverges and the outage degenerates.
-    grid_points: not read by either solver.
     """
 
     alpha_tol: float = 1e-8
     max_iter: int = 200
     bracket_epsilon: float = 1e-6
-    grid_points: int = 201
 
     def __post_init__(self):
         if not 0.0 < self.bracket_epsilon < 0.01:
             raise ValueError("bracket_epsilon must lie in (0, 0.01)")
         if not 0.0 < self.alpha_tol <= 1e-6:
             raise ValueError("alpha_tol must lie in (0, 1e-6]")
-        if self.grid_points < 101:
-            raise ValueError("grid_points must be at least 101")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 

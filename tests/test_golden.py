@@ -36,7 +36,7 @@ FULL_SCENARIO = {
         "rate": 1,
         "total_power_w": 0.5,
     },
-    "solver": {"alpha_tol": 1e-9, "max_iter": 150, "bracket_epsilon": 1e-6, "grid_points": 151.0},
+    "solver": {"alpha_tol": 1e-9, "max_iter": 150, "bracket_epsilon": 1e-6},
     "sim": {"trials": 40000, "seed": 99, "chunk_size": 7000},
     "excess_loss_convention": "paper",
 }

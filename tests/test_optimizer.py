@@ -432,5 +432,3 @@ class TestSolverConfig:
             SolverConfig(bracket_epsilon=0.5)
         with pytest.raises(ValueError):
             SolverConfig(alpha_tol=1e-3)
-        with pytest.raises(ValueError):
-            SolverConfig(grid_points=10)
