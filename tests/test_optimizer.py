@@ -337,7 +337,8 @@ class TestSlopeRoot:
         )
 
     def test_stops_at_max_iter(self):
-        x, evaluations, width = optimizer._slope_root(lambda x: math.log(0.3 / x), 1e-6, 1.0 - 1e-6, SolverConfig(max_iter=3))
+        slope = lambda x: math.log(0.3 / x)
+        x, evaluations, width = optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, SolverConfig(max_iter=3))
         assert evaluations == 3
         assert width > 1e-8
 
