@@ -359,7 +359,9 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
     """Closed form against the Monte Carlo estimate, row per alpha.
 
     Each row gets an independent stream (base seed advanced by the row
-    index). Returns the report and whether every |z| stayed within 3.
+    index). z is a score statistic: the gap over sqrt(p (1 - p) / trials)
+    of the closed-form p. Returns the report and whether every |z| stayed
+    within 3.
     """
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
@@ -373,10 +375,12 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
         closed = end_to_end_outage(budget, split, scenario.radio)
         spec = dataclasses.replace(scenario.sim, seed=(scenario.sim.seed + index) % 2**64)
         estimate = estimate_outage(budget, split, scenario.radio, spec)
-        if estimate.std_err > 0.0:
-            z_score = (estimate.p_hat - closed) / estimate.std_err
+        if 0.0 < closed < 1.0:
+            # Score test: the binomial spread the closed form predicts, which
+            # unlike the estimate's own spread does not shrink with a low count.
+            z_score = (estimate.p_hat - closed) / math.sqrt(closed * (1.0 - closed) / estimate.trials)
         else:
-            # Degenerate estimate (0 or 1 exactly): score the raw gap per trial.
+            # Degenerate closed form (0 or 1 exactly): score the raw gap per trial.
             z_score = (estimate.p_hat - closed) * estimate.trials
         passed = passed and abs(z_score) <= 3.0
         rows.append((alpha, closed, estimate.p_hat, estimate.std_err, z_score))

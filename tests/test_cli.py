@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavrelay import cli, optimizer, specfun
-from uavrelay import equal_power
+from uavrelay import OutageEstimate, equal_power
 from uavrelay.cli import (
     EXIT_OK,
     EXIT_SCENARIO,
@@ -534,6 +534,32 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         row = parse_rows(capsys.readouterr().out, cli.VALIDATE_HEADER)[0]
         assert abs(float(row[4])) > 3.0
+
+    @pytest.mark.parametrize(
+        "closed_events,mc_events,z",
+        [
+            # 10 events where 22.1 were expected: the estimate's own standard
+            # error would give the Wald z -3.83 and fail a correct model.
+            (22.1, 10, -12.1 / math.sqrt(22.1 * (1.0 - 22.1 / 200_000))),
+            (22.1, 0, -math.sqrt(22.1 / (1.0 - 22.1 / 200_000))),
+            # A degenerate closed form scores the raw gap per trial.
+            (0.0, 3, 3.0),
+            (200_000.0, 199_999, -1.0),
+        ],
+    )
+    def test_z_is_scored_against_the_closed_form(self, monkeypatch, capsys, closed_events, mc_events, z):
+        trials = 200_000
+        monkeypatch.setattr(cli, "end_to_end_outage", lambda *args: closed_events / trials)
+
+        def estimate(budget, split, radio, spec):
+            p_hat = mc_events / trials
+            return OutageEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials), trials)
+
+        monkeypatch.setattr(cli, "estimate_outage", estimate)
+        argv = ["validate", "--alpha-grid", "0.3:0.3:1", "--trials", str(trials)]
+        assert main(argv) == (EXIT_OK if abs(z) <= 3.0 else EXIT_VALIDATION)
+        row = parse_rows(capsys.readouterr().out, cli.VALIDATE_HEADER)[0]
+        assert float(row[4]) == pytest.approx(z, rel=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
         path = paper_scenario(tmp_path)
