@@ -245,8 +245,9 @@ def minimize_outage_exact(
     [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at most
     ``cfg.max_iter`` slope evaluations. A probe where hop 1's Q_1 underflows
     to 0 reads g > 0, hop 2's g < 0, and both a saturated objective, as does
-    a hop in certain outage at full power; that is a BracketError, never an
-    arbitrary alpha. ``iterations`` counts slope evaluations and
+    a hop in certain outage at full power. A probe where both h_i b_i
+    underflow to 0 reads a flat objective. Either is a BracketError, never
+    an arbitrary alpha. ``iterations`` counts slope evaluations and
     ``residual`` is the final bracket width. The total power constraint is
     treated as active: p_u = P_t - p_s.
     """
@@ -258,6 +259,11 @@ def minimize_outage_exact(
         (b_1, q_1, h_1), (b_2, q_2, h_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
         if q_1 == 0.0 and q_2 == 0.0:
             raise BracketError(_SATURATED)
+        if h_1 * b_1 == 0.0 and h_2 * b_2 == 0.0:
+            raise BracketError(
+                f"flat objective: both hops' outage hazards underflow to 0 at alpha {alpha:.6g},"
+                " so the slope cannot locate the optimal split"
+            )
         # g = (up - down) / (2 alpha (1 - alpha)). Where both are positive and
         # finite the search runs on log(up / down), which has g's sign and
         # root but not its range of tens of decades over the bracket.

@@ -250,6 +250,24 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize(
+        "argv, alpha",
+        [(["solve"], "0.5"), (["sweep-power", "--pt", "0.05"], "0.25")],
+        ids=["solve", "sweep-power"],
+    )
+    def test_flat_objective_exits_3(self, tmp_path, capsys, argv, alpha):
+        # K of 30-40 dB on both hops: both hazards underflow to 0 at the
+        # first interior probe, which used to be printed as the optimum.
+        k_endpoints = {"k0_db": 30.0, "kpi2_db": 40.0}
+        path = paper_scenario(tmp_path, rician_su=k_endpoints, rician_ud=k_endpoints)
+        assert main(argv + ["--scenario", path]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"solver error: flat objective: both hops' outage hazards underflow to 0 at alpha {alpha},"
+            " so the slope cannot locate the optimal split"
+        ]
+
+    @pytest.mark.parametrize(
         "target, name, value, message",
         [
             (cli, "theorem1_residual", lambda *args: math.inf, "refusing to emit a non-finite value"),

@@ -226,6 +226,29 @@ class TestMinimizeOutageExact:
         with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(table1_budget, radio)
 
+    def test_flat_objective_raises(self, radio):
+        # K = 30 dB on both hops with a power margin of 1e8: both hazards
+        # underflow to 0 at the first probe, where the slope would read 0.
+        u = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+        budget = LinkBudget(1e8 * u, 3e8 * u, 1000.0, 1000.0)
+        with pytest.raises(BracketError, match="^flat objective: .* at alpha 1e-06,"):
+            minimize_outage_exact(budget, radio)
+
+    def test_flat_probe_raises(self, radio, table1_budget, monkeypatch):
+        # Both hazards patched to 0 past the first probe: the interior probe
+        # that would be returned as the root raises instead.
+        calls = []
+        true_partial = optimizer.marcum_q1_partial_b
+
+        def partial(a, b):
+            calls.append(b)
+            return true_partial(a, b) if len(calls) <= 4 else 0.0
+
+        monkeypatch.setattr(optimizer, "marcum_q1_partial_b", partial)
+        with pytest.raises(BracketError, match="^flat objective: "):
+            minimize_outage_exact(table1_budget, radio)
+        assert len(calls) == 6  # the two bracket ends, then one probe
+
     @given(
         st.floats(min_value=-10.0, max_value=25.0),
         st.floats(min_value=-10.0, max_value=25.0),
