@@ -21,7 +21,7 @@ from .channel import (
     path_gain_excess,
     rician_k,
 )
-from .mcsim import OutageEstimate, SimSpec, estimate_outage, sample_rician_power
+from .mcsim import OutageEstimate, SimSpec, estimate_outage
 from .optimizer import (
     AllocationResult,
     BracketError,
@@ -80,7 +80,6 @@ __all__ = [
     "p_los",
     "path_gain_excess",
     "rician_k",
-    "sample_rician_power",
     "snr_threshold",
     "solve_theorem1",
     "theorem1_constants",

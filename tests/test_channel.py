@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from uavrelay import (
     HopEnvironment,
+    LinkBudget,
     LinkGeometry,
     RadioConfig,
     RicianEndpoints,
@@ -192,6 +193,15 @@ class TestTypeInvariants:
             HopEnvironment(a=0.28, b=9.6, eta_los_db=20.0, eta_nlos_db=1.0)
         with pytest.raises(ValueError):
             HopEnvironment(a=-0.1, b=9.6, eta_los_db=1.0, eta_nlos_db=20.0)
+
+    def test_link_budget_rejects_nonpositive_k(self):
+        # The Monte Carlo sampler takes its K from a LinkBudget and does not
+        # check it again.
+        for k in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                LinkBudget(1e-10, 1e-10, k, 10.0)
+            with pytest.raises(ValueError):
+                LinkBudget(1e-10, 1e-10, 10.0, k)
 
     def test_rician_endpoints_ordering(self):
         with pytest.raises(ValueError):

@@ -702,6 +702,16 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_validate_leaves_masked_arrays_unloaded():
+    # numpy's set routines (np.unique, np.union1d) import numpy.ma on first
+    # use, about 1 MB of resident memory for every validate process.
+    code = "import sys, uavrelay.cli; uavrelay.cli.main(['validate', '--trials', '20000']); print('numpy.ma' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_python_m_uavrelay_runs_the_cli():
     golden = (Path(__file__).parent / "golden" / "solve_paper.txt").read_text(encoding="utf-8")
     done = subprocess.run(

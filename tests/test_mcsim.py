@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 from uavrelay import (
     OutageEstimate,
@@ -10,44 +11,63 @@ from uavrelay import (
     end_to_end_outage,
     estimate_outage,
     hop_capacity,
-    sample_rician_power,
+    snr_threshold,
 )
-from uavrelay.mcsim import _chunk_events, _chunk_rng
-from uavrelay.specfun import _marcum_q1_complement
+from uavrelay import mcsim
+from uavrelay.mcsim import _chunk_events, _chunk_rng, _hop_outages
 
 from conftest import make_radio
 
 
-class TestSampleRicianPower:
-    def test_unit_mean(self):
-        rng = np.random.Generator(np.random.Philox(7))
-        draws = sample_rician_power(10.0, rng, 1_000_000)
-        assert abs(float(np.mean(draws)) - 1.0) <= 0.004
+class RecordingGenerator:
+    """A chunk stream that keeps every block of normals it hands out."""
 
-    def test_strong_los_limit_collapses_variance(self):
+    def __init__(self, rng):
+        self.rng = rng
+        self.blocks = []
+
+    def standard_normal(self, size):
+        block = self.rng.standard_normal(size)
+        self.blocks.append(block.copy())
+        return block
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The chunk streams that ``_chunk_events`` creates, each recording its draws."""
+    created = []
+
+    def recording_rng(seed, chunk_index):
+        created.append(RecordingGenerator(_chunk_rng(seed, chunk_index)))
+        return created[-1]
+
+    monkeypatch.setattr(mcsim, "_chunk_rng", recording_rng)
+    return created
+
+
+class TestHopOutages:
+    @pytest.mark.parametrize(
+        "k,threshold",
+        # Rare candidates (the reference regime), a threshold near the LoS
+        # power at K = 20 dB, and one above the LoS power at K = -3 dB.
+        [(10.0, 0.1), (100.0, 0.8), (0.5, 1.5)],
+    )
+    def test_frequency_matches_noncentral_chi_square(self, k, threshold):
+        # |h|^2 (2 (k+1)) is noncentral chi-square with 2 degrees of freedom
+        # and noncentrality 2k. 2e7 draws in blocks of 1e6 from one stream;
+        # the gate |z| <= 5 was set before the first run.
+        rng = np.random.Generator(np.random.Philox(20241018))
+        blocks, size = 20, 1_000_000
+        events = sum(_hop_outages(k, threshold, rng, size).size for _ in range(blocks))
+        p = ncx2.cdf(2.0 * (k + 1.0) * threshold, 2, 2.0 * k)
+        n = blocks * size
+        assert abs(events - n * p) / math.sqrt(n * p * (1.0 - p)) <= 5.0
+
+    def test_strong_los_limit_is_a_step(self):
+        # At K = 60 dB the fading power stays within ~0.5% of 1.
         rng = np.random.Generator(np.random.Philox(8))
-        draws = sample_rician_power(1e6, rng, 100_000)
-        assert float(np.var(draws)) < 1e-5
-
-    def test_cdf_matches_closed_form(self):
-        # Empirical CDF of |h|^2 against 1 - Q_1(sqrt(2k), sqrt(2(k+1)x))
-        k = 10.0
-        rng = np.random.Generator(np.random.Philox(9))
-        draws = np.sort(sample_rician_power(k, rng, 1_000_000))
-        xs = np.linspace(0.05, 3.0, 60)
-        worst = 0.0
-        for x in xs:
-            empirical = float(np.searchsorted(draws, x, side="right")) / draws.size
-            closed = _marcum_q1_complement(
-                math.sqrt(2.0 * k), math.sqrt(2.0 * (k + 1.0) * x)
-            )
-            worst = max(worst, abs(empirical - closed))
-        assert worst <= 0.005
-
-    def test_rejects_bad_k(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        with pytest.raises(ValueError):
-            sample_rician_power(0.0, rng)
+        assert _hop_outages(1e6, 0.99, rng, 100_000).size == 0
+        assert _hop_outages(1e6, 1.01, rng, 100_000).size == 100_000
 
 
 class TestEstimateOutage:
@@ -109,10 +129,50 @@ class TestEstimateOutage:
         assert errs[0] / errs[1] == pytest.approx(math.sqrt(10.0), rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(math.sqrt(10.0), rel=0.15)
 
+    @pytest.mark.parametrize(
+        "p_s,p_u,sizes",
+        [
+            (0.0, 0.25, []),
+            (0.25, 0.0, []),
+            (5e-324, 0.25, []),
+            (0.25, 5e-324, []),
+            (1e-300, 0.25, [20_000, 20_000, 20_000, 4]),
+        ],
+        ids=["zero-bs", "zero-uav", "underflow-bs", "underflow-uav", "tiny-bs"],
+    )
+    def test_powerless_hop_is_full_outage(self, radio, table1_budget, streams, p_s, p_u, sizes):
+        # A hop whose P * G is 0 (here also from an underflowing product) is
+        # in outage in every trial without a draw. A tiny positive P * G
+        # gives a threshold near 1e296: every trial a candidate and an event.
+        assert _chunk_events(table1_budget, PowerSplit(p_s, p_u), radio, 5, 0, 20_000) == 20_000
+        assert [block.size for block in streams[0].blocks] == sizes
+
+    def test_reference_draw_counts(self, radio, table1_budget, streams):
+        # Reference scenario at alpha = 0.5, seed 2024: per hop, 1e5 in-phase
+        # normals, then one quadrature normal per candidate, where the
+        # in-phase power alone is below the hop's threshold.
+        split = PowerSplit.from_alpha(0.5, radio.total_power_w)
+        events = _chunk_events(table1_budget, split, radio, 2024, 0, 100_000)
+        x_su, y_su, x_ud, y_ud = streams[0].blocks
+        threshold = snr_threshold(radio.rate) * radio.noise_power_w
+        candidates = []
+        for k, received, x in (
+            (table1_budget.k_su, split.p_s * table1_budget.g_su, x_su),
+            (table1_budget.k_ud, split.p_u * table1_budget.g_ud, x_ud),
+        ):
+            in_phase = (math.sqrt(k / (k + 1.0)) + math.sqrt(0.5 / (k + 1.0)) * x) ** 2
+            candidates.append(int(np.count_nonzero(in_phase < threshold / received)))
+        assert (x_su.size, x_ud.size) == (100_000, 100_000)
+        assert [y_su.size, y_ud.size] == candidates == [1, 56]
+        assert events == 27
+        assert max(candidates) < 100  # below 0.1% of the trials on each hop
+
     @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
     def test_threshold_event_equals_capacity_shortfall(self, table1_budget, rate):
         # hop_capacity is the reference definition of the outage event; the
         # chunk tally compares fading power with the SNR threshold instead.
+        # The same draws are rebuilt here: per hop, the in-phase block, then a
+        # quadrature normal wherever the in-phase part alone falls short.
         # alpha 0 and 1 leave one hop without power.
         radio = make_radio(rate=rate)
         noise = radio.noise_power_w
@@ -120,20 +180,27 @@ class TestEstimateOutage:
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
             for seed in (3, 4, 5):
                 rng = _chunk_rng(seed, 1)
-                su = sample_rician_power(table1_budget.k_su, rng, 50_000)
-                ud = sample_rician_power(table1_budget.k_ud, rng, 50_000)
-                capacity = np.minimum(
-                    hop_capacity(split.p_s, table1_budget.g_su, su, noise),
-                    hop_capacity(split.p_u, table1_budget.g_ud, ud, noise),
-                )
-                expected = int(np.count_nonzero(capacity < rate))
+                capacities = []
+                for k, power, gain in (
+                    (table1_budget.k_su, split.p_s, table1_budget.g_su),
+                    (table1_budget.k_ud, split.p_u, table1_budget.g_ud),
+                ):
+                    los, sigma = math.sqrt(k / (k + 1.0)), math.sqrt(0.5 / (k + 1.0))
+                    fading = (los + sigma * rng.standard_normal(50_000)) ** 2
+                    short = hop_capacity(power, gain, fading, noise) < rate
+                    fading[short] += (sigma * rng.standard_normal(int(np.count_nonzero(short)))) ** 2
+                    capacities.append(hop_capacity(power, gain, fading, noise))
+                expected = int(np.count_nonzero(np.minimum(*capacities) < rate))
                 got = _chunk_events(table1_budget, split, radio, seed, 1, 50_000)
                 assert got == expected
 
-    def test_hop_draws_uncorrelated(self, table1_budget):
+    def test_hop_draws_uncorrelated(self):
+        # Both hops draw from one chunk stream; their outage indicators must
+        # be uncorrelated (standard error of the estimate ~1e-3).
         rng = _chunk_rng(123, 0)
-        su = sample_rician_power(table1_budget.k_su, rng, 1_000_000)
-        ud = sample_rician_power(table1_budget.k_ud, rng, 1_000_000)
+        su, ud = np.zeros((2, 1_000_000), dtype=bool)
+        su[_hop_outages(1.0, 0.5, rng, 1_000_000)] = True
+        ud[_hop_outages(1.0, 0.5, rng, 1_000_000)] = True
         rho = float(np.corrcoef(su, ud)[0, 1])
         assert abs(rho) < 0.01
 
