@@ -7,8 +7,8 @@ in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
 Exit codes: 0 success, 2 scenario or argument error, 3 solver failure
-(including a saturated objective, a non-finite result and an outage that is
-not a probability), 4 validation failure.
+(including a saturated or flat objective, a non-finite result and an outage
+that is not a probability), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
         spec = dataclasses.replace(scenario.sim, seed=(scenario.sim.seed + index) % 2**64)
         estimate = estimate_outage(budget, split, scenario.radio, spec)
         if 0.0 < closed < 1.0:
-            # Score test: the binomial spread the closed form predicts, which
-            # unlike the estimate's own spread does not shrink with a low count.
+            # Score test: the binomial spread that the closed form predicts.
+            # The estimate's own spread shrinks when its count comes out low.
             z_score = (estimate.p_hat - closed) / math.sqrt(closed * (1.0 - closed) / estimate.trials)
         else:
             # Degenerate closed form (0 or 1 exactly): score the raw gap per trial.

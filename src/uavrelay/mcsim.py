@@ -6,12 +6,14 @@ it stays independent of the Marcum-Q code it validates. A hop can be in
 outage only where its in-phase power alone is already below the threshold,
 so it draws a quadrature normal only there: about 2 normals per trial over
 both hops instead of 4, with the event and the binomial estimate of the full
-draw. Trials are split
-into fixed-size chunks, each driven by its own counter-based stream derived
-only from (seed, chunk index); the event tally is an integer sum, so the
-estimate is bit-identical no matter how the chunks are scheduled. Chunks run
-on up to one thread per usable CPU: numpy releases the interpreter lock while
-it fills the Philox normals, so the threads sample concurrently.
+draw.
+
+Trials are split into fixed-size chunks, each driven by its own
+counter-based stream derived only from (seed, chunk index); the event tally
+is an integer sum, so the estimate is bit-identical no matter how the chunks
+are scheduled. Chunks run on up to one thread per usable CPU: numpy releases
+the interpreter lock while it fills the Philox normals, so the threads
+sample concurrently.
 """
 
 from __future__ import annotations
