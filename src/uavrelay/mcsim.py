@@ -86,8 +86,9 @@ def _chunk_events(
     capacity shortfall 0.5 * log2(1 + P * G * |h|^2 / N0) < R without the
     logarithm. A hop whose P * G is 0, or underflows to 0, is in outage in
     every trial, and then the chunk draws nothing. Otherwise hop su draws
-    from the chunk's stream before hop ud, and only one hop's arrays are
-    alive at a time.
+    from the chunk's stream before hop ud, both in one scratch array: one
+    large allocation per chunk, where an array per hop lets the allocator's
+    heap creep up over a run of chunks.
     """
     rng = _chunk_rng(seed, chunk_index)
     threshold = snr_threshold(radio.rate) * radio.noise_power_w
@@ -95,34 +96,36 @@ def _chunk_events(
     if any(received == 0.0 for _, received in hops):
         return count
     outage = np.zeros(count, dtype=bool)
+    power = np.empty(count)
     for k, received in hops:
-        outage[_hop_outages(k, threshold / received, rng, count)] = True
+        outage[_hop_outages(k, threshold / received, rng, power)] = True
     return int(np.count_nonzero(outage))
 
 
-def _hop_outages(k: float, threshold: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Trial indices, out of ``count``, where one hop's unit-mean Rician
-    fading power |h|^2 falls below ``threshold``.
+def _hop_outages(k: float, threshold: float, rng: np.random.Generator, power: np.ndarray) -> np.ndarray:
+    """Trial indices, one trial per element of the scratch array ``power``,
+    where one hop's unit-mean Rician fading power |h|^2 falls below
+    ``threshold``.
 
     h = (los + sigma x) + i sigma y, with los = sqrt(k / (k+1)), x and y
     standard normal and 2 sigma^2 = 1 / (k+1), so E[|h|^2] = 1. As y^2 >= 0,
     only trials whose in-phase power (los + sigma x)^2 is already below the
-    threshold can be in outage: the hop draws ``count`` normals x, then one
-    normal y per such candidate, in that order.
+    threshold can be in outage: the hop draws one normal x per trial into
+    ``power``, then one normal y per such candidate, in that order.
     """
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(0.5 / (k + 1.0))
-    power = rng.standard_normal(count)
+    rng.standard_normal(out=power)
     power *= sigma
     power += los
     power *= power
     candidates = np.flatnonzero(power < threshold)
-    power = power[candidates]
+    candidate_power = power[candidates]
     quadrature = rng.standard_normal(candidates.size)
     quadrature *= sigma
     quadrature *= quadrature
-    power += quadrature
-    return candidates[power < threshold]
+    candidate_power += quadrature
+    return candidates[candidate_power < threshold]
 
 
 def _usable_cpus() -> int:
