@@ -2,18 +2,19 @@
 
 The simulator draws Rician fading directly from the line-of-sight plus
 scatter decomposition rather than inverting any closed-form distribution, so
-it stays independent of the Marcum-Q code it validates. A hop can be in
-outage only where its in-phase power alone is already below the threshold,
-so it draws a quadrature normal only there: about 2 normals per trial over
-both hops instead of 4, with the event and the binomial estimate of the full
-draw.
+it stays independent of the Marcum-Q code it validates. The scatter is drawn
+in polar form (Box & Muller, Ann. Math. Stat. 29(2), 1958): a Rayleigh radius
+from one uniform and a phase from another. A hop can be in outage only where
+the radius alone reaches past the line-of-sight amplitude's distance to the
+threshold, which is a cut on the radius uniform with no logarithm, so a hop
+draws the phase uniform only there: about 2 uniforms per trial over both
+hops, with the event and the binomial estimate of the full draw.
 
-Trials are split into fixed-size chunks, each driven by its own
-counter-based stream derived only from (seed, chunk index); the event tally
-is an integer sum, so the estimate is bit-identical no matter how the chunks
-are scheduled. Chunks run on up to one thread per usable CPU: numpy releases
-the interpreter lock while it fills the Philox normals, so the threads
-sample concurrently.
+Trials are split into fixed-size chunks, each driven by its own PCG64 stream
+derived only from (seed, chunk index); the event tally is an integer sum, so
+the estimate is bit-identical no matter how the chunks are scheduled. Chunks
+run on up to one thread per usable CPU: numpy releases the interpreter lock
+while it fills the uniforms, so the threads sample concurrently.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class OutageEstimate:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Stream for one chunk, a pure function of (seed, chunk_index)."""
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(sequence))
+    return np.random.Generator(np.random.PCG64(sequence))
 
 
 def _chunk_events(
@@ -107,25 +108,43 @@ def _hop_outages(k: float, threshold: float, rng: np.random.Generator, power: np
     where one hop's unit-mean Rician fading power |h|^2 falls below
     ``threshold``.
 
-    h = (los + sigma x) + i sigma y, with los = sqrt(k / (k+1)), x and y
-    standard normal and 2 sigma^2 = 1 / (k+1), so E[|h|^2] = 1. As y^2 >= 0,
-    only trials whose in-phase power (los + sigma x)^2 is already below the
-    threshold can be in outage: the hop draws one normal x per trial into
-    ``power``, then one normal y per such candidate, in that order.
+    h = los + r e^{i theta}, with los = sqrt(k / (k+1)), a Rayleigh radius
+    r = sigma sqrt(-2 log(1 - U)), 2 sigma^2 = 1 / (k+1) and theta = 2 pi W
+    for uniforms U and W, so E[|h|^2] = 1. As
+    |h|^2 = (r - los)^2 + 4 los r cos^2(pi W) >= (r - los)^2, only trials whose
+    radius exceeds los - sqrt(threshold) can be in outage, which is U >= cut
+    for cut = 1 - exp(-near^2 / 2) with near = (los - sqrt(threshold)) / sigma.
+    So that rounding cannot screen out a trial that the float event would
+    count, the distance is shortened by 2^-50, at least 8 units in the last
+    place of los < 1, and the cut is lowered by a relative 1e-9.
+
+    The hop draws one U per trial into ``power``, then one W per candidate
+    into the head of ``power``, whose U are spent by then. U lies on a
+    lattice of 2^-53, so a hop whose outage probability is below about
+    1.1e-16 per trial shows no events.
     """
     los = math.sqrt(k / (k + 1.0))
     sigma = math.sqrt(0.5 / (k + 1.0))
-    rng.standard_normal(out=power)
-    power *= sigma
-    power += los
-    power *= power
-    candidates = np.flatnonzero(power < threshold)
-    candidate_power = power[candidates]
-    quadrature = rng.standard_normal(candidates.size)
-    quadrature *= sigma
-    quadrature *= quadrature
-    candidate_power += quadrature
-    return candidates[candidate_power < threshold]
+    near = max(los - math.sqrt(threshold) - 2.0**-50, 0.0) / sigma
+    cut = -math.expm1(-0.5 * near * near) * (1.0 - 1e-9)
+    rng.random(out=power)
+    candidates = np.flatnonzero(power >= cut)
+    radius = power[candidates]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    radius *= sigma
+    cosine = rng.random(out=power[: candidates.size])
+    cosine *= math.pi
+    np.cos(cosine, out=cosine)
+    cosine *= cosine
+    cosine *= 4.0 * los
+    cosine *= radius
+    radius -= los
+    radius *= radius
+    radius += cosine
+    return candidates[radius < threshold]
 
 
 def _usable_cpus() -> int:

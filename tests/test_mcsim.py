@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ncx2
 
 from uavrelay import (
@@ -20,16 +23,51 @@ from conftest import make_radio
 
 
 class RecordingGenerator:
-    """A chunk stream that keeps every block of normals it hands out."""
+    """A chunk stream that keeps every block of uniforms it hands out."""
 
     def __init__(self, rng):
         self.rng = rng
         self.blocks = []
 
-    def standard_normal(self, size=None, out=None):
-        block = self.rng.standard_normal(size, out=out)
+    def random(self, size=None, out=None):
+        block = self.rng.random(size, out=out)
         self.blocks.append(block.copy())
         return block
+
+
+def polar_screen(k, threshold):
+    """(los, sigma, cut) of one hop: a trial is a candidate where its radius
+    uniform U >= cut, the widened U at which the Rayleigh radius
+    sigma sqrt(-2 log(1 - U)) reaches los - sqrt(threshold) - 2^-50."""
+    los, sigma = math.sqrt(k / (k + 1.0)), math.sqrt(0.5 / (k + 1.0))
+    near = max(los - math.sqrt(threshold) - 2.0**-50, 0.0) / sigma
+    return los, sigma, -math.expm1(-0.5 * near * near) * (1.0 - 1e-9)
+
+
+class ScriptedGenerator:
+    """Fills the first block with fixed radius uniforms ``u`` and each later
+    block with phase uniforms of 0.5, where cos(pi W) is within 1e-16 of 0."""
+
+    def __init__(self, u):
+        self.u = u
+        self.phase_sizes = None
+
+    def random(self, out):
+        if self.phase_sizes is None:
+            out[:] = self.u
+            self.phase_sizes = []
+        else:
+            out[:] = 0.5
+            self.phase_sizes.append(out.size)
+        return out
+
+
+def polar_power(los, sigma, u, w):
+    """|h|^2 = (r - los)^2 + 4 los r cos^2(pi W) of candidates with radius
+    uniforms ``u`` and phase uniforms ``w``, in the sampler's operation order."""
+    r = sigma * np.sqrt(-2.0 * np.log1p(-u))
+    c = np.cos(math.pi * w)
+    return (r - los) ** 2 + c * c * (4.0 * los) * r
 
 
 @pytest.fixture
@@ -70,6 +108,66 @@ class TestHopOutages:
         power = np.empty(100_000)
         assert _hop_outages(1e6, 0.99, rng, power).size == 0
         assert _hop_outages(1e6, 1.01, rng, power).size == 100_000
+
+    @pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 1e3, 1e6])
+    @pytest.mark.parametrize("share", [1e-300, 1e-3, 0.5, 1.0 - 1e-9, 1.0 - 1e-13])
+    def test_screen_keeps_every_float_event(self, k, share):
+        # Radius uniforms at the cut and its 16 neighbouring doubles, with a
+        # phase of pi / 2, where |h|^2 = (r - los)^2. The thresholds run from
+        # far below the LoS power to ~500 units in the last place below it.
+        threshold = share * (k / (k + 1.0))
+        los, sigma, cut = polar_screen(k, threshold)
+        assert cut > 0.0
+        u = [cut]
+        for _ in range(8):
+            u = [np.nextafter(u[0], 0.0), *u, np.nextafter(u[-1], 1.0)]
+        u = np.array(u)
+        rng = ScriptedGenerator(u)
+        _hop_outages(k, threshold, rng, np.empty(u.size))
+        screened = u.size - rng.phase_sizes[0]
+        assert screened == 8  # every double below the cut, and none from it
+        r = sigma * np.sqrt(-2.0 * np.log1p(-u[:screened]))
+        assert np.all((r - los) ** 2 >= threshold)
+
+    @pytest.mark.parametrize("k", [0.1, 10.0, 1e6])
+    def test_threshold_next_to_los_power_screens_nothing(self, k):
+        # Within 2^-50 of the LoS amplitude no trial is screened out.
+        threshold = np.nextafter(k / (k + 1.0), 0.0)
+        assert polar_screen(k, threshold)[2] == 0.0
+        rng = ScriptedGenerator(np.zeros(5))
+        _hop_outages(k, threshold, rng, np.empty(5))
+        assert rng.phase_sizes == [5]
+
+    @given(
+        k_db=st.floats(min_value=-10.0, max_value=60.0),
+        threshold=st.one_of(
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(min_value=1e-3, max_value=1.5),
+            st.just(math.inf),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(k_db=60.0, threshold=1e-300, seed=0)
+    @example(k_db=-10.0, threshold=math.inf, seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_screen_properties(self, k_db, threshold, seed):
+        # Over the whole K range and thresholds from 1e-300 to infinity: the
+        # indices are strictly increasing trials, no floating-point warning
+        # is raised, and the returned trials are exactly the candidates whose
+        # power, rebuilt from the recorded draws, is below the threshold.
+        k = 10.0 ** (k_db / 10.0)
+        rng = RecordingGenerator(np.random.Generator(np.random.PCG64(seed)))
+        power = np.empty(2_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _hop_outages(k, threshold, rng, power)
+        assert np.all(np.diff(got) > 0)
+        assert got.size == 0 or (got[0] >= 0 and got[-1] < power.size)
+        u, w = rng.blocks
+        los, sigma, cut = polar_screen(k, threshold)
+        candidates = np.flatnonzero(u >= cut)
+        assert w.size == candidates.size
+        assert np.array_equal(got, candidates[polar_power(los, sigma, u[candidates], w) < threshold])
 
 
 class TestEstimateOutage:
@@ -138,7 +236,7 @@ class TestEstimateOutage:
             (0.25, 0.0, []),
             (5e-324, 0.25, []),
             (0.25, 5e-324, []),
-            (1e-300, 0.25, [20_000, 20_000, 20_000, 4]),
+            (1e-300, 0.25, [20_000, 20_000, 20_000, 27]),
         ],
         ids=["zero-bs", "zero-uav", "underflow-bs", "underflow-uav", "tiny-bs"],
     )
@@ -146,35 +244,37 @@ class TestEstimateOutage:
         # A hop whose P * G is 0 (here also from an underflowing product) is
         # in outage in every trial without a draw. A tiny positive P * G
         # gives a threshold near 1e296: every trial a candidate and an event.
+        # Hop ud then draws its 2e4 radius uniforms and 27 phase uniforms.
         assert _chunk_events(table1_budget, PowerSplit(p_s, p_u), radio, 5, 0, 20_000) == 20_000
         assert [block.size for block in streams[0].blocks] == sizes
 
     def test_reference_draw_counts(self, radio, table1_budget, streams):
-        # Reference scenario at alpha = 0.5, seed 2024: per hop, 1e5 in-phase
-        # normals, then one quadrature normal per candidate, where the
-        # in-phase power alone is below the hop's threshold.
+        # Reference scenario at alpha = 0.5, seed 2024: per hop, 1e5 radius
+        # uniforms, then one phase uniform per candidate, where the radius
+        # alone can reach below the hop's threshold.
         split = PowerSplit.from_alpha(0.5, radio.total_power_w)
         events = _chunk_events(table1_budget, split, radio, 2024, 0, 100_000)
-        x_su, y_su, x_ud, y_ud = streams[0].blocks
+        u_su, w_su, u_ud, w_ud = streams[0].blocks
         threshold = snr_threshold(radio.rate) * radio.noise_power_w
         candidates = []
-        for k, received, x in (
-            (table1_budget.k_su, split.p_s * table1_budget.g_su, x_su),
-            (table1_budget.k_ud, split.p_u * table1_budget.g_ud, x_ud),
+        for k, received, u in (
+            (table1_budget.k_su, split.p_s * table1_budget.g_su, u_su),
+            (table1_budget.k_ud, split.p_u * table1_budget.g_ud, u_ud),
         ):
-            in_phase = (math.sqrt(k / (k + 1.0)) + math.sqrt(0.5 / (k + 1.0)) * x) ** 2
-            candidates.append(int(np.count_nonzero(in_phase < threshold / received)))
-        assert (x_su.size, x_ud.size) == (100_000, 100_000)
-        assert [y_su.size, y_ud.size] == candidates == [1, 56]
-        assert events == 27
-        assert max(candidates) < 100  # below 0.1% of the trials on each hop
+            _, _, cut = polar_screen(k, threshold / received)
+            candidates.append(int(np.count_nonzero(u >= cut)))
+        assert (u_su.size, u_ud.size) == (100_000, 100_000)
+        assert [w_su.size, w_ud.size] == candidates == [16, 415]
+        assert events == 23
+        assert max(candidates) < 500  # below 0.5% of the trials on each hop
 
     @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
     def test_threshold_event_equals_capacity_shortfall(self, table1_budget, rate):
         # hop_capacity is the reference definition of the outage event; the
         # chunk tally compares fading power with the SNR threshold instead.
-        # The same draws are rebuilt here: per hop, the in-phase block, then a
-        # quadrature normal wherever the in-phase part alone falls short.
+        # The same draws are rebuilt here: per hop, the radius uniforms, then
+        # a phase uniform per candidate. A non-candidate keeps the lower bound
+        # (r - los)^2 of its power, which must not fall short on its own.
         # alpha 0 and 1 leave one hop without power.
         radio = make_radio(rate=rate)
         noise = radio.noise_power_w
@@ -187,10 +287,14 @@ class TestEstimateOutage:
                     (table1_budget.k_su, split.p_s, table1_budget.g_su),
                     (table1_budget.k_ud, split.p_u, table1_budget.g_ud),
                 ):
-                    los, sigma = math.sqrt(k / (k + 1.0)), math.sqrt(0.5 / (k + 1.0))
-                    fading = (los + sigma * rng.standard_normal(50_000)) ** 2
-                    short = hop_capacity(power, gain, fading, noise) < rate
-                    fading[short] += (sigma * rng.standard_normal(int(np.count_nonzero(short)))) ** 2
+                    received = power * gain
+                    threshold = snr_threshold(rate) * noise / received if received else math.inf
+                    los, sigma, cut = polar_screen(k, threshold)
+                    u = rng.random(50_000)
+                    candidate = u >= cut
+                    fading = (sigma * np.sqrt(-2.0 * np.log1p(-u)) - los) ** 2
+                    w = rng.random(int(np.count_nonzero(candidate)))
+                    fading[candidate] = polar_power(los, sigma, u[candidate], w)
                     capacities.append(hop_capacity(power, gain, fading, noise))
                 expected = int(np.count_nonzero(np.minimum(*capacities) < rate))
                 got = _chunk_events(table1_budget, split, radio, seed, 1, 50_000)
