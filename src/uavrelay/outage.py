@@ -72,8 +72,8 @@ def hop_outage(k: float, mean_snr: float, rate: float) -> float:
     the subtraction from 1.
 
     ``mean_snr`` may be a 1-D numpy array; the outages, one per entry, are
-    then evaluated in one batched Marcum call and equal the scalar results
-    bit for bit.
+    then evaluated by one batched quadrature with no overflow band, which is
+    more accurate than the scalar series (``specfun._complement_quadrature``).
     """
     if k <= 0.0:
         raise ValueError("Rician factor must be positive")
@@ -114,8 +114,8 @@ def end_to_end_outage(budget: LinkBudget, split: PowerSplit, radio: RadioConfig)
 
 def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
     """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
-    of each allocation factor in ``alphas``, bit for bit, with each hop
-    evaluated in one batched call.
+    of each allocation factor in ``alphas``, with each hop evaluated in one
+    batched ``hop_outage`` call.
 
     The factors must lie in [0, 1]; the total power is ``radio.total_power_w``.
     """

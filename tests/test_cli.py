@@ -251,12 +251,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, alpha",
-        [(["solve"], "0.5"), (["sweep-power", "--pt", "0.05"], "0.25")],
-        ids=["solve", "sweep-power"],
+        [(["solve"], "0.5"), (["sweep-power", "--pt", "0.05"], "0.25"), (["sweep-alpha"], "0.5")],
+        ids=["solve", "sweep-power", "sweep-alpha"],
     )
     def test_flat_objective_exits_3(self, tmp_path, capsys, argv, alpha):
         # K of 30-40 dB on both hops: both hazards underflow to 0 at the
-        # first interior probe, which used to be printed as the optimum.
+        # first interior probe, which used to be printed as the optimum. The
+        # grid rows of sweep-alpha evaluate there; its exact solve does not.
         k_endpoints = {"k0_db": 30.0, "kpi2_db": 40.0}
         path = paper_scenario(tmp_path, rician_su=k_endpoints, rician_ud=k_endpoints)
         assert main(argv + ["--scenario", path]) == EXIT_SOLVER
@@ -266,6 +267,32 @@ class TestExitCodes:
             f"solver error: flat objective: both hops' outage hazards underflow to 0 at alpha {alpha},"
             " so the slope cannot locate the optimal split"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, rician_db, extra",
+        [
+            (["solve"], (23.5, 20.5), {"radio": {"total_power_w": 0.01}}),
+            (["sweep-power", "--pt", "0.01"], (23.5, 20.5), {"radio": {"total_power_w": 0.01}}),
+            (["validate", "--trials", "1000", "--alpha-grid", "0.005:0.995:100"], (30.0, 30.0), {}),
+        ],
+        ids=["solve", "sweep-power", "validate"],
+    )
+    def test_marcum_series_overflow_exits_3(self, tmp_path, capsys, argv, rician_db, extra):
+        # The scalar Marcum series still has its overflow band (b^2/2 >= 700
+        # with |a - b| < 9), which the solvers' probes and validate's
+        # per-split closed form reach at K of about 28 dB and more.
+        su, ud = rician_db
+        path = paper_scenario(
+            tmp_path,
+            rician_su={"k0_db": su, "kpi2_db": su + 10.0},
+            rician_ud={"k0_db": ud, "kpi2_db": ud + 10.0},
+            **extra,
+        )
+        assert main(argv + ["--scenario", path]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("solver error: Marcum Q series start underflows for a=")
 
     @pytest.mark.parametrize(
         "target, name, value, message",
@@ -413,6 +440,21 @@ class TestSweepAlpha:
                 value = float(row[1])
                 minima[value] = min(minima.get(value, 1.0), float(row[5]))
         assert minima[0.25] > minima[0.5] > minima[1.0]
+
+    def test_grid_inside_the_scalar_overflow_band(self, tmp_path, capsys):
+        # K near 28.5 dB at the relay: grid thresholds in the band where the
+        # scalar series raises OverflowError, on a 999-point grid.
+        path = paper_scenario(
+            tmp_path,
+            rician_su={"k0_db": 23.5, "kpi2_db": 33.5},
+            rician_ud={"k0_db": 20.5, "kpi2_db": 30.5},
+        )
+        assert main(["sweep-alpha", "--scenario", path, "--alpha-grid", "0.001:0.999:999"]) == EXIT_OK
+        rows = parse_rows(capsys.readouterr().out, cli.SWEEP_HEADER)
+        outages = [float(row[5]) for row in rows if row[6] == "grid"]
+        assert len(outages) == 999
+        assert all(math.isfinite(value) and 0.0 <= value <= 1.0 for value in outages)
+        assert 0.0 < min(outages) < 1e-100
 
     def test_distance_sweep_orders_curves(self, tmp_path, capsys):
         path = paper_scenario(tmp_path)

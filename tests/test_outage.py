@@ -172,8 +172,8 @@ class TestEndToEndOutageGrid:
     @given(
         st.floats(min_value=-12.0, max_value=-6.0),
         st.floats(min_value=-12.0, max_value=-6.0),
-        # K up to 25 dB keeps every threshold argument clear of the Marcum
-        # overflow band, where the grid and the scalar calls would raise.
+        # K up to 25 dB keeps every threshold argument of the scalar calls
+        # clear of the Marcum series' overflow band, where they would raise.
         st.floats(min_value=-10.0, max_value=25.0),
         st.floats(min_value=-10.0, max_value=25.0),
         st.floats(min_value=-3.0, max_value=1.0),
@@ -181,14 +181,25 @@ class TestEndToEndOutageGrid:
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_per_alpha_outage(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
+    def test_matches_per_alpha_outage(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
+        # The grid's quadrature and the per-split scalar series agree wherever
+        # the outage is at least 1e-8; deeper down the series loses digits.
+        # The tolerance is the series' own error: against 40-digit mpmath it
+        # is off by up to 1.3e-14 absolute per hop at b^2/2 < 700, because it
+        # stops on 1 - (summed Poisson weights), which rounding resolves only
+        # to a few ulps of 1. The quadrature is within 4e-15 relative there.
         budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
         radio = make_radio(total_power_w=10.0**pt, rate=rate)
-        expected = [
-            end_to_end_outage(budget, PowerSplit.from_alpha(alpha, radio.total_power_w), radio).hex()
-            for alpha in alphas
-        ]
-        assert [value.hex() for value in end_to_end_outage_grid(budget, alphas, radio)] == expected
+        grid = end_to_end_outage_grid(budget, alphas, radio)
+        for alpha, value in zip(alphas, grid):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            if split.p_s * budget.g_su / radio.noise_power_w == 0.0 or split.p_u * budget.g_ud / radio.noise_power_w == 0.0:
+                assert value == 1.0  # a split whose mean SNR underflows is a full outage
+                continue
+            expected = end_to_end_outage(budget, split, radio)
+            assert 0.0 <= value <= 1.0
+            if expected >= 1e-8:
+                assert abs(value - expected) <= 1e-12 * expected + 5e-14, (alpha, value, expected)
 
     def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):
         for bad in (-0.1, 1.5, math.nan):

@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e
+from scipy.stats import ncx2
 
 from uavrelay import specfun
 from uavrelay.specfun import (
@@ -237,95 +240,79 @@ class TestMarcumComplement:
             _marcum_q1_complement(38.0, 39.0)
 
 
-def _loop_outcomes(a, bs):
-    """The scalar loop at each threshold: its value, or the first exception type."""
-    values = []
-    for b in bs:
-        try:
-            values.append(_marcum_q1_complement(a, b))
-        except (OverflowError, RuntimeError) as exc:
-            return type(exc)
-    return [value.hex() for value in values]
+def _read_table():
+    """Region -> list of (a, b, log(1 - Q_1)) from the frozen mpmath table."""
+    table = {}
+    with open(TABLE, encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            table.setdefault(row["region"], []).append(
+                (float(row["a"]), float(row["b"]), float(row["log_complement"]))
+            )
+    return table
 
 
-@st.composite
-def thresholds(draw):
-    """A noncentrality a and a mixed threshold list for it.
-
-    Besides ordinary thresholds the list can hold 0, inf, and thresholds in
-    the b^2/2 >= 700 band, either far enough from a for the exact 0/1
-    shortcut or too close to it (the overflow error path).
-    """
-    a = draw(st.floats(min_value=0.0, max_value=40.0))
-    band_floor = math.sqrt(1400.0)
-    special = st.sampled_from([0.0, math.inf, max(a, band_floor) + 9.0, a + 30.0])
-    if a - 9.0 >= band_floor:
-        special |= st.just(a - 9.0)
-    ordinary = st.floats(min_value=0.0, max_value=band_floor, exclude_max=True)
-    near_band = st.floats(min_value=band_floor, max_value=band_floor + 12.0)
-    bs = draw(st.lists(ordinary | special | near_band, min_size=1, max_size=60))
-    return a, bs
+# Written by tests/make_marcum_table.py from 40-digit mpmath; see its docstring.
+TABLE = Path(__file__).parent / "data" / "marcum_complement.csv"
+MARCUM_TABLE = _read_table()
+LOG_1E_300 = math.log(1e-300)
 
 
 class TestMarcumComplementArray:
-    """The array path equals the scalar loop bit for bit, errors included."""
+    """The array path: one quadrature over all thresholds, against oracles."""
 
-    @given(thresholds(), st.sampled_from([specfun._MAX_TERMS, 50]))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_scalar_loop(self, case, max_terms):
-        a, bs = case
-        with mock.patch.object(specfun, "_MAX_TERMS", max_terms):
-            expected = _loop_outcomes(a, bs)
-            if isinstance(expected, type):
-                with pytest.raises(expected):
-                    _marcum_q1_complement(a, np.array(bs, dtype=float))
-            else:
-                got = _marcum_q1_complement(a, np.array(bs, dtype=float))
-                assert [value.hex() for value in got.tolist()] == expected
+    @pytest.mark.parametrize("region", sorted(MARCUM_TABLE))
+    def test_matches_frozen_table(self, region):
+        # Dense grids at the old series' a values, a 25 dB alpha grid, the
+        # near-diagonal down to |a - b| = 1e-12, values down to 1e-300, and
+        # a up to 632 (K near 50 dB), each noncentrality in one array call.
+        by_a = {}
+        for a, b, log_ref in MARCUM_TABLE[region]:
+            by_a.setdefault(a, []).append((b, log_ref))
+        for a, entries in by_a.items():
+            got = _marcum_q1_complement(a, np.array([b for b, _ in entries]))
+            for value, (b, log_ref) in zip(got.tolist(), entries):
+                if log_ref >= LOG_1E_300:
+                    assert value > 0.0 and abs(math.log(value) - log_ref) <= 1e-11, (a, b, value, log_ref)
+                else:
+                    assert 0.0 <= value <= 1e-300, (a, b, value, log_ref)
 
-    @pytest.mark.parametrize("a", [0.0, 0.7, 3.0, 8.0, 16.0, 24.0, 29.5, 37.0])
-    def test_dense_thresholds_equal_scalar_loop(self, a):
-        # Every regime below the band: tail and far-pmf stops, tiny and
-        # near-1 complements, and series long enough to double their block.
-        bs = np.linspace(0.0, math.sqrt(1400.0), 401, endpoint=False)
-        expected = [_marcum_q1_complement(a, b).hex() for b in bs.tolist()]
-        assert [value.hex() for value in _marcum_q1_complement(a, bs).tolist()] == expected
-
-    @pytest.mark.parametrize(
-        "a, bs, cells",
-        [
-            # An alpha grid of one hop at K = 25 dB: b scales as alpha^(-1/2),
-            # from the far tail (b well below a) through the transition.
-            (math.sqrt(2.0 * 10**2.5), np.sqrt(0.1 * 2.0 * 10**2.5 / np.linspace(0.001, 0.999, 999)), 315165),
-            (37.0, np.linspace(0.0, math.sqrt(1400.0), 401, endpoint=False), 274270),
-        ],
-        ids=["alpha-grid-25-db", "dense-37"],
+    @given(
+        st.floats(min_value=0.0, max_value=200.0),
+        st.lists(st.floats(min_value=0.0, max_value=200.0), min_size=1, max_size=20),
     )
-    def test_far_tail_rows_are_computed_once(self, monkeypatch, a, bs, cells):
-        # Far-tail rows stop past the term estimate for their b; the blocks
-        # after them are sized from the terms they took, so no row misses its
-        # block and goes round again. Deterministic counts, not timings.
-        bs = bs[0.5 * bs * bs < 700.0]
-        blocks = []
-        true_block = specfun._complement_block
+    @settings(max_examples=300, deadline=None)
+    def test_against_noncentral_chi_square(self, a, bs):
+        # 1 - Q_1(a, b) and Q_1(a, b) are the cdf and the survival function of
+        # a noncentral chi-square with 2 degrees of freedom and noncentrality
+        # a^2, at b^2. ncx2 is no oracle in the deep tail, so each side is
+        # checked only where it is at least 1e-30, at the tolerance of
+        # test_against_noncentral_chi_square in test_outage. Q_1 is checked
+        # where b > a, where it is the small side: for tiny b at large a,
+        # ncx2.sf raises OverflowError.
+        got = _marcum_q1_complement(a, np.array(bs))
+        for value, b in zip(got.tolist(), bs):
+            cdf = ncx2.cdf(b * b, 2.0, a * a)
+            if cdf >= 1e-30:
+                assert abs(value - cdf) <= 1e-7 * cdf + 2e-15, (a, b, value, cdf)
+            sf = ncx2.sf(b * b, 2.0, a * a) if b > a else 0.0
+            if sf >= 1e-30:
+                assert abs((1.0 - value) - sf) <= 1e-7 * sf + 2e-15, (a, b, value, sf)
 
-        def counting(b2h, cdf_a):
-            blocks.append((b2h.size, cdf_a.size + 1))
-            return true_block(b2h, cdf_a)
-
-        monkeypatch.setattr(specfun, "_complement_block", counting)
-        got = _marcum_q1_complement(a, bs)
-        assert sum(rows for rows, _ in blocks) == np.count_nonzero(bs)
-        assert sum(rows * terms for rows, terms in blocks) == cells
-        assert [value.hex() for value in got.tolist()] == [_marcum_q1_complement(a, b).hex() for b in bs.tolist()]
-
-    def test_error_paths(self):
-        with pytest.raises(OverflowError):
-            _marcum_q1_complement(38.0, np.array([1.0, 39.0, 0.0]))
-        with mock.patch.object(specfun, "_MAX_TERMS", 50), pytest.raises(RuntimeError):
-            _marcum_q1_complement(10.0, np.array([0.0, 12.0]))
-        with pytest.raises(ValueError):
-            _marcum_q1_complement(1.0, np.array([1.0, -0.5]))
+    def test_edge_entries(self):
+        # Finite values in [0, 1] with no warning (pytest turns RuntimeWarning
+        # into an error), where the scalar series has an overflow band.
+        for a in (0.0, 1.0, 37.0, 632.0):
+            bs = np.array([0.0, math.inf, 1e-300, 1e300, a, a * (1.0 + 1e-12), a * (1.0 - 1e-12), 38.0])
+            got = _marcum_q1_complement(a, bs)
+            assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0)), (a, got)
+            assert got[0] == 0.0 and got[1] == 1.0 and got[3] == 1.0
+        assert _marcum_q1_complement(0.0, np.array([1.0]))[0] == pytest.approx(-math.expm1(-0.5), rel=1e-14)
+        for bad in (np.array([1.0, -0.5]), np.array([math.nan]), np.array([2.0, math.nan, 1.0])):
+            with pytest.raises(ValueError):
+                _marcum_q1_complement(1.0, bad)
+        for bad_a in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                _marcum_q1_complement(bad_a, np.array([1.0]))
 
 
 class TestMarcumPartials:
