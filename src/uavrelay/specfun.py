@@ -213,14 +213,15 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     w has a pole at phi = i log(s/min(a, b)), which nears the real axis as b
     nears a. Where it lies below the contour that bounds the aliasing error,
     kappa h log(s/min) < 2 pi, here taken as (s^2 - min^2) h/2 < 2 pi, the
-    rule misses its exact share exp((a - b)^2/2)/(exp(2 pi log(s/min)/h) + 1),
-    which is added; further out the plain rule is accurate and the share
-    would only cancel against it. On whole-period rows two rearrangements avoid
-    cancellation when a*b is tiny. Where b <= a the weight integrates to 0
-    over the period, so exp(-2 kappa t) - exp(-kappa) is integrated in place
-    of exp(-2 kappa t), and the pole share scales by 1 - exp(-(a^2 + b^2)/2).
-    Where b > a the Q_1 weight integrates to 1, so 1 - Q_1 is the integral
-    of w (1 - exp(-(a - b)^2/2 - 2 kappa t)), which has no pole.
+    rule misses the pole's exact share
+    exp((a - b)^2/2)/(exp(2 pi log(s/min)/h) + 1), which is added; further
+    out the plain rule is accurate and the share would only cancel against
+    it. On whole-period rows two rearrangements avoid cancellation when a*b
+    is tiny. Where b <= a the weight integrates to 0 over the period, so
+    exp(-2 kappa t) - exp(-kappa) is integrated in place of exp(-2 kappa t),
+    and the pole share scales by 1 - exp(-(a^2 + b^2)/2). Where b > a the
+    Q_1 weight integrates to 1, so 1 - Q_1 is the integral of
+    w (1 - exp(-(a - b)^2/2 - 2 kappa t)), which has no pole.
 
     Against mpmath the result is within 5e-13 relative for a up to 632,
     down to 1e-300 and for |a - b| down to 1e-12 a. It is clamped to [0, 1],

@@ -12,13 +12,12 @@ is cross-checked against an mpmath quadrature before it is written: the
 Bessel-integral form int_0^b t exp(-(t^2 + a^2)/2) I_0(a t) dt within
 |a - b| <= 1, where the Craig form's integrand has a pole next to the real
 axis, and for b <= 1e-3, where the Craig form's terms cancel; and the Craig
-form of Simon & Alouini (IEEE TCOM 46(12), 1998) elsewhere, where the Bessel
-form's quadrature loses digits in the deep tail.
+form of Simon & Alouini (IEEE TCOM 46(12), 1998) elsewhere, which needs far
+fewer pieces than the Bessel form over a long range of t.
 
-The tests read the table and never import mpmath. To rewrite it (about
-half an hour on one core, mostly in the cross-check quadratures; needs
-mpmath, which is not a package dependency), run
-``python tests/make_marcum_table.py``.
+The tests read the table and never import mpmath. To rewrite it (about ten
+minutes on one core, mostly in the a = 632 rows; needs mpmath, which is not
+a package dependency), run ``python tests/make_marcum_table.py``.
 """
 
 from __future__ import annotations
@@ -111,14 +110,16 @@ def complement_craig(a: float, b: float) -> mp.mpf:
     a, b = mp.mpf(a), mp.mpf(b)
     s, low = max(a, b), min(a, b)
     zeta, kappa = low / s, a * b
-    if b > a:
-        weight = lambda c: (1 - zeta * c) / (1 - 2 * zeta * c + zeta * zeta)  # noqa: E731
-    else:
-        weight = lambda c: zeta * (c - zeta) / (1 - 2 * zeta * c + zeta * zeta)  # noqa: E731
+
+    def integrand(phi):
+        c = mp.cos(phi)
+        weight = 1 - zeta * c if b > a else zeta * (c - zeta)
+        return weight / (1 - 2 * zeta * c + zeta * zeta) * mp.exp(-kappa * (1 - c))
+
     # Pieces on the scale of the exp(-kappa phi^2/2) peak at phi = 0.
     width = 1 / mp.sqrt(kappa) if kappa > 0 else mp.pi
     points = [j * width for j in range(16) if j * width < mp.pi] + [mp.pi]
-    small = mp.exp(-((a - b) ** 2) / 2) * mp.quad(lambda p: weight(mp.cos(p)) * mp.exp(-kappa * (1 - mp.cos(p))), points) / mp.pi
+    small = mp.exp(-((a - b) ** 2) / 2) * mp.quad(integrand, points) / mp.pi
     return 1 - small if b > a else small
 
 

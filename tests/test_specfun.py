@@ -240,6 +240,10 @@ class TestMarcumComplement:
             _marcum_q1_complement(38.0, 39.0)
 
 
+# Written by tests/make_marcum_table.py from 40-digit mpmath; see its docstring.
+TABLE = Path(__file__).parent / "data" / "marcum_complement.csv"
+
+
 def _read_table():
     """Region -> list of (a, b, log(1 - Q_1)) from the frozen mpmath table."""
     table = {}
@@ -251,8 +255,6 @@ def _read_table():
     return table
 
 
-# Written by tests/make_marcum_table.py from 40-digit mpmath; see its docstring.
-TABLE = Path(__file__).parent / "data" / "marcum_complement.csv"
 MARCUM_TABLE = _read_table()
 LOG_1E_300 = math.log(1e-300)
 
