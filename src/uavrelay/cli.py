@@ -7,9 +7,9 @@ in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
 Exit codes: 0 success, 2 scenario or argument error, 3 solver failure
-(including a saturated or flat objective, a non-finite result, an outage
-that is not a probability, and a scalar Marcum series that overflows or does
-not converge), 4 validation failure.
+(including a saturated objective, a non-finite result, an outage that is not
+a probability, and a Bessel series that does not converge), 4 validation
+failure.
 """
 
 from __future__ import annotations
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (RuntimeError, OverflowError) as exc:  # a BracketError, a non-finite output, or a Marcum series that fails
+    except (RuntimeError, OverflowError) as exc:  # a BracketError, a non-finite output, or an arithmetic overflow
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

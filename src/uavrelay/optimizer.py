@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, end_to_end_outage, hop_outage, snr_threshold
-from .specfun import marcum_q1, marcum_q1_partial_b
+from .specfun import _bessel_i_n_scaled, _log_marcum
 
 __all__ = [
     "SolverConfig",
@@ -211,21 +211,25 @@ def _allocation_at(
     return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
 
 
-def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float, float]]:
-    """(b, Q_1(a, b), hazard) of each hop at the powers of ``split``.
+def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float]]:
+    """(log Q_1(a, b), log(hazard * b)) of each hop at the powers of ``split``.
 
     Hop i survives with Q_1(a_i, b_i), where a_i = sqrt(2 K_i) and
     b_i = c_i / sqrt(p_i) with c_i = sqrt(2 (K_i + 1) (2^(2R) - 1) N_0 / G_i),
     so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i), with the hazard
-    -dQ_1/db / Q_1. The hazard of a Q_1 that underflows to 0 is inf.
+    -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1. Both logs stay finite
+    where Q_1 underflows; the hazard of a Q_1 of 0 (b = inf) is inf.
     """
     scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
     hops = []
     for k, gain, power in ((budget.k_su, budget.g_su, split.p_s), (budget.k_ud, budget.g_ud, split.p_u)):
         a = math.sqrt(2.0 * k)
         b = math.sqrt(scale * (k + 1.0) / gain) / math.sqrt(power) if power > 0.0 else math.inf
-        q = marcum_q1(a, b)
-        hops.append((b, q, -marcum_q1_partial_b(a, b) / q if q > 0.0 else math.inf))
+        log_q = _log_marcum(a, b)[0]
+        if log_q == -math.inf:
+            hops.append((log_q, math.inf))
+        else:
+            hops.append((log_q, 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + math.log(_bessel_i_n_scaled(0, a * b)) - log_q))
     return hops
 
 
@@ -241,36 +245,25 @@ def minimize_outage_exact(
 
         g(alpha) = d log S/d alpha = h_1 b_1 / (2 alpha) - h_2 b_2 / (2 (1 - alpha))
 
-    (see ``_hop_hazards``), which ``_slope_root`` brackets over
+    (see ``_hop_hazards``). ``_slope_root`` brackets the root of
+    log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign, over
     [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at most
-    ``cfg.max_iter`` slope evaluations. A probe where hop 1's Q_1 underflows
-    to 0 reads g > 0, hop 2's g < 0, and both a saturated objective, as does
-    a hop in certain outage at full power. A probe where both h_i b_i
-    underflow to 0 reads a flat objective. Either is a BracketError, never
-    an arbitrary alpha. ``iterations`` counts slope evaluations and
-    ``residual`` is the final bracket width. The total power constraint is
-    treated as active: p_u = P_t - p_s.
+    ``cfg.max_iter`` slope evaluations. A probe where hop 1's Q_1 is 0 reads
+    g > 0, hop 2's g < 0, and both a saturated objective, as does a hop in
+    certain outage at full power: a BracketError, never an arbitrary alpha.
+    ``iterations`` counts slope evaluations and ``residual`` is the final
+    bracket width. The total power constraint is treated as active:
+    p_u = P_t - p_s.
     """
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     _check_saturated(budget, radio, lo, hi)
     total = radio.total_power_w
 
     def slope(alpha: float) -> float:
-        (b_1, q_1, h_1), (b_2, q_2, h_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
-        if q_1 == 0.0 and q_2 == 0.0:
+        (log_q_1, log_hb_1), (log_q_2, log_hb_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+        if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
-        if h_1 * b_1 == 0.0 and h_2 * b_2 == 0.0:
-            raise BracketError(
-                f"flat objective: both hops' outage hazards underflow to 0 at alpha {alpha:.6g},"
-                " so the slope cannot locate the optimal split"
-            )
-        # g = (up - down) / (2 alpha (1 - alpha)). Where both are positive and
-        # finite the search runs on log(up / down), which has g's sign and
-        # root but not its range of tens of decades over the bracket.
-        up, down = h_1 * b_1 * (1.0 - alpha), h_2 * b_2 * alpha
-        if 0.0 < min(up, down) and max(up, down) < math.inf:
-            return math.log(up) - math.log(down)
-        return up - down
+        return (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
 
     alpha, evaluations, width = _slope_root(slope, lo, hi, cfg)
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width)
@@ -347,11 +340,11 @@ def outage_gradient_ps(
         raise ValueError("gradient is defined only for interior splits")
     if not math.isclose(split.total, radio.total_power_w, rel_tol=1e-9):
         raise ValueError("split must exhaust the total power budget")
-    (b_1, q_1, h_1), (b_2, q_2, h_2) = _hop_hazards(budget, radio, split)
-    survival = q_1 * q_2
+    (log_q_1, log_hb_1), (log_q_2, log_hb_2) = _hop_hazards(budget, radio, split)
+    survival = math.exp(log_q_1 + log_q_2)
     if survival == 0.0:  # the outage is 1 to double precision around this split
         return 0.0
-    return -survival * (h_1 * b_1 / (2.0 * split.p_s) - h_2 * b_2 / (2.0 * split.p_u))
+    return -survival * (math.exp(log_hb_1) / (2.0 * split.p_s) - math.exp(log_hb_2) / (2.0 * split.p_u))
 
 
 def equal_power(radio: RadioConfig, budget: LinkBudget) -> AllocationResult:

@@ -67,13 +67,13 @@ def hop_outage(k: float, mean_snr: float, rate: float) -> float:
 
     Returns 1 - Q_1(sqrt(2K), sqrt(2(K+1) * gamma_th / mean_snr)) where
     gamma_th = snr_threshold(rate) and mean_snr is the average received SNR
-    (linear). The complement is evaluated directly by its own positive
-    series, so small outages keep full relative accuracy instead of dying in
-    the subtraction from 1.
+    (linear). The complement is evaluated directly by the Marcum quadrature,
+    in log space, so small outages keep full relative accuracy instead of
+    dying in the subtraction from 1.
 
     ``mean_snr`` may be a 1-D numpy array; the outages, one per entry, are
-    then evaluated by one batched quadrature with no overflow band, which is
-    more accurate than the scalar series (``specfun._complement_quadrature``).
+    then evaluated by one numpy form of the same quadrature, with no
+    per-entry Python loop (``specfun._complement_quadrature``).
     """
     if k <= 0.0:
         raise ValueError("Rician factor must be positive")

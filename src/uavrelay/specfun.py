@@ -2,15 +2,15 @@
 
 All routines here are pure and evaluated in IEEE double precision; all are
 scalar, except that the Marcum complement also takes an array of thresholds.
-For a scalar threshold, Q_1 and 1 - Q_1 are the same Poisson double series
-summed in the two orientations, so one loop computes both. An array of
-thresholds, such as one hop over a whole allocation grid, is instead
-evaluated by one fixed-node quadrature of the Craig-form integral, in log
-space, as a single numpy expression; it has no overflow band and keeps its
-relative accuracy down to 1e-300. The Marcum function and its partial
-derivatives sit underneath every outage evaluation in this package, so the
-truncation tolerance and the node count are fixed constants set far below
-anything the link-level results can resolve; there are no tolerance options.
+The Marcum function has one algorithm, a fixed-node quadrature of the
+Craig-form integral in log space, with no overflow band, a cost that does
+not grow with its arguments and relative accuracy down to 1e-300. One
+threshold is summed in plain floats, and an array of them, such as one hop
+over a whole allocation grid, as one numpy expression. The Marcum function
+and its partial derivatives sit underneath every outage evaluation in this
+package, so the truncation tolerance and the node count are fixed constants
+set far below anything the link-level results can resolve; there are no
+tolerance options.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "marcum_q1_partial_b",
 ]
 
-# Relative truncation tolerance of the power series and the Marcum series.
+# Relative truncation tolerance of the Bessel power series.
 _SERIES_TOL = 1e-14
 # Hard cap on series length; hitting it raises RuntimeError.
 _MAX_TERMS = 20000
@@ -34,16 +34,14 @@ _MAX_TERMS = 20000
 # large-argument expansion. At 30 the power series needs about 60 terms and
 # both branches agree to ~1e-13.
 _ASYMPTOTIC_THRESHOLD = 30.0
-# The Marcum double series starts from exp(-a^2/2) and exp(-b^2/2); past this
-# bound those factors leave the full-precision double range.
-_SERIES_HALF_SQ_LIMIT = 700.0
-# With |a - b| >= 9 the smaller of Q_1 and 1 - Q_1 is below exp(-40.5) < 3e-18,
-# one ulp of 1, so the negligible side can be returned exactly.
-_NEGLIGIBLE_GAP = 9.0
-# Midpoint nodes per threshold of the array complement's quadrature. Its step
+# Midpoint nodes per threshold of the Marcum quadrature. Its step
 # is then at most 0.655/sqrt(ab), so the rule's aliasing error is about
 # exp(-2 pi^2 / 0.655^2) ~ 1e-20 (see ``_complement_quadrature``).
 _NODES = 24
+# Step and sin^2(phi/2) nodes of the rows with a*b <= 25, which take the
+# whole period [0, pi]; most scalar calls are such rows.
+_WHOLE_STEP = math.pi / _NODES
+_WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
 
 
 def _bessel_series(order: int, x: float) -> float:
@@ -115,80 +113,84 @@ def _bessel_i_n_scaled(order: int, x: float) -> float:
     return _asymptotic_sum(order, x) / math.sqrt(2.0 * math.pi * x)
 
 
-def _marcum_series(a: float, b: float, complement: bool) -> float:
-    """Q_1(a, b), or 1 - Q_1(a, b) if ``complement``, by one Poisson double series.
+def _log(x: float) -> float:
+    """log x, with -inf for x <= 0, where a sum of weights underflowed."""
+    return math.log(x) if x > 0.0 else -math.inf
 
-    With outer and inner half-squares (u, v) = (a^2/2, b^2/2) for Q_1 and
-    (b^2/2, a^2/2) for the complement,
 
-        Q_1(a, b)     = sum_{k>=0} pmf(k; u) * cdf(k; v),
-        1 - Q_1(a, b) = sum_{k>=1} pmf(k; u) * cdf(k - 1; v).
+def _log1mexp(x: float) -> float:
+    """log(1 - e^x) for x <= 0, accurate at both ends (Maechler, 2012)."""
+    if x > -math.log(2.0):
+        return _log(-math.expm1(x))
+    return math.log1p(-math.exp(x))
 
-    Every term is positive, so the complement keeps full relative accuracy
-    even when Q_1 is within rounding of 1. The inner cdf is kept one term
-    ahead for Q_1, so both sums share one update order. Truncation stops once
-    the remaining outer Poisson mass, an a-priori bound on the tail because
-    every inner cdf is <= 1, drops below ``_SERIES_TOL`` times the sum. The
-    result is clamped to [0, 1].
+
+def _log_marcum(a: float, b: float) -> tuple[float, float]:
+    """(log Q_1(a, b), log(1 - Q_1(a, b))) for scalar a and b, by the rule of
+    ``_complement_quadrature`` (its nodes, pole share and rearrangements) in
+    plain floats. The small side is the sum itself and the other side is
+    log(1 - e^small), except that where b > a on a whole-period row both are
+    summed, each from its own weight, since 1 - (1 - Q_1) would lose Q_1's
+    digits. So each log keeps its relative accuracy. b = 0 gives (0, -inf)
+    and b = inf gives (-inf, 0); a negative or NaN argument raises ValueError.
     """
-    if a < 0.0 or b < 0.0:
+    if not (a >= 0.0 and b >= 0.0):
         raise ValueError("Marcum Q arguments must be non-negative")
     if b == 0.0:
-        return 0.0 if complement else 1.0
-    outer, inner = (b, a) if complement else (a, b)
-    u = 0.5 * outer * outer
-    v = 0.5 * inner * inner
-    if u >= _SERIES_HALF_SQ_LIMIT or v >= _SERIES_HALF_SQ_LIMIT:
-        if outer - inner >= _NEGLIGIBLE_GAP:
-            return 1.0
-        if inner - outer >= _NEGLIGIBLE_GAP:
-            return 0.0
-        raise OverflowError(
-            f"Marcum Q series start underflows for a={a}, b={b} with |a-b| small"
-        )
-    ahead = 0 if complement else 1
-    weight = math.exp(-u)
-    cum_weight = weight
-    pmf = math.exp(-v)
-    cdf = pmf
-    total = 0.0
-    if ahead:
-        total = weight * cdf
-        pmf *= v
-        cdf += pmf
-    for k in range(1, _MAX_TERMS + 1):
-        tail = 1.0 - cum_weight
-        if tail <= _SERIES_TOL * total:
-            break
-        # Past twice the Poisson mean the weights at least halve each step,
-        # so the remaining mass is bounded by the current weight. This keeps
-        # the loop from spinning when rounding pins cum_weight just below 1.
-        if weight == 0.0 or (k >= 2.0 * u and weight <= _SERIES_TOL * total):
-            break
-        weight *= u / k
-        cum_weight += weight
-        total += weight * cdf
-        pmf *= v / (k + ahead)
-        cdf += pmf
+        return 0.0, -math.inf
+    if b == math.inf:
+        return -math.inf, 0.0
+    s, low = max(a, b), min(a, b)
+    zeta, r = low / s, (s - low) / s
+    kappa = a * b
+    gap = 0.5 * (a - b) * (a - b)
+    above, whole = b > a, kappa <= 25.0
+    if whole:
+        step, nodes = _WHOLE_STEP, _WHOLE_NODES
     else:
-        raise RuntimeError(f"Marcum Q series did not converge for a={a}, b={b}")
-    return min(1.0, max(0.0, total))
+        step = 2.0 * math.asin(math.sqrt(25.0 / kappa)) / _NODES
+        nodes = [math.sin(step * (j + 0.5) / 2.0) ** 2 for j in range(_NODES)]
+    exp, expm1 = math.exp, math.expm1
+    rr, z2, z4, k2 = r * r, 2.0 * zeta, 4.0 * zeta, 2.0 * kappa
+    small = rest = 0.0
+    if above:
+        for t in nodes:
+            w = (r + z2 * t) / (rr + z4 * t)
+            small += w * exp(-k2 * t)
+            if whole:
+                rest -= w * expm1(-gap - k2 * t)
+    else:
+        floor = exp(-kappa)
+        for t in nodes:
+            w = zeta * (r - 2.0 * t) / (rr + z4 * t)
+            small += w * (floor * expm1(kappa - k2 * t) if whole else exp(-k2 * t))
+    small *= step / math.pi
+    if low > 0.0 and (s * s - low * low) * step < 4.0 * math.pi:
+        # exp(gap)/(exp(p) + 1), arranged so that no exp can overflow: the
+        # condition keeps gap below p.
+        p = 2.0 * math.pi * math.log(s / low) / step
+        share = math.exp(gap - p) / (1.0 + math.exp(-p))
+        small += share * (-math.expm1(-0.5 * (a * a + b * b)) if whole and not above else 1.0)
+    log_small = min(0.0, _log(small) - gap)
+    if not above:
+        return _log1mexp(log_small), log_small
+    return log_small, min(0.0, _log(rest * step / math.pi)) if whole else _log1mexp(log_small)
 
 
 def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q-function Q_1(a, b), by the series of ``_marcum_series``."""
-    return _marcum_series(a, b, False)
+    """First-order Marcum Q-function Q_1(a, b), by the quadrature of ``_log_marcum``."""
+    return math.exp(_log_marcum(a, b)[0])
 
 
 def _marcum_q1_complement(a: float, b: float) -> float:
-    """1 - Q_1(a, b) as an all-positive series (see ``_marcum_series``).
+    """1 - Q_1(a, b), by the quadrature of ``_log_marcum``.
 
     ``b`` may also be a 1-D numpy array; the result is then an array of the
-    complement at each entry, by the quadrature of ``_complement_quadrature``.
+    complement at each entry, by the same rule in ``_complement_quadrature``.
     """
     if isinstance(b, np.ndarray):
         return _complement_quadrature(a, b)
-    return _marcum_series(a, b, True)
+    return math.exp(_log_marcum(a, b)[1])
 
 
 @np.errstate(all="ignore")  # pytest turns RuntimeWarning into an error; inf and NaN are masked here

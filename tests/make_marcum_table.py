@@ -1,8 +1,8 @@
-"""Writes ``tests/data/marcum_complement.csv``, the frozen 1 - Q_1(a, b) table.
+"""Writes ``tests/data/marcum_complement.csv``, the frozen Marcum Q_1 table.
 
-Each row holds a region label, a and b (exact doubles, written by ``repr``)
-and log(1 - Q_1(a, b)) to 25 significant digits. Every value is the
-all-positive Poisson series
+Each row holds a region label, a and b (exact doubles, written by ``repr``),
+log(1 - Q_1(a, b)) and log Q_1(a, b), each to 25 significant digits. Every
+complement is the all-positive Poisson series
 
     1 - Q_1(a, b) = sum_{k>=1} pmf(k; b^2/2) * cdf(k - 1; a^2/2),
 
@@ -14,6 +14,13 @@ Bessel-integral form int_0^b t exp(-(t^2 + a^2)/2) I_0(a t) dt within
 axis, and for b <= 1e-3, where the Craig form's terms cancel; and the Craig
 form of Simon & Alouini (IEEE TCOM 46(12), 1998) elsewhere, which needs far
 fewer pieces than the Bessel form over a long range of t.
+
+log Q_1 is log(1 - complement). Where b > a, Q_1 can be far below 1e-40, so
+there the series is summed again with enough extra digits to resolve
+1 - complement to 40 digits, and, away from the diagonal, that Q_1 is
+cross-checked against the Craig form's own value of Q_1, its small side
+there. Elsewhere Q_1 is at least about 0.3, and 1 - complement loses no
+digits.
 
 The tests read the table and never import mpmath. To rewrite it (about ten
 minutes on one core, mostly in the a = 632 rows; needs mpmath, which is not
@@ -75,7 +82,7 @@ def complement_series(a: float, b: float) -> mp.mpf:
     pmf_u, pmf_v = mp.exp(-u), mp.exp(-v)
     cdf_v = pmf_v
     total = mp.mpf(0)
-    eps = mp.mpf(10) ** (5 - DIGITS)
+    eps = mp.mpf(10) ** (5 - mp.mp.dps)
     k = 0
     while True:
         k += 1
@@ -105,8 +112,9 @@ def complement_bessel(a: float, b: float, scale: mp.mpf) -> mp.mpf:
     return scale * mp.quad(integrand, points)
 
 
-def complement_craig(a: float, b: float) -> mp.mpf:
-    """The Craig form over [0, pi], in pieces on the scale of its peak."""
+def craig_small(a: float, b: float) -> mp.mpf:
+    """The small side of the Craig form, Q_1 where b > a and 1 - Q_1 elsewhere,
+    over [0, pi] in pieces on the scale of its peak."""
     a, b = mp.mpf(a), mp.mpf(b)
     s, low = max(a, b), min(a, b)
     zeta, kappa = low / s, a * b
@@ -119,24 +127,43 @@ def complement_craig(a: float, b: float) -> mp.mpf:
     # Pieces on the scale of the exp(-kappa phi^2/2) peak at phi = 0.
     width = 1 / mp.sqrt(kappa) if kappa > 0 else mp.pi
     points = [j * width for j in range(16) if j * width < mp.pi] + [mp.pi]
-    small = mp.exp(-((a - b) ** 2) / 2) * mp.quad(integrand, points) / mp.pi
-    return 1 - small if b > a else small
+    return mp.exp(-((a - b) ** 2) / 2) * mp.quad(integrand, points) / mp.pi
+
+
+def log_q1(a: float, b: float, complement: mp.mpf, near: bool) -> mp.mpf:
+    """log Q_1(a, b) from ``complement``, or, where b > a, from the series
+    summed with extra digits: about -log10 Q_1 <= (b - a)^2 / (2 ln 10), plus
+    a margin for the rounding of its terms."""
+    if b <= a:
+        return mp.log(1 - complement)
+    with mp.workdps(DIGITS + int((b - a) ** 2 / (2.0 * math.log(10.0))) + 20):
+        q = 1 - complement_series(a, b)
+    if not near:
+        check = craig_small(a, b)
+        if abs(check / q - 1) > CROSS_CHECK_REL:
+            raise SystemExit(f"Q_1 cross-check failed at a={a!r}, b={b!r}: {q} vs {check}")
+    return mp.log(q)
 
 
 def main() -> None:
-    lines = ["region,a,b,log_complement"]
+    lines = ["region,a,b,log_complement,log_q1"]
     with mp.workdps(DIGITS):
         for region, a, b in regions():
             value = complement_series(a, b)
             if value > 0:
                 near = abs(a - b) <= 1.0 or b <= 1e-3  # short Bessel range; Craig would cancel at tiny zeta
-                check = complement_bessel(a, b, value) if near else complement_craig(a, b)
+                if near:
+                    check = complement_bessel(a, b, value)
+                else:
+                    check = craig_small(a, b)
+                    check = 1 - check if b > a else check
                 if abs(check / value - 1) > CROSS_CHECK_REL:
                     raise SystemExit(f"cross-check failed at a={a!r}, b={b!r}: {value} vs {check}")
                 log_value = mp.nstr(mp.log(value), 25)
+                log_q = mp.nstr(log_q1(a, b, value, near), 25)
             else:
-                log_value = "-inf"
-            lines.append(f"{region},{a!r},{b!r},{log_value}")
+                log_value, log_q = "-inf", "0.0"
+            lines.append(f"{region},{a!r},{b!r},{log_value},{log_q}")
             print(lines[-1], flush=True)
     TABLE.parent.mkdir(exist_ok=True)
     TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavrelay import cli, optimizer, specfun
-from uavrelay import OutageEstimate, equal_power
+from uavrelay import LinkBudget, OutageEstimate, equal_power
 from uavrelay.cli import (
     EXIT_OK,
     EXIT_SCENARIO,
@@ -249,24 +249,37 @@ class TestExitCodes:
             " since one hop misses the SNR threshold even at full power"
         ]
 
-    @pytest.mark.parametrize(
-        "argv, alpha",
-        [(["solve"], "0.5"), (["sweep-power", "--pt", "0.05"], "0.25"), (["sweep-alpha"], "0.5")],
-        ids=["solve", "sweep-power", "sweep-alpha"],
-    )
-    def test_flat_objective_exits_3(self, tmp_path, capsys, argv, alpha):
-        # K of 30-40 dB on both hops: both hazards underflow to 0 at the
-        # first interior probe, which used to be printed as the optimum. The
-        # grid rows of sweep-alpha evaluate there; its exact solve does not.
-        k_endpoints = {"k0_db": 30.0, "kpi2_db": 40.0}
-        path = paper_scenario(tmp_path, rician_su=k_endpoints, rician_ud=k_endpoints)
-        assert main(argv + ["--scenario", path]) == EXIT_SOLVER
+    def test_budget_saturated_below_series_noise_exits_3(self, monkeypatch, capsys):
+        # The weak hop's Q_1 at full power is 7.5e-78, so the outage is 1 at
+        # every split. A series that read its complement as 1 - 8.7e-15
+        # once "solved" this budget with an outage of 1 - 5.2e-15.
+        budget = LinkBudget(2.4275357150761724e-12, 2.2451228781494336e-15, 433.9960844480393, 3.2180625729638317)
+        monkeypatch.setattr(cli, "link_budget", lambda *args: budget)
+        assert main(["solve"]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"solver error: flat objective: both hops' outage hazards underflow to 0 at alpha {alpha},"
-            " so the slope cannot locate the optimal split"
-        ]
+        assert captured.err.startswith("solver error: saturated objective: ")
+
+    @pytest.mark.parametrize(
+        "argv, exact_alpha",
+        [(["solve"], 0.069674), (["sweep-power", "--pt", "0.05"], 0.069539), (["sweep-alpha"], 0.069674)],
+        ids=["solve", "sweep-power", "sweep-alpha"],
+    )
+    def test_deep_tail_objective_solves(self, tmp_path, capsys, argv, exact_alpha):
+        # K of 30-40 dB on both hops: both hazards underflow to 0 in linear
+        # space at the first interior probe, but their logs, on which the
+        # exact search runs, stay finite. The optimal outage itself
+        # underflows to 0.
+        k_endpoints = {"k0_db": 30.0, "kpi2_db": 40.0}
+        path = paper_scenario(tmp_path, rician_su=k_endpoints, rician_ud=k_endpoints)
+        assert main(argv + ["--scenario", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header = cli.SOLVE_HEADER if argv[0] == "solve" else cli.SWEEP_HEADER
+        rows = {row[0] if argv[0] == "solve" else row[-1]: row for row in parse_rows(captured.out, header)}
+        alpha_col = 1 if argv[0] == "solve" else 2
+        assert float(rows["exact"][alpha_col]) == pytest.approx(exact_alpha, abs=1e-6)
+        assert abs(float(rows["theorem1"][alpha_col]) - exact_alpha) < 2e-4
 
     @pytest.mark.parametrize(
         "argv, rician_db, extra",
@@ -277,10 +290,10 @@ class TestExitCodes:
         ],
         ids=["solve", "sweep-power", "validate"],
     )
-    def test_marcum_series_overflow_exits_3(self, tmp_path, capsys, argv, rician_db, extra):
-        # The scalar Marcum series still has its overflow band (b^2/2 >= 700
-        # with |a - b| < 9), which the solvers' probes and validate's
-        # per-split closed form reach at K of about 28 dB and more.
+    def test_former_marcum_overflow_band_answers(self, tmp_path, capsys, argv, rician_db, extra):
+        # K of about 28 dB and more near the outage transition, where the
+        # Poisson series that the solvers' probes and validate's per-split
+        # closed form once used overflowed (b^2/2 >= 700 with |a - b| < 9).
         su, ud = rician_db
         path = paper_scenario(
             tmp_path,
@@ -288,17 +301,29 @@ class TestExitCodes:
             rician_ud={"k0_db": ud, "kpi2_db": ud + 10.0},
             **extra,
         )
-        assert main(argv + ["--scenario", path]) == EXIT_SOLVER
+        assert main(argv + ["--scenario", path]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("solver error: Marcum Q series start underflows for a=")
+        assert captured.err == ""
+        if argv[0] == "validate":
+            rows = parse_rows(captured.out, cli.VALIDATE_HEADER)
+            assert len(rows) == 100
+            assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
+            return
+        if argv[0] == "solve":
+            exact = next(row for row in parse_rows(captured.out, cli.SOLVE_HEADER) if row[0] == "exact")
+            alpha, outage = float(exact[1]), float(exact[4])
+        else:
+            exact = next(row for row in parse_rows(captured.out, cli.SWEEP_HEADER) if row[-1] == "exact")
+            alpha, outage = float(exact[2]), float(exact[5])
+        assert alpha == pytest.approx(0.06995, abs=1e-5)
+        assert outage == pytest.approx(1.549e-2, rel=1e-3)
 
     @pytest.mark.parametrize(
         "target, name, value, message",
         [
             (cli, "theorem1_residual", lambda *args: math.inf, "refusing to emit a non-finite value"),
-            (specfun, "_MAX_TERMS", 3, "Marcum Q series did not converge"),
+            # Reached through the I_0 of the exact solver's log hazards.
+            (specfun, "_MAX_TERMS", 3, "I_0("),
         ],
         ids=["non-finite-value", "unconverged-series"],
     )
@@ -442,8 +467,8 @@ class TestSweepAlpha:
         assert minima[0.25] > minima[0.5] > minima[1.0]
 
     def test_grid_inside_the_scalar_overflow_band(self, tmp_path, capsys):
-        # K near 28.5 dB at the relay: grid thresholds in the band where the
-        # scalar series raises OverflowError, on a 999-point grid.
+        # K near 28.5 dB at the relay, on a 999-point grid: thresholds in the
+        # band where the Poisson series the package once used overflowed.
         path = paper_scenario(
             tmp_path,
             rician_su={"k0_db": 23.5, "kpi2_db": 33.5},

@@ -29,6 +29,7 @@ from uavrelay import (
     theorem1_residual,
 )
 from uavrelay import optimizer, outage
+from uavrelay.specfun import marcum_q1, marcum_q1_partial_b
 
 from conftest import make_budget, make_radio, make_symmetric_budget
 
@@ -193,7 +194,7 @@ class TestMinimizeOutageExact:
     def test_slope_evaluations_and_no_grid(self, radio, budget, monkeypatch):
         budget = make_budget() if budget == "table1" else make_symmetric_budget()
         grid_calls, marcum_calls = [], []
-        true_grid, true_marcum = outage.end_to_end_outage_grid, optimizer.marcum_q1
+        true_grid, true_marcum = outage.end_to_end_outage_grid, optimizer._log_marcum
 
         def grid(*args):
             grid_calls.append(args)
@@ -204,10 +205,10 @@ class TestMinimizeOutageExact:
             return true_marcum(a, b)
 
         monkeypatch.setattr(outage, "end_to_end_outage_grid", grid)
-        monkeypatch.setattr(optimizer, "marcum_q1", marcum)
+        monkeypatch.setattr(optimizer, "_log_marcum", marcum)
         res = minimize_outage_exact(budget, radio)
         assert grid_calls == []
-        assert len(marcum_calls) == 2 * res.iterations  # one Q_1 per hop per slope evaluation
+        assert len(marcum_calls) == 2 * res.iterations  # one log Q_1 per hop per slope evaluation
         assert res.iterations <= 20
 
     @pytest.mark.parametrize(
@@ -220,45 +221,89 @@ class TestMinimizeOutageExact:
             minimize_outage_exact(make_budget(radio=radio), radio)
 
     def test_saturated_probe_raises(self, radio, table1_budget, monkeypatch):
-        # Both hops' Q_1 underflow to 0 at a probe that the full-power check
-        # (which goes through hop_outage) lets through.
-        monkeypatch.setattr(optimizer, "marcum_q1", lambda a, b: 0.0)
+        # Both hops' Q_1 read 0 at a probe that the full-power check (which
+        # goes through hop_outage) lets through.
+        monkeypatch.setattr(optimizer, "_log_marcum", lambda a, b: (-math.inf, 0.0))
         with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(table1_budget, radio)
 
-    def test_flat_objective_raises(self, radio):
-        # K = 30 dB on both hops with a power margin of 1e8: both hazards
-        # underflow to 0 at the first probe, where the slope would read 0.
-        u = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
-        budget = LinkBudget(1e8 * u, 3e8 * u, 1000.0, 1000.0)
-        with pytest.raises(BracketError, match="^flat objective: .* at alpha 1e-06,"):
+    def test_saturated_budget_raises(self):
+        # The weak hop's Q_1 at full power is 7.5e-78, so its outage rounds
+        # to 1 at every split; a series that read its complement as
+        # 1 - 8.7e-15 once solved it with an outage of 1 - 5.2e-15.
+        radio = make_radio()
+        budget = LinkBudget(2.4275357150761724e-12, 2.2451228781494336e-15, 433.9960844480393, 3.2180625729638317)
+        with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(budget, radio)
 
-    def test_flat_probe_raises(self, radio, table1_budget, monkeypatch):
-        # Both hazards patched to 0 past the first probe: the interior probe
-        # that would be returned as the root raises instead.
-        calls = []
-        true_partial = optimizer.marcum_q1_partial_b
+    def test_deep_tail_objective_solves(self, radio):
+        # K = 30 dB on both hops with a power margin of 1e8: both hazards
+        # underflow to 0 in linear space at the first probe, but their logs
+        # stay finite, so the slope has its root, where the log survival's
+        # two hop terms balance.
+        u = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+        budget = LinkBudget(1e8 * u, 3e8 * u, 1000.0, 1000.0)
+        res = minimize_outage_exact(budget, radio)
+        assert 0.0 < res.residual <= 1e-8
+        assert res.iterations <= 20
+        assert res.outage == 0.0  # far below the double range
 
-        def partial(a, b):
-            calls.append(b)
-            return true_partial(a, b) if len(calls) <= 4 else 0.0
+        def log_slope(alpha):
+            (_, log_hb_1), (_, log_hb_2) = optimizer._hop_hazards(
+                budget, radio, PowerSplit.from_alpha(alpha, radio.total_power_w)
+            )
+            return log_hb_1 + math.log1p(-alpha) - log_hb_2 - math.log(alpha)
 
-        monkeypatch.setattr(optimizer, "marcum_q1_partial_b", partial)
-        with pytest.raises(BracketError, match="^flat objective: "):
-            minimize_outage_exact(table1_budget, radio)
-        assert len(calls) == 6  # the two bracket ends, then one probe
+        assert log_slope(res.alpha_star - 1e-8) > 0.0 > log_slope(res.alpha_star + 1e-8)
+
+    def test_lopsided_high_k_evaluations(self, radio):
+        # K of 20-25 dB, one hop's full-power SNR margin near 1 and the
+        # other's 10^2-10^6. At bracket ends where a hop's Q_1 underflowed,
+        # linear hazards read inf and the search bisected: these budgets took
+        # 16, 15, 21, 20, 18, 21, 12, 14, 11, 23 and 16 evaluations. Log
+        # hazards stay finite there. The fifth budget is saturated.
+        rng = random.Random(1)
+        unit_gain = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+        iterations = []
+        for _ in range(12):
+            k_su, k_ud = (10.0 ** (rng.uniform(20.0, 25.0) / 10.0) for _ in range(2))
+            log_margins = [rng.uniform(-0.5, 0.5), rng.uniform(2.0, 6.0)]
+            rng.shuffle(log_margins)
+            budget = LinkBudget(unit_gain * 10.0 ** log_margins[0], unit_gain * 10.0 ** log_margins[1], k_su, k_ud)
+            try:
+                iterations.append(minimize_outage_exact(budget, radio).iterations)
+            except BracketError:
+                iterations.append(None)
+        assert iterations == [10, 10, 12, 11, None, 11, 11, 12, 9, 9, 13, 12]
+
+    def test_log_hazards_match_linear_hazards(self, radio, table1_budget):
+        # Where nothing underflows, log Q_1 and log(hazard * b) are the logs
+        # of marcum_q1 and of -b dQ_1/db / Q_1 from marcum_q1_partial_b.
+        scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
+        for alpha in (0.01, 0.2, 0.5, 0.9):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            hops = optimizer._hop_hazards(table1_budget, radio, split)
+            for (log_q, log_hb), k, gain, power in zip(
+                hops,
+                (table1_budget.k_su, table1_budget.k_ud),
+                (table1_budget.g_su, table1_budget.g_ud),
+                (split.p_s, split.p_u),
+            ):
+                a, b = math.sqrt(2.0 * k), math.sqrt(scale * (k + 1.0) / gain / power)
+                q = marcum_q1(a, b)
+                assert log_q == pytest.approx(math.log(q), rel=1e-12, abs=1e-15)
+                assert log_hb == pytest.approx(math.log(-b * marcum_q1_partial_b(a, b) / q), rel=1e-12, abs=1e-12)
 
     @given(
-        st.floats(min_value=-10.0, max_value=25.0),
-        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-10.0, max_value=40.0),
+        st.floats(min_value=-10.0, max_value=40.0),
         st.floats(min_value=-1.0, max_value=4.0),
         st.floats(min_value=-1.0, max_value=4.0),
     )
     @settings(max_examples=100, deadline=None)
     def test_no_better_split_by_noncentral_chi_square(self, k_su_db, k_ud_db, log_margin_su, log_margin_ud):
         # Each hop's mean SNR at full power is 10^log_margin times the SNR
-        # threshold. K stays below 25 dB, clear of the Marcum overflow band.
+        # threshold.
         radio = make_radio()
         k_su, k_ud = 10.0 ** (k_su_db / 10.0), 10.0 ** (k_ud_db / 10.0)
         unit_gain = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
@@ -289,7 +334,7 @@ class TestMinimizeOutageExact:
         # The benchmark's per-call tracer replaces these module attributes and
         # buckets each call by its scalar threshold b, so an array b must
         # reach the Marcum kernel another way.
-        assert callable(optimizer.marcum_q1) and callable(optimizer.marcum_q1_partial_b)
+        assert callable(optimizer._log_marcum) and callable(optimizer._bessel_i_n_scaled)
         scalar = outage._marcum_q1_complement
         calls = []
 
@@ -340,7 +385,7 @@ class TestSlopeRoot:
         [
             (lambda x: 0.3 - x, 0.3),
             (lambda x: math.log(0.7 / x), 0.7),
-            # Infinite ends, as where a hop's Q_1 underflows: bisection until
+            # Infinite ends, as where a hop's threshold is infinite: bisection until
             # both bracket ends are finite.
             (lambda x: math.inf if x < 0.01 else (-math.inf if x > 0.99 else 0.2 - x), 0.2),
         ],

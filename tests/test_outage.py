@@ -78,7 +78,7 @@ class TestHopOutage:
         assert abs(hop_outage(2.0, 10.0, 1.0) - p_mc) <= 3.0 * std_err
 
     @given(
-        st.floats(min_value=-10.0, max_value=30.0),
+        st.floats(min_value=-10.0, max_value=45.0),
         st.floats(min_value=0.05, max_value=4.0),
         st.floats(min_value=-3.0, max_value=9.0),
     )
@@ -90,12 +90,7 @@ class TestHopOutage:
         k, mean_snr = 10.0 ** (k_db / 10.0), 10.0**log_snr
         a = math.sqrt(2.0 * k)
         b = math.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
-        try:
-            value = hop_outage(k, mean_snr, rate)
-        except OverflowError:
-            # Only in the known band where the series start underflows.
-            assert 0.5 * max(a * a, b * b) >= 700.0 and abs(a - b) < 9.0
-            return
+        value = hop_outage(k, mean_snr, rate)
         expected = ncx2.cdf(b * b, 2.0, a * a)
         assert abs(value - expected) <= 1e-7 * abs(expected) + 2e-15
 
@@ -172,22 +167,17 @@ class TestEndToEndOutageGrid:
     @given(
         st.floats(min_value=-12.0, max_value=-6.0),
         st.floats(min_value=-12.0, max_value=-6.0),
-        # K up to 25 dB keeps every threshold argument of the scalar calls
-        # clear of the Marcum series' overflow band, where they would raise.
-        st.floats(min_value=-10.0, max_value=25.0),
-        st.floats(min_value=-10.0, max_value=25.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-10.0, max_value=45.0),
         st.floats(min_value=-3.0, max_value=1.0),
         st.floats(min_value=0.1, max_value=4.0),
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_per_alpha_outage(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
-        # The grid's quadrature and the per-split scalar series agree wherever
-        # the outage is at least 1e-8; deeper down the series loses digits.
-        # The tolerance is the series' own error: against 40-digit mpmath it
-        # is off by up to 1.3e-14 absolute per hop at b^2/2 < 700, because it
-        # stops on 1 - (summed Poisson weights), which rounding resolves only
-        # to a few ulps of 1. The quadrature is within 4e-15 relative there.
+        # The grid's numpy quadrature and the per-split scalar evaluation of
+        # the same rule agree to summation order wherever the outage is at
+        # least 1e-8.
         budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
         radio = make_radio(total_power_w=10.0**pt, rate=rate)
         grid = end_to_end_outage_grid(budget, alphas, radio)
@@ -199,7 +189,7 @@ class TestEndToEndOutageGrid:
             expected = end_to_end_outage(budget, split, radio)
             assert 0.0 <= value <= 1.0
             if expected >= 1e-8:
-                assert abs(value - expected) <= 1e-12 * expected + 5e-14, (alpha, value, expected)
+                assert abs(value - expected) <= 1e-12 * expected, (alpha, value, expected)
 
     def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):
         for bad in (-0.1, 1.5, math.nan):

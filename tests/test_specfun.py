@@ -227,17 +227,35 @@ class TestMarcumComplement:
         )
 
     def test_extreme_threshold_saturates(self):
-        # Series start underflows but the gap makes the limit exact.
+        # The small side underflows, so the large side is exactly 1.
         assert _marcum_q1_complement(4.47, 225.0) == 1.0
         assert marcum_q1(4.47, 225.0) == 0.0
         assert _marcum_q1_complement(225.0, 4.47) == 0.0
         assert marcum_q1(225.0, 4.47) == 1.0
 
-    def test_ambiguous_extreme_band_raises(self):
-        with pytest.raises(OverflowError):
-            marcum_q1(38.0, 39.0)
-        with pytest.raises(OverflowError):
-            _marcum_q1_complement(38.0, 39.0)
+    def test_former_overflow_band_answers(self):
+        # (38, 39) lies in the band where the Poisson series the package once
+        # used overflowed: max(a, b)^2/2 >= 700 with |a - b| < 9.
+        q, c = marcum_q1(38.0, 39.0), _marcum_q1_complement(38.0, 39.0)
+        assert q == pytest.approx(ncx2.sf(39.0**2, 2.0, 38.0**2), rel=1e-7)
+        assert c == pytest.approx(ncx2.cdf(39.0**2, 2.0, 38.0**2), rel=1e-7)
+        assert q + c == pytest.approx(1.0, abs=2e-16)
+
+    def test_edge_arguments(self):
+        # Finite values in [0, 1] with no warning or exception anywhere in the
+        # range, up to thresholds of 1e300.
+        for a in (0.0, 1e-300, 1.0, 37.0, 632.0, 1e5, 1e150):
+            for b in (0.0, math.inf, 1e-300, 1e300, a, a * (1.0 + 1e-12), a * (1.0 - 1e-12), 38.0):
+                q, c = marcum_q1(a, b), _marcum_q1_complement(a, b)
+                assert 0.0 <= q <= 1.0 and 0.0 <= c <= 1.0, (a, b, q, c)
+            assert (marcum_q1(a, 0.0), _marcum_q1_complement(a, 0.0)) == (1.0, 0.0)
+            for b in (math.inf, 1e300):
+                assert (marcum_q1(a, b), _marcum_q1_complement(a, b)) == (0.0, 1.0)
+        for bad in ((-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                marcum_q1(*bad)
+            with pytest.raises(ValueError):
+                _marcum_q1_complement(*bad)
 
 
 # Written by tests/make_marcum_table.py from 40-digit mpmath; see its docstring.
@@ -245,12 +263,12 @@ TABLE = Path(__file__).parent / "data" / "marcum_complement.csv"
 
 
 def _read_table():
-    """Region -> list of (a, b, log(1 - Q_1)) from the frozen mpmath table."""
+    """Region -> list of (a, b, log(1 - Q_1), log Q_1) from the frozen mpmath table."""
     table = {}
     with open(TABLE, encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             table.setdefault(row["region"], []).append(
-                (float(row["a"]), float(row["b"]), float(row["log_complement"]))
+                (float(row["a"]), float(row["b"]), float(row["log_complement"]), float(row["log_q1"]))
             )
     return table
 
@@ -268,7 +286,7 @@ class TestMarcumComplementArray:
         # near-diagonal down to |a - b| = 1e-12, values down to 1e-300, and
         # a up to 632 (K near 50 dB), each noncentrality in one array call.
         by_a = {}
-        for a, b, log_ref in MARCUM_TABLE[region]:
+        for a, b, log_ref, _ in MARCUM_TABLE[region]:
             by_a.setdefault(a, []).append((b, log_ref))
         for a, entries in by_a.items():
             got = _marcum_q1_complement(a, np.array([b for b, _ in entries]))
@@ -302,7 +320,7 @@ class TestMarcumComplementArray:
 
     def test_edge_entries(self):
         # Finite values in [0, 1] with no warning (pytest turns RuntimeWarning
-        # into an error), where the scalar series has an overflow band.
+        # into an error).
         for a in (0.0, 1.0, 37.0, 632.0):
             bs = np.array([0.0, math.inf, 1e-300, 1e300, a, a * (1.0 + 1e-12), a * (1.0 - 1e-12), 38.0])
             got = _marcum_q1_complement(a, bs)
@@ -315,6 +333,45 @@ class TestMarcumComplementArray:
         for bad_a in (-1.0, math.nan):
             with pytest.raises(ValueError):
                 _marcum_q1_complement(bad_a, np.array([1.0]))
+
+
+class TestMarcumScalarQuadrature:
+    """The scalar path: the same rule in plain floats, for Q_1 and 1 - Q_1."""
+
+    @pytest.mark.parametrize("region", sorted(MARCUM_TABLE))
+    def test_matches_frozen_table(self, region):
+        # The scalar evaluator on both columns: 1 - Q_1 and Q_1 each within
+        # 1e-11 in log wherever the value is at least 1e-300. The rows above
+        # the diagonal with a*b <= 25 are where Q_1 must come from its own
+        # weight, not from 1 - (1 - Q_1).
+        for a, b, log_complement, log_q1 in MARCUM_TABLE[region]:
+            got_q1, got_complement = specfun._log_marcum(a, b)
+            for got, log_ref, value in (
+                (got_complement, log_complement, _marcum_q1_complement(a, b)),
+                (got_q1, log_q1, marcum_q1(a, b)),
+            ):
+                if log_ref >= LOG_1E_300:
+                    assert abs(got - log_ref) <= 1e-11, (a, b, got, log_ref)
+                    assert abs(math.log(value) - log_ref) <= 1e-11, (a, b, value, log_ref)
+                else:
+                    assert 0.0 <= value <= 1e-300, (a, b, value, log_ref)
+
+    @given(
+        st.floats(min_value=0.0, max_value=700.0),
+        st.lists(st.floats(min_value=0.0, max_value=750.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_array_entry(self, a, bs):
+        # Both evaluators apply one rule; only summation order and libm
+        # differ. Each value is exp of a log, so it also carries the log's
+        # rounding, up to 2.3e-16 |log value| relative in deep tails.
+        got = _marcum_q1_complement(a, np.array(bs))
+        for value, b in zip(got.tolist(), bs):
+            scalar = _marcum_q1_complement(a, b)
+            if value >= 1e-300:
+                assert abs(scalar - value) <= (1e-13 + 2.3e-16 * abs(math.log(value))) * value, (a, b, scalar, value)
+            else:
+                assert scalar <= 1e-299, (a, b, scalar, value)
 
 
 class TestMarcumPartials:
