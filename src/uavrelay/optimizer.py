@@ -229,7 +229,8 @@ def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> l
         if log_q == -math.inf:
             hops.append((log_q, math.inf))
         else:
-            hops.append((log_q, 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + math.log(_bessel_i_n_scaled(0, a * b)) - log_q))
+            log_i0e = math.log(_bessel_i_n_scaled(0, a * b))
+            hops.append((log_q, 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q))
     return hops
 
 

@@ -52,6 +52,13 @@ def parse_rows(text, header):
     return [line.split(",") for line in lines[1:]]
 
 
+def solver_rows(command, text):
+    """Method -> (alpha, outage) of the solver rows of a solve or sweep report."""
+    if command == "solve":
+        return {row[0]: (float(row[1]), float(row[4])) for row in parse_rows(text, cli.SOLVE_HEADER)}
+    return {row[-1]: (float(row[2]), float(row[5])) for row in parse_rows(text, cli.SWEEP_HEADER) if row[-1] != "grid"}
+
+
 class TestScenarioLoading:
     def test_defaults_load_without_file(self):
         scenario = load_scenario(None)
@@ -275,11 +282,9 @@ class TestExitCodes:
         assert main(argv + ["--scenario", path]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == ""
-        header = cli.SOLVE_HEADER if argv[0] == "solve" else cli.SWEEP_HEADER
-        rows = {row[0] if argv[0] == "solve" else row[-1]: row for row in parse_rows(captured.out, header)}
-        alpha_col = 1 if argv[0] == "solve" else 2
-        assert float(rows["exact"][alpha_col]) == pytest.approx(exact_alpha, abs=1e-6)
-        assert abs(float(rows["theorem1"][alpha_col]) - exact_alpha) < 2e-4
+        rows = solver_rows(argv[0], captured.out)
+        assert rows["exact"][0] == pytest.approx(exact_alpha, abs=1e-6)
+        assert abs(rows["theorem1"][0] - exact_alpha) < 2e-4
 
     @pytest.mark.parametrize(
         "argv, rician_db, extra",
@@ -309,12 +314,7 @@ class TestExitCodes:
             assert len(rows) == 100
             assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
             return
-        if argv[0] == "solve":
-            exact = next(row for row in parse_rows(captured.out, cli.SOLVE_HEADER) if row[0] == "exact")
-            alpha, outage = float(exact[1]), float(exact[4])
-        else:
-            exact = next(row for row in parse_rows(captured.out, cli.SWEEP_HEADER) if row[-1] == "exact")
-            alpha, outage = float(exact[2]), float(exact[5])
+        alpha, outage = solver_rows(argv[0], captured.out)["exact"]
         assert alpha == pytest.approx(0.06995, abs=1e-5)
         assert outage == pytest.approx(1.549e-2, rel=1e-3)
 
