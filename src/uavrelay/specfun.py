@@ -150,6 +150,7 @@ def _log_marcum(a: float, b: float) -> tuple[float, float]:
     else:
         step = 2.0 * math.asin(math.sqrt(25.0 / kappa)) / _NODES
         nodes = [math.sin(step * (j + 0.5) / 2.0) ** 2 for j in range(_NODES)]
+    # Local names and hoisted factors: this loop is the cost of every solver probe.
     exp, expm1 = math.exp, math.expm1
     rr, z2, z4, k2 = r * r, 2.0 * zeta, 4.0 * zeta, 2.0 * kappa
     small = rest = 0.0
