@@ -99,7 +99,8 @@ class RadioConfig:
 
     f_c is in Hz, noise power in dBm, rate in bits/s/Hz, total power in
     watts. The rate must be positive and below 512, where its outage SNR
-    threshold 2^(2R) - 1 overflows; the noise power must be positive and
+    threshold 2^(2R) - 1 overflows, and large enough (R >~ 8e-17) that the
+    threshold does not round to 0; the noise power must be positive and
     finite in watts.
     """
 
@@ -114,10 +115,10 @@ class RadioConfig:
             raise ValueError("carrier frequency must be positive")
         if self.n < 2.0:
             raise ValueError("path-loss exponent must be at least 2")
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
         if self.rate >= 512.0:
             raise ValueError("rate must be below 512 bits/s/Hz, where 2^(2R) overflows")
+        if not 2.0 ** (2.0 * self.rate) - 1.0 > 0.0:
+            raise ValueError("rate must be positive, with an SNR threshold 2^(2R) - 1 that does not round to 0")
         if self.total_power_w <= 0.0:
             raise ValueError("total power budget must be positive")
         try:

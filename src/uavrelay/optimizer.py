@@ -1,12 +1,12 @@
 """Power-allocation optimization for the relay link.
 
 Three routes to a power split are provided: the approximate closed-form root
-equation solved by bisection, an exact minimizer of the outage used as
-ground truth, and the equal-split baseline. The exact minimizer solves
-d log S/d alpha = 0 for the link survival S = 1 - outage, which is
-log-concave in alpha, by a bracketed root search. The analytic outage
-derivative along the total-power constraint comes from the same per-hop
-chain rule and is exposed for consistency checks.
+equation, an exact minimizer of the outage used as ground truth, and the
+equal-split baseline. The exact minimizer solves d log S/d alpha = 0 for the
+link survival S = 1 - outage, which is log-concave in alpha. Both equations
+decrease in alpha, and one bracketed root search solves each. The analytic
+outage derivative along the total-power constraint comes from the same
+per-hop chain rule and is exposed for consistency checks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _SATURATED = (
 
 
 class BracketError(RuntimeError):
-    """The root-equation residual did not change sign over the search interval."""
+    """The outage is 1 at every split, so no allocation factor is optimal."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class SolverConfig:
 
     alpha_tol: absolute tolerance on the allocation factor: the width of
         the final bracket of both solvers.
-    max_iter: cap on the bisection steps of the root equation and on the
-        slope evaluations of the exact minimizer.
+    max_iter: cap on the evaluations of the root search of both solvers,
+        counting the bracket ends.
     bracket_epsilon: exclusion margin at alpha in {0, 1}, where the residual
         diverges and the outage degenerates.
     """
@@ -120,9 +120,9 @@ def theorem1_residual(
 ) -> float:
     """Natural log of the left-hand side of the approximate optimality equation.
 
-    A root identifies the approximately optimal split. The residual runs from
-    +inf at p_s -> 0 down to -inf at p_u -> 0, which guarantees bisection a
-    bracket; for symmetric hops it vanishes exactly at the equal split.
+    A root identifies the approximately optimal split. The residual decreases
+    from +inf at p_s -> 0 to -inf at p_u -> 0, so it has one root; for
+    symmetric hops it vanishes exactly at the equal split.
     """
     if split.p_s <= 0.0 or split.p_u <= 0.0:
         raise ValueError("both powers must be positive")
@@ -141,12 +141,14 @@ def solve_theorem1(
 ) -> AllocationResult:
     """Solve the approximate root equation for the allocation factor.
 
-    Bisects the log-domain residual over [bracket_epsilon, 1 - bracket_epsilon]
-    down to ``cfg.alpha_tol``; the boundary divergences make bisection
-    unconditionally convergent whenever the endpoint residuals differ in sign.
-    When one hop is in certain outage at every split, whether from a zero
-    mean SNR or from constants that overflow, the BracketError names the
-    saturated objective.
+    ``_slope_root`` finds the one root of the decreasing log-domain residual
+    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol``. A
+    residual that keeps its sign over the whole bracket puts the root at
+    that end.
+    ``iterations`` counts residual evaluations, ends included, and
+    ``residual`` is the residual at the returned alpha. When one hop is in
+    certain outage at every split, whether from a zero mean SNR or from
+    constants that overflow, a BracketError names the saturated objective.
     """
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     _check_saturated(budget, radio, lo, hi)
@@ -158,29 +160,8 @@ def solve_theorem1(
             PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud
         )
 
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        alpha = lo
-        iterations = 0
-    elif r_hi == 0.0:
-        alpha = hi
-        iterations = 0
-    elif (r_lo > 0.0) == (r_hi > 0.0):
-        raise BracketError(
-            f"residual has the same sign at both brackets ({r_lo:.3g}, {r_hi:.3g})"
-        )
-    else:
-        iterations = 0
-        while hi - lo > cfg.alpha_tol and iterations < cfg.max_iter:
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            iterations += 1
-            if (r_mid > 0.0) == (r_lo > 0.0):
-                lo, r_lo = mid, r_mid
-            else:
-                hi = mid
-        alpha = 0.5 * (lo + hi)
-    return _allocation_at(budget, radio, alpha, "theorem1", iterations, residual(alpha))
+    alpha, evaluations, _ = _slope_root(residual, lo, hi, cfg)
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha))
 
 
 def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
@@ -270,23 +251,24 @@ def minimize_outage_exact(
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width)
 
 
-def _slope_root(slope, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, int, float]:
-    """Root of a decreasing ``slope`` on [lo, hi] by Brent's method.
+def _slope_root(f, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, int, float]:
+    """Root of a decreasing function ``f`` on [lo, hi] by Brent's method.
 
-    Returns the root, the slope evaluations and the final bracket width.
+    ``f`` is the exact minimizer's log slope or the Theorem 1 residual.
+    Returns the root, the evaluations of ``f`` and the final bracket width.
     Each step is a secant or inverse quadratic step where that shrinks the
     bracket fast enough, and a bisection otherwise, or while a bracket end
-    has an infinite slope. It stops once the bracket is narrower than
-    ``cfg.alpha_tol`` (width 0 if a slope is exactly 0), or at
+    has an infinite value. It stops once the bracket is narrower than
+    ``cfg.alpha_tol`` (width 0 if a value is exactly 0), or at
     ``cfg.max_iter`` evaluations, counting the ends, which are evaluated
-    whatever the cap. A slope of the root's side at an end (<= 0 at lo,
-    >= 0 at hi) puts the root at that end. Follows Brent, Algorithms for Minimization without
-    Derivatives (1973), ch. 4.
+    whatever the cap. A value of the root's side at an end (<= 0 at lo,
+    >= 0 at hi) puts the root at that end. Follows Brent, Algorithms for
+    Minimization without Derivatives (1973), ch. 4.
     """
-    x_pre, f_pre = lo, slope(lo)
+    x_pre, f_pre = lo, f(lo)
     if f_pre <= 0.0:
         return lo, 1, 0.0
-    x_cur, f_cur = hi, slope(hi)
+    x_cur, f_cur = hi, f(hi)
     if f_cur >= 0.0:
         return hi, 2, 0.0
     evaluations = 2
@@ -323,7 +305,7 @@ def _slope_root(slope, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, 
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = slope(x_cur)
+        f_cur = f(x_cur)
         evaluations += 1
     return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur)
 

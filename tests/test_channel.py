@@ -220,8 +220,9 @@ class TestTypeInvariants:
             values = dict(f_c=2e9, n=3.0, noise_power_dbm=-110.0, rate=1.0, total_power_w=0.25)
             return RadioConfig(**{**values, **fields})
 
-        # rate 0 has no outage threshold; from 512 on, 2^(2R) overflows.
-        for rate in (0.0, -1.0, math.nan, 512.0, 600.0):
+        # rate 0 has no outage threshold, and below ~8e-17 it rounds to 0; from
+        # 512 on, 2^(2R) overflows.
+        for rate in (0.0, -1.0, math.nan, 1e-17, 512.0, 600.0):
             with pytest.raises(ValueError):
                 radio(rate=rate)
         # The noise power in watts overflows, underflows to 0, or is NaN.

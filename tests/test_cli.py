@@ -178,6 +178,8 @@ class TestExitCodes:
             (None, ["sweep-power", "--R", "600", "--pt", "0.1"]),
             ('{"radio": {"noise_power_dbm": 4000}}', ["solve"]),
             ('{"radio": {"noise_power_dbm": -4000}}', ["solve"]),
+            ('{"radio": {"rate": 1e-17}}', ["solve"]),
+            (None, ["sweep-power", "--R", "1e-17", "--pt", "0.1"]),
         ],
         ids=[
             "nan-power",
@@ -195,6 +197,8 @@ class TestExitCodes:
             "sweep-power-R-threshold-overflow",
             "noise-power-overflow",
             "noise-power-underflow",
+            "rate-threshold-underflow",
+            "sweep-power-R-threshold-underflow",
         ],
     )
     def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv):
@@ -266,6 +270,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver error: saturated objective: ")
+
+    @pytest.mark.parametrize(
+        "budget, edge",
+        [
+            (LinkBudget(3.6e-07, 0.036, 0.1, 300.0), 1.0 - 1e-6),
+            (LinkBudget(0.036, 3.6e-07, 300.0, 0.1), 1e-6),
+        ],
+        ids=["hi", "lo"],
+    )
+    def test_one_signed_residual_solves_at_the_edge(self, monkeypatch, capsys, budget, edge):
+        # The Theorem 1 residual keeps one sign over the whole bracket: both
+        # solvers put the split at the end that feeds the weak hop.
+        monkeypatch.setattr(cli, "link_budget", lambda *args: budget)
+        assert main(["solve"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = solver_rows("solve", captured.out)
+        assert rows["theorem1"][0] == rows["exact"][0] == pytest.approx(edge, rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv, exact_alpha",

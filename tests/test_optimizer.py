@@ -158,6 +158,32 @@ class TestSolveTheorem1:
         result = solve_theorem1(table1_budget, radio)
         assert abs(result.residual) < 1e-5
 
+    @pytest.mark.parametrize(
+        "budget, evaluations",
+        [(make_budget(), 10), (make_symmetric_budget(), 4)],
+        ids=["table1", "symmetric"],
+    )
+    def test_residual_evaluations(self, radio, budget, evaluations):
+        # The same root search as the exact solver, counting its ends.
+        assert solve_theorem1(budget, radio).iterations == evaluations
+
+    @pytest.mark.parametrize(
+        "budget, edge, evaluations",
+        [
+            (LinkBudget(3.6e-07, 0.036, 0.1, 300.0), 1.0 - 1e-6, 2),
+            (LinkBudget(0.036, 3.6e-07, 300.0, 0.1), 1e-6, 1),
+        ],
+        ids=["hi", "lo"],
+    )
+    def test_one_signed_residual_gives_the_edge(self, radio, budget, edge, evaluations):
+        # One hop has 1e5 times less mean gain and a K factor of 0.1 against
+        # 300, so the residual keeps one sign over the whole bracket and the
+        # root sits at the end that gives that hop the most power, where the
+        # exact optimum sits too.
+        result = solve_theorem1(budget, radio)
+        assert (result.alpha_star, result.iterations) == (edge, evaluations)
+        assert minimize_outage_exact(budget, radio).alpha_star == edge
+
 
 class TestMinimizeOutageExact:
     def test_symmetric_gives_half(self, radio, symmetric_budget):
