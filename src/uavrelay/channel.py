@@ -135,7 +135,12 @@ class RadioConfig:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Per-hop mean path gain (linear power ratio) and linear Rician factor."""
+    """Per-hop mean path gain (linear power ratio) and linear Rician factor.
+
+    K is at most 1e150 (1500 dB), so that K (K + 1) and the Marcum
+    noncentrality a b stay finite: a = sqrt(2K) <= 1.5e75, and a finite b
+    is below 1.4e154.
+    """
 
     g_su: float
     g_ud: float
@@ -143,10 +148,10 @@ class LinkBudget:
     k_ud: float
 
     def __post_init__(self):
-        if min(self.g_su, self.g_ud, self.k_su, self.k_ud) <= 0.0:
-            raise ValueError("link budget entries must be positive")
-        if max(self.g_su, self.g_ud) >= 1.0:
-            raise ValueError("mean path gains must be below unity")
+        if not all(0.0 < g < 1.0 for g in (self.g_su, self.g_ud)):
+            raise ValueError("mean path gains must lie in (0, 1)")
+        if not all(0.0 < k <= 1e150 for k in (self.k_su, self.k_ud)):
+            raise ValueError("Rician factors must lie in (0, 1e150], i.e. at most 1500 dB")
 
 
 def elevation_angle(h: float, r: float) -> float:

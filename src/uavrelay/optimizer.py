@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
-from .outage import PowerSplit, end_to_end_outage, hop_outage, snr_threshold
-from .specfun import _bessel_i_n_scaled, _log_marcum
+from .outage import PowerSplit, _link_args, end_to_end_outage, snr_threshold
+from .specfun import _bessel_i_n_scaled, _log_marcum, _marcum_q1_complement
 
 __all__ = [
     "SolverConfig",
@@ -168,16 +168,9 @@ def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: floa
     """Raise the saturated-objective BracketError if one hop is in outage with
     probability 1 even at the most power an allocation factor in [lo, hi]
     gives it, hence at every such split.
-
-    A zero mean SNR, from a power so small that it underflows, is full outage.
     """
-    noise, total = radio.noise_power_w, radio.total_power_w
-    snr_su = PowerSplit.from_alpha(hi, total).p_s * budget.g_su / noise
-    snr_ud = PowerSplit.from_alpha(lo, total).p_u * budget.g_ud / noise
-    if any(
-        snr == 0.0 or hop_outage(k, snr, radio.rate) == 1.0
-        for k, snr in ((budget.k_su, snr_su), (budget.k_ud, snr_ud))
-    ):
+    hops = _link_args(budget, radio, hi * radio.total_power_w, (1.0 - lo) * radio.total_power_w)
+    if any(_marcum_q1_complement(a, b) == 1.0 for a, b in hops):
         raise BracketError(_SATURATED)
 
 
@@ -195,20 +188,19 @@ def _allocation_at(
 def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float]]:
     """(log Q_1(a, b), log(hazard * b)) of each hop at the powers of ``split``.
 
-    Hop i survives with Q_1(a_i, b_i), where a_i = sqrt(2 K_i) and
-    b_i = c_i / sqrt(p_i) with c_i = sqrt(2 (K_i + 1) (2^(2R) - 1) N_0 / G_i),
-    so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i), with the hazard
-    -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1. Both logs stay finite
-    where Q_1 underflows; the hazard of a Q_1 of 0 (b = inf) is inf.
+    Hop i survives with Q_1(a_i, b_i), (a_i, b_i) from ``outage._hop_args``.
+    b_i scales as 1/sqrt(p_i), so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i),
+    with the hazard -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1. Both
+    logs stay finite where Q_1 underflows. The hazard is inf where Q_1 is 0
+    (b = inf), and 0 where b is 0, from a mean SNR that overflows.
     """
-    scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
     hops = []
-    for k, gain, power in ((budget.k_su, budget.g_su, split.p_s), (budget.k_ud, budget.g_ud, split.p_u)):
-        a = math.sqrt(2.0 * k)
-        b = math.sqrt(scale * (k + 1.0) / gain) / math.sqrt(power) if power > 0.0 else math.inf
+    for a, b in _link_args(budget, radio, split.p_s, split.p_u):
         log_q = _log_marcum(a, b)[0]
         if log_q == -math.inf:
             hops.append((log_q, math.inf))
+        elif b == 0.0:
+            hops.append((log_q, -math.inf))
         else:
             log_i0e = math.log(_bessel_i_n_scaled(0, a * b))
             hops.append((log_q, 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q))
@@ -245,6 +237,8 @@ def minimize_outage_exact(
         (log_q_1, log_hb_1), (log_q_2, log_hb_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
         if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
+        if log_hb_1 == log_hb_2 == -math.inf:  # no hazard on either hop, so g = 0
+            return 0.0
         return (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
 
     alpha, evaluations, width = _slope_root(slope, lo, hi, cfg)

@@ -62,60 +62,67 @@ def snr_threshold(rate: float) -> float:
     return 2.0 ** (2.0 * rate) - 1.0
 
 
+def _hop_args(k: float, mean_snr, rate: float):
+    """(a, b) = (sqrt(2K), sqrt(2(K + 1) gamma_th / mean_snr)) of a Rician hop's
+    survival Q_1(a, b), with gamma_th = snr_threshold(rate).
+
+    A zero mean SNR, from a zero power or one so small that it underflows, is
+    b = inf: certain outage. ``mean_snr`` is a float, or a numpy array whose
+    caller ignores numpy's divide and overflow warnings, so that each entry's
+    b is what the float arithmetic gives.
+    """
+    sqrt = np.sqrt if isinstance(mean_snr, np.ndarray) else math.sqrt
+    if sqrt is math.sqrt and mean_snr == 0.0:
+        return math.sqrt(2.0 * k), math.inf
+    return math.sqrt(2.0 * k), sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
+
+
+def _link_args(budget: LinkBudget, radio: RadioConfig, p_s, p_u):
+    """``_hop_args`` of both hops at the mean SNRs p G / N_0 of the powers
+    ``p_s`` and ``p_u``: floats, or numpy arrays under the caller's np.errstate."""
+    noise = radio.noise_power_w
+    hops = ((budget.k_su, budget.g_su, p_s), (budget.k_ud, budget.g_ud, p_u))
+    return [_hop_args(k, p * g / noise, radio.rate) for k, g, p in hops]
+
+
 def hop_outage(k: float, mean_snr: float, rate: float) -> float:
-    """Outage probability of a single Rician hop.
+    """Outage probability of a single Rician hop at a positive mean SNR.
 
-    Returns 1 - Q_1(sqrt(2K), sqrt(2(K+1) * gamma_th / mean_snr)) where
-    gamma_th = snr_threshold(rate) and mean_snr is the average received SNR
-    (linear). The complement is evaluated directly by the Marcum quadrature,
-    in log space, so small outages keep full relative accuracy instead of
-    dying in the subtraction from 1.
-
-    ``mean_snr`` may be a 1-D numpy array; the outages, one per entry, are
-    then evaluated by one numpy form of the same quadrature, with no
-    per-entry Python loop (``specfun._complement_quadrature``).
+    Returns 1 - Q_1(a, b) with a and b from ``_hop_args``, where mean_snr is
+    the average received SNR (linear, a float). The complement is evaluated
+    directly by the Marcum quadrature, in log space, so small outages keep
+    full relative accuracy instead of dying in the subtraction from 1.
     """
     if k <= 0.0:
         raise ValueError("Rician factor must be positive")
-    if isinstance(mean_snr, np.ndarray):
-        if np.any(mean_snr <= 0.0):
-            raise ValueError("mean SNR must be positive")
-        with np.errstate(over="ignore"):  # an overflow is inf, as in the scalar arithmetic
-            b = np.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
-        # Called through the module attribute, which per-call instrumentation
-        # of the scalar entry points leaves alone; the kernel already clamps.
-        return specfun._marcum_q1_complement(math.sqrt(2.0 * k), b)
     if mean_snr <= 0.0:
         raise ValueError("mean SNR must be positive")
-    gamma = snr_threshold(rate) / mean_snr
-    return _marcum_q1_complement(math.sqrt(2.0 * k), math.sqrt(2.0 * (k + 1.0) * gamma))
+    return _marcum_q1_complement(*_hop_args(k, mean_snr, rate))
 
 
 def end_to_end_outage(budget: LinkBudget, split: PowerSplit, radio: RadioConfig) -> float:
     """Outage probability of the relay link: 1 - (1 - out_su)(1 - out_ud).
 
     Hop fading is independent, so this equals the probability that the
-    smaller of the two hop capacities drops below the rate. A zero mean SNR
-    on either hop, from a zero power or one so small that the SNR underflows,
-    is a degenerate full outage (returned as 1, not an error) so optimizer
-    line searches can probe the boundary safely.
+    smaller of the two hop capacities drops below the rate. A hop with
+    b = inf (``_hop_args``), as from a zero power, is a degenerate full
+    outage, returned as exactly 1, not an error, so optimizer line searches
+    can probe the boundary safely.
     """
-    noise = radio.noise_power_w
-    snr_su = split.p_s * budget.g_su / noise
-    snr_ud = split.p_u * budget.g_ud / noise
-    if snr_su == 0.0 or snr_ud == 0.0:
+    (a_su, b_su), (a_ud, b_ud) = _link_args(budget, radio, split.p_s, split.p_u)
+    if b_su == math.inf or b_ud == math.inf:
         return 1.0
-    out_su = hop_outage(budget.k_su, snr_su, radio.rate)
-    out_ud = hop_outage(budget.k_ud, snr_ud, radio.rate)
+    out_su, out_ud = _marcum_q1_complement(a_su, b_su), _marcum_q1_complement(a_ud, b_ud)
     # Same quantity as 1 - (1 - out_su)(1 - out_ud), arranged so small
     # outages are not rounded away against the leading 1.
     return out_su + out_ud - out_su * out_ud
 
 
+@np.errstate(over="ignore", divide="ignore")  # an overflow is inf, and a zero SNR gives b = inf, as for floats
 def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
     """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
-    of each allocation factor in ``alphas``, with each hop evaluated in one
-    batched ``hop_outage`` call.
+    of each allocation factor in ``alphas``. Each hop's outages are one call of
+    the numpy form of the same quadrature (``specfun._complement_quadrature``).
 
     The factors must lie in [0, 1]; the total power is ``radio.total_power_w``.
     """
@@ -123,18 +130,12 @@ def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: Radio
     if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
         raise ValueError("allocation factor must lie in [0, 1]")
     total = radio.total_power_w
-    p_s = alpha * total
-    p_u = (1.0 - alpha) * total
-    noise = radio.noise_power_w
-    with np.errstate(over="ignore"):
-        snr_su = p_s * budget.g_su / noise
-        snr_ud = p_u * budget.g_ud / noise
-    live = (snr_su != 0.0) & (snr_ud != 0.0)
-    out = np.ones(alpha.shape)
-    out_su = hop_outage(budget.k_su, snr_su[live], radio.rate)
-    out_ud = hop_outage(budget.k_ud, snr_ud[live], radio.rate)
-    out[live] = out_su + out_ud - out_su * out_ud
-    return out.tolist()
+    (a_su, b_su), (a_ud, b_ud) = _link_args(budget, radio, alpha * total, (1.0 - alpha) * total)
+    # Called through the module attribute, which per-call instrumentation
+    # of the scalar entry points leaves alone; the kernel already clamps.
+    out_su = specfun._marcum_q1_complement(a_su, b_su)
+    out_ud = specfun._marcum_q1_complement(a_ud, b_ud)
+    return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud).tolist()
 
 
 def hop_capacity(power, gain, fading_power, noise):

@@ -203,6 +203,15 @@ class TestTypeInvariants:
             with pytest.raises(ValueError):
                 LinkBudget(1e-10, 1e-10, 10.0, k)
 
+    def test_link_budget_bounds_k(self):
+        # Up to 1e150 (1500 dB), K (K + 1) and the Marcum a b stay finite.
+        assert LinkBudget(1e-10, 1e-10, 1e150, 1e150).k_ud == 1e150
+        for k in (math.nextafter(1e150, math.inf), 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                LinkBudget(1e-10, 1e-10, k, 10.0)
+            with pytest.raises(ValueError):
+                LinkBudget(1e-10, 1e-10, 10.0, k)
+
     def test_rician_endpoints_ordering(self):
         with pytest.raises(ValueError):
             RicianEndpoints(k0_db=15.0, kpi2_db=5.0)

@@ -46,6 +46,12 @@ def symmetric_scenario(tmp_path):
     )
 
 
+def rician_scenario_text(k_db):
+    """Scenario JSON with K of ``k_db`` dB at every elevation of both hops."""
+    endpoints = {"k0_db": k_db, "kpi2_db": k_db}
+    return json.dumps({"rician_su": endpoints, "rician_ud": endpoints, "excess_loss_convention": "paper"})
+
+
 def parse_rows(text, header):
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     assert lines[0] == header
@@ -180,6 +186,12 @@ class TestExitCodes:
             ('{"radio": {"noise_power_dbm": -4000}}', ["solve"]),
             ('{"radio": {"rate": 1e-17}}', ["solve"]),
             (None, ["sweep-power", "--R", "1e-17", "--pt", "0.1"]),
+            # K above 1e150 (1500 dB). At 1545 dB the Theorem 1 constants
+            # overflowed, at 3079 dB the Marcum a b did (a traceback), and at
+            # 3080 dB the closed form read a false certain outage.
+            (rician_scenario_text(1545.0), ["solve"]),
+            (rician_scenario_text(3079.0), ["sweep-alpha"]),
+            (rician_scenario_text(3080.0), ["validate"]),
         ],
         ids=[
             "nan-power",
@@ -199,6 +211,9 @@ class TestExitCodes:
             "noise-power-underflow",
             "rate-threshold-underflow",
             "sweep-power-R-threshold-underflow",
+            "rician-k-1545db",
+            "rician-k-3079db",
+            "rician-k-3080db",
         ],
     )
     def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv):
@@ -339,6 +354,19 @@ class TestExitCodes:
         alpha, outage = solver_rows(argv[0], captured.out)["exact"]
         assert alpha == pytest.approx(0.06995, abs=1e-5)
         assert outage == pytest.approx(1.549e-2, rel=1e-3)
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-alpha"])
+    def test_overflowing_mean_snr_answers(self, tmp_path, capsys, command):
+        # p G / N_0 overflows to inf at every split, so each hop's b is 0:
+        # no hop can fail, and the exact solver's slope has no hazard on
+        # either side rather than a log of 0.
+        path = paper_scenario(tmp_path, radio={"noise_power_dbm": -300, "total_power_w": 1e300})
+        assert main([command, "--scenario", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, numeric = (cli.SOLVE_HEADER, slice(1, None)) if command == "solve" else (cli.SWEEP_HEADER, slice(1, 6))
+        rows = parse_rows(captured.out, header)
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row[numeric])
 
     @pytest.mark.parametrize(
         "target, name, value, message",

@@ -248,7 +248,7 @@ class TestMinimizeOutageExact:
 
     def test_saturated_probe_raises(self, radio, table1_budget, monkeypatch):
         # Both hops' Q_1 read 0 at a probe that the full-power check (which
-        # goes through hop_outage) lets through.
+        # does not call optimizer._log_marcum) lets through.
         monkeypatch.setattr(optimizer, "_log_marcum", lambda a, b: (-math.inf, 0.0))
         with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(table1_budget, radio)
@@ -301,6 +301,40 @@ class TestMinimizeOutageExact:
             except BracketError:
                 iterations.append(None)
         assert iterations == [10, 10, 12, 11, None, 11, 11, 12, 9, 9, 13, 12]
+
+    @given(
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slope_and_outage_share_one_rounding(self, g_su, g_ud, k_su, k_ud, pt, rate, alpha):
+        # The slope that the exact solver zeroes and the outage that it
+        # reports hand the Marcum kernel the same (a, b) of each hop, bit for
+        # bit, so both come from one rounding of the hop model.
+        budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
+        radio = make_radio(total_power_w=10.0**pt, rate=rate)
+        split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+        slope_args, outage_args = [], []
+
+        def recorder(calls, kernel):
+            def record(a, b):
+                calls.append((a, b))
+                return kernel(a, b)
+
+            return record
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_log_marcum", recorder(slope_args, optimizer._log_marcum))
+            patch.setattr(outage, "_marcum_q1_complement", recorder(outage_args, outage._marcum_q1_complement))
+            optimizer._hop_hazards(budget, radio, split)
+            end_to_end_outage(budget, split, radio)
+        assert len(slope_args) == 2
+        assert slope_args == outage_args
 
     def test_log_hazards_match_linear_hazards(self, radio, table1_budget):
         # Where nothing underflows, log Q_1 and log(hazard * b) are the logs
