@@ -4,7 +4,8 @@ Three routes to a power split are provided: the approximate closed-form root
 equation, an exact minimizer of the outage used as ground truth, and the
 equal-split baseline. The exact minimizer solves d log S/d alpha = 0 for the
 link survival S = 1 - outage, which is log-concave in alpha. Both equations
-decrease in alpha, and one bracketed root search solves each. The analytic
+decrease in alpha, and one bracketed root search solves each: the exact one
+starts from the approximate root and takes Newton steps. The analytic
 outage derivative along the total-power constraint comes from the same
 per-hop chain rule and is exposed for consistency checks.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, _link_args, end_to_end_outage, snr_threshold
-from .specfun import _bessel_i_n_scaled, _log_marcum, _marcum_q1_complement
+from .specfun import _log_marcum, _marcum_q1_complement
 
 __all__ = [
     "SolverConfig",
@@ -96,22 +97,25 @@ class AllocationResult:
 
 @dataclass(frozen=True)
 class Theorem1Constants:
-    """Per-hop constants of the approximate root equation, in watts."""
+    """Natural logs of the per-hop constants gamma_i of the approximate root
+    equation, gamma_i in watts. Logs, because gamma_i itself can overflow
+    where K is large."""
 
-    gamma_1: float
-    gamma_2: float
+    log_gamma_1: float
+    log_gamma_2: float
 
     def __post_init__(self):
-        if self.gamma_1 <= 0.0 or self.gamma_2 <= 0.0:
+        if not (self.log_gamma_1 > -math.inf and self.log_gamma_2 > -math.inf):
             raise ValueError("root-equation constants must be positive")
 
 
 def theorem1_constants(budget: LinkBudget, radio: RadioConfig) -> Theorem1Constants:
-    """gamma_i = K_i (K_i + 1) (2^(2R) - 1) N_0 / G_i for each hop."""
-    scale = snr_threshold(radio.rate) * radio.noise_power_w
+    """log gamma_i for gamma_i = K_i (K_i + 1) (2^(2R) - 1) N_0 / G_i of each
+    hop, as a sum of logs, so that no product overflows."""
+    log_scale = math.log(snr_threshold(radio.rate)) + math.log(radio.noise_power_w)
     return Theorem1Constants(
-        gamma_1=budget.k_su * (budget.k_su + 1.0) * scale / budget.g_su,
-        gamma_2=budget.k_ud * (budget.k_ud + 1.0) * scale / budget.g_ud,
+        log_gamma_1=math.log(budget.k_su) + math.log1p(budget.k_su) + log_scale - math.log(budget.g_su),
+        log_gamma_2=math.log(budget.k_ud) + math.log1p(budget.k_ud) + log_scale - math.log(budget.g_ud),
     )
 
 
@@ -122,16 +126,18 @@ def theorem1_residual(
 
     A root identifies the approximately optimal split. The residual decreases
     from +inf at p_s -> 0 to -inf at p_u -> 0, so it has one root; for
-    symmetric hops it vanishes exactly at the equal split.
+    symmetric hops it vanishes exactly at the equal split. Each
+    sqrt(gamma_i / p_i) is exp((log gamma_i - log p_i) / 2), which is
+    a_i b_i / 2 and so finite wherever the Marcum arguments are.
     """
     if split.p_s <= 0.0 or split.p_u <= 0.0:
         raise ValueError("both powers must be positive")
     return (
         1.75 * math.log(split.p_u / split.p_s)
-        + 0.75 * math.log(consts.gamma_1 / consts.gamma_2)
+        + 0.75 * (consts.log_gamma_1 - consts.log_gamma_2)
         + 0.5 * math.log(k_ud / k_su)
-        + 2.0 * math.sqrt(consts.gamma_1 / split.p_s)
-        - 2.0 * math.sqrt(consts.gamma_2 / split.p_u)
+        + 2.0 * math.exp(0.5 * (consts.log_gamma_1 - math.log(split.p_s)))
+        - 2.0 * math.exp(0.5 * (consts.log_gamma_2 - math.log(split.p_u)))
         + (k_ud - k_su)
     )
 
@@ -150,8 +156,16 @@ def solve_theorem1(
     certain outage at every split, whether from a zero mean SNR or from
     constants that overflow, a BracketError names the saturated objective.
     """
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    _check_saturated(budget, radio, lo, hi)
+    _check_saturated(budget, radio, cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon)
+    alpha, evaluations, residual = _theorem1_root(budget, radio, cfg)
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha))
+
+
+def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig):
+    """(alpha, evaluations, residual): the root of the Theorem 1 residual over
+    [bracket_epsilon, 1 - bracket_epsilon] by ``_slope_root``, which gets no
+    derivative and so takes Brent's steps, its residual evaluations, and the
+    residual as a function of alpha."""
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
@@ -160,8 +174,9 @@ def solve_theorem1(
             PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud
         )
 
-    alpha, evaluations, _ = _slope_root(residual, lo, hi, cfg)
-    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha))
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    alpha, evaluations, _ = _slope_root(lambda alpha: (residual(alpha), math.nan), lo, hi, lo, cfg)
+    return alpha, evaluations, residual
 
 
 def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
@@ -185,25 +200,30 @@ def _allocation_at(
     return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
 
 
-def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float]]:
-    """(log Q_1(a, b), log(hazard * b)) of each hop at the powers of ``split``.
+def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float, float]]:
+    """(log Q_1(a, b), L, dL/d(log b)) of each hop at the powers of ``split``,
+    with L = log(hazard * b).
 
     Hop i survives with Q_1(a_i, b_i), (a_i, b_i) from ``outage._hop_args``.
     b_i scales as 1/sqrt(p_i), so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i),
-    with the hazard -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1. Both
-    logs stay finite where Q_1 underflows. The hazard is inf where Q_1 is 0
-    (b = inf), and 0 where b is 0, from a mean SNR that overflows.
+    with the hazard h = -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1.
+    So L = 2 log b - (a - b)^2/2 + log I_0e(ab) - log Q_1, and with
+    d log I_0e(x)/dx = I_1(x)/I_0(x) - 1,
+    b dL/db = 2 + b (a - b) + ab (I_1/I_0 - 1) + h b; ``_log_marcum`` gives
+    both Bessel terms. The logs stay finite where Q_1 underflows. The hazard
+    is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean SNR that
+    overflows; the derivative is NaN at both.
     """
     hops = []
     for a, b in _link_args(budget, radio, split.p_s, split.p_u):
-        log_q = _log_marcum(a, b)[0]
+        log_q, _, log_i0e, ratio = _log_marcum(a, b)
         if log_q == -math.inf:
-            hops.append((log_q, math.inf))
+            hops.append((log_q, math.inf, math.nan))
         elif b == 0.0:
-            hops.append((log_q, -math.inf))
+            hops.append((log_q, -math.inf, math.nan))
         else:
-            log_i0e = math.log(_bessel_i_n_scaled(0, a * b))
-            hops.append((log_q, 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q))
+            log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
+            hops.append((log_q, log_hb, 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)))
     return hops
 
 
@@ -220,86 +240,122 @@ def minimize_outage_exact(
         g(alpha) = d log S/d alpha = h_1 b_1 / (2 alpha) - h_2 b_2 / (2 (1 - alpha))
 
     (see ``_hop_hazards``). ``_slope_root`` brackets the root of
-    log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign, over
-    [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at most
-    ``cfg.max_iter`` slope evaluations. A probe where hop 1's Q_1 is 0 reads
-    g > 0, hop 2's g < 0, and both a saturated objective, as does a hop in
-    certain outage at full power: a BracketError, never an arbitrary alpha.
-    ``iterations`` counts slope evaluations and ``residual`` is the final
-    bracket width. The total power constraint is treated as active:
-    p_u = P_t - p_s.
+    f = log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign,
+    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at
+    most ``cfg.max_iter`` slope evaluations. It starts from the root of the
+    Theorem 1 residual and takes Newton steps on f in u = logit(alpha):
+
+        df/du = -((E_1 + 2) (1 - alpha) + (E_2 + 2) alpha) / 2,
+
+    with E_i = d log(h_i b_i)/d(log b_i), since b_1 falls as alpha^(-1/2) and
+    b_2 as (1 - alpha)^(-1/2). A probe where hop 1's Q_1 is 0 reads g > 0,
+    hop 2's g < 0, and both a saturated objective, as does a hop in certain
+    outage at full power: a BracketError, never an arbitrary alpha.
+    ``iterations`` counts slope evaluations, not the residual evaluations of
+    the start, and ``residual`` is the final bracket width. The total power
+    constraint is treated as active: p_u = P_t - p_s.
     """
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     _check_saturated(budget, radio, lo, hi)
     total = radio.total_power_w
 
-    def slope(alpha: float) -> float:
-        (log_q_1, log_hb_1), (log_q_2, log_hb_2) = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+    def slope(alpha: float) -> tuple[float, float]:
+        hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+        (log_q_1, log_hb_1, elastic_1), (log_q_2, log_hb_2, elastic_2) = hops
         if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
         if log_hb_1 == log_hb_2 == -math.inf:  # no hazard on either hop, so g = 0
-            return 0.0
-        return (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
+            return 0.0, math.nan
+        value = (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
+        return value, -0.5 * ((elastic_1 + 2.0) * (1.0 - alpha) + (elastic_2 + 2.0) * alpha)
 
-    alpha, evaluations, width = _slope_root(slope, lo, hi, cfg)
+    start = _theorem1_root(budget, radio, cfg)[0]
+    alpha, evaluations, width = _slope_root(slope, lo, hi, start, cfg)
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width)
 
 
-def _slope_root(f, lo: float, hi: float, cfg: SolverConfig) -> tuple[float, int, float]:
-    """Root of a decreasing function ``f`` on [lo, hi] by Brent's method.
+def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float]:
+    """Root of a decreasing function on [lo, hi] within (0, 1) by Brent's
+    method, with Newton steps where the function gives its derivative.
 
-    ``f`` is the exact minimizer's log slope or the Theorem 1 residual.
+    ``f(x)`` returns the value at x and its derivative in u = log(x/(1 - x)),
+    or NaN for a derivative it does not give: the exact minimizer's log
+    slope gives it, the Theorem 1 residual does not. Newton steps are taken
+    in u, where the log slope's terms log x and log(1 - x) are linear, so
+    that a start near an end of (0, 1) reaches the root in a few steps.
+
+    The search starts at ``start`` in [lo, hi]. Until a value changes
+    sign, the far side of the bracket is the end of [lo, hi] on the root's
+    side, which is evaluated only once a step needs it; a value of the
+    root's side there (<= 0 at lo, >= 0 at hi) puts the root at that end.
     Returns the root, the evaluations of ``f`` and the final bracket width.
-    Each step is a secant or inverse quadratic step where that shrinks the
-    bracket fast enough, and a bisection otherwise, or while a bracket end
-    has an infinite value. It stops once the bracket is narrower than
-    ``cfg.alpha_tol`` (width 0 if a value is exactly 0), or at
-    ``cfg.max_iter`` evaluations, counting the ends, which are evaluated
-    whatever the cap. A value of the root's side at an end (<= 0 at lo,
-    >= 0 at hi) puts the root at that end. Follows Brent, Algorithms for
-    Minimization without Derivatives (1973), ch. 4.
+
+    Each step is a Newton step where the function decreases at the best
+    point and the step passes Brent's acceptance test, else a secant or
+    inverse quadratic step where that passes it, and a bisection otherwise,
+    or while a bracket end has an infinite value. A Newton step shorter than
+    half the tolerance is carried a quarter of the tolerance past the root
+    it predicts, so that its value can close the bracket. The search stops
+    once the bracket is narrower than ``cfg.alpha_tol`` (width 0 if a value
+    is exactly 0), or at ``cfg.max_iter`` evaluations. Follows Brent,
+    Algorithms for Minimization without Derivatives (1973), ch. 4, and
+    ``rtsafe`` in Press et al., Numerical Recipes, 3rd ed. (2007), sec. 9.4.
     """
-    x_pre, f_pre = lo, f(lo)
-    if f_pre <= 0.0:
-        return lo, 1, 0.0
-    x_cur, f_cur = hi, f(hi)
-    if f_cur >= 0.0:
-        return hi, 2, 0.0
-    evaluations = 2
+    x_cur = start
+    f_cur, d_cur = f(x_cur)
+    evaluations = 1
     # x_cur is the best point, x_blk the end of the bracket across the root
-    # from it, x_pre the previous x_cur; s_cur and s_pre are the last two steps.
-    x_blk, f_blk = x_pre, f_pre
-    s_pre = s_cur = 0.0
+    # from it (f_blk None while it is an end not yet evaluated), x_pre the
+    # previous x_cur; s_cur and s_pre are the last two steps. The d_* are
+    # the derivatives at the three points.
+    x_pre, f_pre, d_pre = x_cur, f_cur, d_cur
+    x_blk, f_blk, d_blk = (hi if f_cur > 0.0 else lo), None, math.nan
+    s_pre = s_cur = x_blk - x_cur
     while True:
         if (f_pre > 0.0) != (f_cur > 0.0):
-            x_blk, f_blk = x_pre, f_pre
+            x_blk, f_blk, d_blk = x_pre, f_pre, d_pre
             s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
+        if f_blk is not None and abs(f_blk) < abs(f_cur):
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+            d_pre, d_cur, d_blk = d_cur, d_blk, d_cur
         # Half the tolerance, and never below the spacing of doubles at x_cur.
         delta = 0.5 * cfg.alpha_tol + 2.0 * sys.float_info.epsilon * abs(x_cur)
         s_bis = 0.5 * (x_blk - x_cur)
         if f_cur == 0.0 or abs(s_bis) < delta or evaluations >= cfg.max_iter:
             break
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) and math.isfinite(f_pre) and math.isfinite(f_blk):
-            # The step is num / den; both are formed first so that a zero
-            # denominator or a non-finite product falls back to bisection.
-            if x_pre == x_blk:  # secant
-                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
-            else:  # inverse quadratic through the three points
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                num, den = -f_cur * (f_blk * d_blk - f_pre * d_pre), d_blk * d_pre * (f_blk - f_pre)
-            if 2.0 * abs(num) < min(abs(s_pre), 3.0 * abs(s_bis) - delta) * abs(den):
-                s_pre, s_cur = s_cur, num / den
+        # Brent's acceptance test: a step toward x_blk must be shorter than
+        # half the step before last and land within 3/4 of the way to x_blk.
+        bound = min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        s_new = math.nan
+        if d_cur < 0.0:  # Newton in u = logit x, which heads for x_blk, since f decreases
+            s_new = 0.5 + 0.5 * math.tanh(0.5 * (math.log(x_cur / (1.0 - x_cur)) - f_cur / d_cur)) - x_cur
+        if 2.0 * abs(s_new) < bound:
+            s_pre, s_cur = s_cur, s_new
+            x_next = x_cur + (s_cur if abs(s_cur) > delta else s_cur + math.copysign(0.5 * delta, s_bis))
+        elif f_blk is None:
+            x_next = x_blk
+        else:
+            if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) and math.isfinite(f_pre) and math.isfinite(f_blk):
+                # The step is num / den; both are formed first so that a zero
+                # denominator or a non-finite product falls back to bisection.
+                if x_pre == x_blk:  # secant
+                    num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
+                else:  # inverse quadratic through the three points
+                    q_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    q_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    num = -f_cur * (f_blk * q_blk - f_pre * q_pre)
+                    den = q_blk * q_pre * (f_blk - f_pre)
+                if 2.0 * abs(num) < bound * abs(den):
+                    s_pre, s_cur = s_cur, num / den
+                else:
+                    s_pre = s_cur = s_bis
             else:
                 s_pre = s_cur = s_bis
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
+            x_next = x_cur + (s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis))
+        x_pre, f_pre, d_pre = x_cur, f_cur, d_cur
+        x_cur = x_next
+        f_cur, d_cur = f(x_cur)
         evaluations += 1
     return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur)
 
@@ -317,7 +373,7 @@ def outage_gradient_ps(
         raise ValueError("gradient is defined only for interior splits")
     if not math.isclose(split.total, radio.total_power_w, rel_tol=1e-9):
         raise ValueError("split must exhaust the total power budget")
-    (log_q_1, log_hb_1), (log_q_2, log_hb_2) = _hop_hazards(budget, radio, split)
+    (log_q_1, log_hb_1, _), (log_q_2, log_hb_2, _) = _hop_hazards(budget, radio, split)
     survival = math.exp(log_q_1 + log_q_2)
     if survival == 0.0:  # the outage is 1 to double precision around this split
         return 0.0

@@ -42,6 +42,7 @@ _NODES = 24
 # whole period [0, pi]; most scalar calls are such rows.
 _WHOLE_STEP = math.pi / _NODES
 _WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
+_WHOLE_T_SUM = math.fsum(_WHOLE_NODES)
 
 
 def _bessel_series(order: int, x: float) -> float:
@@ -125,21 +126,33 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def _log_marcum(a: float, b: float) -> tuple[float, float]:
-    """(log Q_1(a, b), log(1 - Q_1(a, b))) for scalar a and b, by the rule of
-    ``_complement_quadrature`` (its nodes, pole share and rearrangements) in
-    plain floats. The small side is the sum itself and the other side is
-    log(1 - e^small), except that where b > a on a whole-period row both are
-    summed, each from its own weight, since 1 - (1 - Q_1) would lose Q_1's
-    digits. So each log keeps its relative accuracy. b = 0 gives (0, -inf)
-    and b = inf gives (-inf, 0); a negative or NaN argument raises ValueError.
+def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
+    """(log Q_1(a, b), log(1 - Q_1(a, b)), log I_0e(ab), I_1(ab)/I_0(ab)) for
+    scalar a and b, by the rule of ``_complement_quadrature`` (its nodes, pole
+    share and rearrangements) in plain floats. The small side is the sum
+    itself and the other side is log(1 - e^small), except that where b > a on
+    a whole-period row both are summed, each from its own weight, since
+    1 - (1 - Q_1) would lose Q_1's digits. So each log keeps its relative
+    accuracy.
+
+    With kappa = ab and t = sin^2(phi/2), I_ne(kappa) = e^-kappa I_n(kappa)
+    is (1/pi) int_0^pi cos(n phi) e dphi with e = exp(-2 kappa t), the Craig
+    integrand without its weight, and cos(phi) = 1 - 2t. So the same nodes
+    give I_0e as the sum of e, and the ratio as 1 - 2 (sum of t e)/(sum of
+    e); on whole-period rows with b <= a, e is the summand
+    exp(-2 kappa t) - exp(-kappa) plus exp(-kappa). Orders above 0 lose
+    relative accuracy at small kappa, so the ratio is good to about 1e-15
+    absolute, not relative.
+
+    b = 0 gives (0, -inf, 0, 0) and b = inf gives (-inf, 0, -inf, 1); a
+    negative or NaN argument raises ValueError.
     """
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError("Marcum Q arguments must be non-negative")
     if b == 0.0:
-        return 0.0, -math.inf
+        return 0.0, -math.inf, 0.0, 0.0
     if b == math.inf:
-        return -math.inf, 0.0
+        return -math.inf, 0.0, -math.inf, 1.0
     s, low = max(a, b), min(a, b)
     zeta, r = low / s, (s - low) / s
     kappa = a * b
@@ -153,18 +166,29 @@ def _log_marcum(a: float, b: float) -> tuple[float, float]:
     # Local names and hoisted factors: this loop is the cost of every solver probe.
     exp, expm1 = math.exp, math.expm1
     rr, z2, z4, k2 = r * r, 2.0 * zeta, 4.0 * zeta, 2.0 * kappa
-    small = rest = 0.0
+    small = rest = sum_e = sum_te = 0.0
     if above:
         for t in nodes:
+            e = exp(-k2 * t)
             w = (r + z2 * t) / (rr + z4 * t)
-            small += w * exp(-k2 * t)
+            small += w * e
+            sum_e += e
+            sum_te += t * e
             if whole:
                 rest -= w * expm1(-gap - k2 * t)
     else:
+        # On whole-period rows e is exp(-2 kappa t) - exp(-kappa); the floor
+        # exp(-kappa) is added to the Bessel sums after the loop.
         floor = exp(-kappa)
         for t in nodes:
             w = zeta * (r - 2.0 * t) / (rr + z4 * t)
-            small += w * (floor * expm1(kappa - k2 * t) if whole else exp(-k2 * t))
+            e = floor * expm1(kappa - k2 * t) if whole else exp(-k2 * t)
+            small += w * e
+            sum_e += e
+            sum_te += t * e
+        if whole:
+            sum_e += _NODES * floor
+            sum_te += _WHOLE_T_SUM * floor
     small *= step / math.pi
     if low > 0.0 and (s * s - low * low) * step < 4.0 * math.pi:
         # exp(gap)/(exp(p) + 1), arranged so that no exp can overflow: the
@@ -173,9 +197,11 @@ def _log_marcum(a: float, b: float) -> tuple[float, float]:
         share = math.exp(gap - p) / (1.0 + math.exp(-p))
         small += share * (-math.expm1(-0.5 * (a * a + b * b)) if whole and not above else 1.0)
     log_small = min(0.0, _log(small) - gap)
+    log_i0e, ratio = math.log(sum_e * step / math.pi), 1.0 - 2.0 * sum_te / sum_e
     if not above:
-        return _log1mexp(log_small), log_small
-    return log_small, min(0.0, _log(rest * step / math.pi)) if whole else _log1mexp(log_small)
+        return _log1mexp(log_small), log_small, log_i0e, ratio
+    log_big = min(0.0, _log(rest * step / math.pi)) if whole else _log1mexp(log_small)
+    return log_small, log_big, log_i0e, ratio
 
 
 def marcum_q1(a: float, b: float) -> float:

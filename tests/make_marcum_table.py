@@ -22,9 +22,9 @@ cross-checked against the Craig form's own value of Q_1, its small side
 there. Elsewhere Q_1 is at least about 0.3, and 1 - complement loses no
 digits.
 
-The tests read the table and never import mpmath. To rewrite it (about ten
-minutes on one core, mostly in the a = 632 rows; needs mpmath, which is not
-a package dependency), run ``python tests/make_marcum_table.py``.
+The Marcum tests read the table and never import mpmath. To rewrite it
+(about ten minutes on one core, mostly in the a = 632 rows; needs mpmath, a
+test dependency only), run ``python tests/make_marcum_table.py``.
 """
 
 from __future__ import annotations

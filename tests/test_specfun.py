@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import i0e
+from scipy.special import i0e, i1e
 from scipy.stats import ncx2
 
 from uavrelay import specfun
@@ -149,6 +149,12 @@ class TestBesselIN:
     def test_overflow_signal(self):
         with pytest.raises(OverflowError):
             bessel_i_n(0, 800.0)
+
+    def test_unconverged_series_raises(self):
+        # x = 20 needs about 40 terms of the power series.
+        with mock.patch.object(specfun, "_MAX_TERMS", 3):
+            with pytest.raises(RuntimeError, match=r"^I_0\(20\.0\) series did not converge in 3 terms$"):
+                bessel_i_n(0, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,7 @@ class TestMarcumScalarQuadrature:
         # the diagonal with a*b <= 25 are where Q_1 must come from its own
         # weight, not from 1 - (1 - Q_1).
         for a, b, log_complement, log_q1 in MARCUM_TABLE[region]:
-            got_q1, got_complement = specfun._log_marcum(a, b)
+            got_q1, got_complement = specfun._log_marcum(a, b)[:2]
             for got, log_ref, value in (
                 (got_complement, log_complement, _marcum_q1_complement(a, b)),
                 (got_q1, log_q1, marcum_q1(a, b)),
@@ -372,6 +378,28 @@ class TestMarcumScalarQuadrature:
                 assert abs(scalar - value) <= (1e-13 + 2.3e-16 * abs(math.log(value))) * value, (a, b, scalar, value)
             else:
                 assert scalar <= 1e-299, (a, b, scalar, value)
+
+
+    def test_bessel_terms_match_scipy(self):
+        # log I_0e(ab) and I_1(ab)/I_0(ab) from the Marcum nodes, against
+        # scipy's Cephes i0e and i1e, over a from 1e-3 to 1e3 and b/a from
+        # 10^-1.5 to 10^1.5: whole-period rows and windows, on both sides of
+        # the diagonal. Against 40-digit mpmath the same sample was within
+        # 1.3e-15 (log) and 6.4e-16 (ratio).
+        rng = np.random.default_rng(17)
+        for a, b in zip(10.0 ** rng.uniform(-3.0, 3.0, 400), 10.0 ** rng.uniform(-1.5, 1.5, 400)):
+            b *= a
+            _, _, log_i0e, ratio = specfun._log_marcum(a, b)
+            kappa = a * b
+            assert abs(log_i0e - math.log(i0e(kappa))) <= 4e-15, (a, b)
+            assert abs(ratio - i1e(kappa) / i0e(kappa)) <= 2e-15, (a, b)
+
+    def test_bessel_terms_at_the_ends(self):
+        # kappa = 0 at b = 0 or a = 0, and the limit kappa -> inf at b = inf.
+        assert specfun._log_marcum(3.0, 0.0) == (0.0, -math.inf, 0.0, 0.0)
+        assert specfun._log_marcum(3.0, math.inf) == (-math.inf, 0.0, -math.inf, 1.0)
+        _, _, log_i0e, ratio = specfun._log_marcum(0.0, 2.0)
+        assert abs(log_i0e) <= 1e-15 and abs(ratio) <= 1e-15
 
 
 class TestMarcumPartials:
