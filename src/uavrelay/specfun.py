@@ -139,10 +139,8 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     is (1/pi) int_0^pi cos(n phi) e dphi with e = exp(-2 kappa t), the Craig
     integrand without its weight, and cos(phi) = 1 - 2t. So the same nodes
     give I_0e as the sum of e, and the ratio as 1 - 2 (sum of t e)/(sum of
-    e); on whole-period rows with b <= a, e is the summand
-    exp(-2 kappa t) - exp(-kappa) plus exp(-kappa). Orders above 0 lose
-    relative accuracy at small kappa, so the ratio is good to about 1e-15
-    absolute, not relative.
+    e). Orders above 0 lose relative accuracy at small kappa, so the ratio
+    is good to about 1e-15 absolute, not relative.
 
     b = 0 gives (0, -inf, 0, 0) and b = inf gives (-inf, 0, -inf, 1); a
     negative or NaN argument raises ValueError.
