@@ -6,10 +6,9 @@ runs. Geometry is in meters, powers in watts, the carrier in MHz, and losses
 in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
-Exit codes: 0 success, 2 scenario or argument error, 3 solver failure
-(including a saturated objective, a non-finite result, an outage that is not
-a probability, and a Bessel series that does not converge), 4 validation
-failure.
+Exit codes: 0 success, 2 scenario or argument error, 3 solver failure (a
+saturated objective, a non-finite result, or an outage that is not a
+probability), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -277,6 +276,14 @@ def _allocation(result) -> tuple:
     return (result.alpha_star, result.p_s, result.p_u, result.outage, result.method)
 
 
+def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tuple:
+    """The exact and theorem1 allocations of one budget. The exact solve
+    starts from the theorem1 result, so the budget's saturation check and
+    Theorem 1 search run once."""
+    approx = solve_theorem1(budget, radio, cfg)
+    return minimize_outage_exact(budget, radio, cfg, theorem1=approx), approx
+
+
 def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells) -> str:
     """Sweep table: ``cells(swept, budget)`` yields the rows of each override value."""
     rows = []
@@ -305,8 +312,7 @@ def cmd_sweep_alpha(
         p_s, p_u = (alphas * total).tolist(), ((1.0 - alphas) * total).tolist()
         outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
         yield from zip(alpha_grid, p_s, p_u, outages, repeat("grid"))
-        yield _allocation(minimize_outage_exact(budget, swept.radio, swept.solver))
-        yield _allocation(solve_theorem1(budget, swept.radio, swept.solver))
+        yield from map(_allocation, _solve_both(budget, swept.radio, swept.solver))
 
     return _sweep(scenario, override_name, override_values, cells)
 
@@ -325,8 +331,7 @@ def cmd_sweep_power(
     def cells(swept, budget):
         for total in pt_grid:
             radio = dataclasses.replace(swept.radio, total_power_w=total)
-            yield _allocation(minimize_outage_exact(budget, radio, swept.solver))
-            yield _allocation(solve_theorem1(budget, radio, swept.solver))
+            yield from map(_allocation, _solve_both(budget, radio, swept.solver))
             yield _allocation(equal_power(radio, budget))
 
     return _sweep(scenario, override_name, override_values, cells)
@@ -335,8 +340,7 @@ def cmd_sweep_power(
 def cmd_solve(scenario: Scenario) -> str:
     """All three allocations plus the root-equation residual at the exact one."""
     budget = scenario.budget()
-    exact = minimize_outage_exact(budget, scenario.radio, scenario.solver)
-    approx = solve_theorem1(budget, scenario.radio, scenario.solver)
+    exact, approx = _solve_both(budget, scenario.radio, scenario.solver)
     equal = equal_power(scenario.radio, budget)
     rows = [
         (res.method, res.alpha_star, res.p_s, res.p_u, res.outage, res.iterations, res.residual)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
-from .outage import PowerSplit, _link_args, end_to_end_outage, snr_threshold
+from .outage import PowerSplit, _link_args, _link_outage, end_to_end_outage, snr_threshold
 from .specfun import _log_marcum, _marcum_q1_complement
 
 __all__ = [
@@ -190,19 +190,33 @@ def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: floa
 
 
 def _allocation_at(
-    budget: LinkBudget, radio: RadioConfig, alpha: float, method: str, iterations: int, residual: float
+    budget: LinkBudget,
+    radio: RadioConfig,
+    alpha: float,
+    method: str,
+    iterations: int,
+    residual: float,
+    outages: list[float] | None = None,
 ) -> AllocationResult:
-    """The split at allocation factor alpha of the total power, with its outage."""
+    """The split at allocation factor alpha of the total power, with its outage:
+    from ``outages``, both hops' 1 - Q_1 at that split where given, else by
+    ``end_to_end_outage``."""
     split = PowerSplit.from_alpha(alpha, radio.total_power_w)
-    outage = end_to_end_outage(budget, split, radio)
+    if outages is None:
+        outage = end_to_end_outage(budget, split, radio)
+    else:
+        outage = _link_outage(_link_args(budget, radio, split.p_s, split.p_u), outages)
     if not 0.0 <= outage <= 1.0:  # a numerical fault, reported as a solver failure
         raise RuntimeError(f"outage {outage!r} at alpha {alpha!r} is not a probability")
     return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
 
 
-def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> list[tuple[float, float, float]]:
-    """(log Q_1(a, b), L, dL/d(log b)) of each hop at the powers of ``split``,
-    with L = log(hazard * b).
+def _hop_hazards(
+    budget: LinkBudget, radio: RadioConfig, split: PowerSplit
+) -> list[tuple[float, float, float, float]]:
+    """(log Q_1(a, b), log(1 - Q_1(a, b)), L, dL/d(log b)) of each hop at the
+    powers of ``split``, with L = log(hazard * b), all from one ``_log_marcum``
+    call per hop.
 
     Hop i survives with Q_1(a_i, b_i), (a_i, b_i) from ``outage._hop_args``.
     b_i scales as 1/sqrt(p_i), so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i),
@@ -216,19 +230,24 @@ def _hop_hazards(budget: LinkBudget, radio: RadioConfig, split: PowerSplit) -> l
     """
     hops = []
     for a, b in _link_args(budget, radio, split.p_s, split.p_u):
-        log_q, _, log_i0e, ratio = _log_marcum(a, b)
+        log_q, log_out, log_i0e, ratio = _log_marcum(a, b)
         if log_q == -math.inf:
-            hops.append((log_q, math.inf, math.nan))
+            hops.append((log_q, log_out, math.inf, math.nan))
         elif b == 0.0:
-            hops.append((log_q, -math.inf, math.nan))
+            hops.append((log_q, log_out, -math.inf, math.nan))
         else:
             log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
-            hops.append((log_q, log_hb, 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)))
+            elastic = 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
+            hops.append((log_q, log_out, log_hb, elastic))
     return hops
 
 
 def minimize_outage_exact(
-    budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig = DEFAULT_SOLVER
+    budget: LinkBudget,
+    radio: RadioConfig,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    *,
+    theorem1: AllocationResult | None = None,
 ) -> AllocationResult:
     """Minimize the closed-form outage over the allocation factor.
 
@@ -242,26 +261,31 @@ def minimize_outage_exact(
     (see ``_hop_hazards``). ``_slope_root`` brackets the root of
     f = log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign,
     over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at
-    most ``cfg.max_iter`` slope evaluations. It starts from the root of the
-    Theorem 1 residual and takes Newton steps on f in u = logit(alpha):
+    most ``cfg.max_iter`` slope evaluations. It starts at the alpha of
+    ``theorem1``, the ``solve_theorem1`` result of the same budget, radio and
+    cfg (solved here when it is None), and takes Newton steps on f in
+    u = logit(alpha):
 
         df/du = -((E_1 + 2) (1 - alpha) + (E_2 + 2) alpha) / 2,
 
     with E_i = d log(h_i b_i)/d(log b_i), since b_1 falls as alpha^(-1/2) and
-    b_2 as (1 - alpha)^(-1/2). A probe where hop 1's Q_1 is 0 reads g > 0,
-    hop 2's g < 0, and both a saturated objective, as does a hop in certain
-    outage at full power: a BracketError, never an arbitrary alpha.
+    b_2 as (1 - alpha)^(-1/2). ``solve_theorem1`` has checked for a hop in
+    certain outage at full power; a probe where hop 1's Q_1 is 0 reads g > 0,
+    hop 2's g < 0, and both a saturated objective: a BracketError, never an
+    arbitrary alpha. The outage is taken from the hop terms of the slope
+    evaluation at the returned alpha, with no further Marcum call.
     ``iterations`` counts slope evaluations, not the residual evaluations of
     the start, and ``residual`` is the final bracket width. The total power
     constraint is treated as active: p_u = P_t - p_s.
     """
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    _check_saturated(budget, radio, lo, hi)
+    if theorem1 is None:
+        theorem1 = solve_theorem1(budget, radio, cfg)
     total = radio.total_power_w
+    evaluated = {}  # alpha -> its hop terms, for the outage at the root
 
     def slope(alpha: float) -> tuple[float, float]:
-        hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
-        (log_q_1, log_hb_1, elastic_1), (log_q_2, log_hb_2, elastic_2) = hops
+        hops = evaluated[alpha] = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+        (log_q_1, _, log_hb_1, elastic_1), (log_q_2, _, log_hb_2, elastic_2) = hops
         if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
         if log_hb_1 == log_hb_2 == -math.inf:  # no hazard on either hop, so g = 0
@@ -269,9 +293,10 @@ def minimize_outage_exact(
         value = (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
         return value, -0.5 * ((elastic_1 + 2.0) * (1.0 - alpha) + (elastic_2 + 2.0) * alpha)
 
-    start = _theorem1_root(budget, radio, cfg)[0]
-    alpha, evaluations, width = _slope_root(slope, lo, hi, start, cfg)
-    return _allocation_at(budget, radio, alpha, "exact", evaluations, width)
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    alpha, evaluations, width = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
+    outages = [math.exp(log_out) for _, log_out, _, _ in evaluated[alpha]]
+    return _allocation_at(budget, radio, alpha, "exact", evaluations, width, outages)
 
 
 def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float]:
@@ -373,7 +398,7 @@ def outage_gradient_ps(
         raise ValueError("gradient is defined only for interior splits")
     if not math.isclose(split.total, radio.total_power_w, rel_tol=1e-9):
         raise ValueError("split must exhaust the total power budget")
-    (log_q_1, log_hb_1, _), (log_q_2, log_hb_2, _) = _hop_hazards(budget, radio, split)
+    (log_q_1, _, log_hb_1, _), (log_q_2, _, log_hb_2, _) = _hop_hazards(budget, radio, split)
     survival = math.exp(log_q_1 + log_q_2)
     if survival == 0.0:  # the outage is 1 to double precision around this split
         return 0.0

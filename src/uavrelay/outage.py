@@ -109,10 +109,20 @@ def end_to_end_outage(budget: LinkBudget, split: PowerSplit, radio: RadioConfig)
     outage, returned as exactly 1, not an error, so optimizer line searches
     can probe the boundary safely.
     """
-    (a_su, b_su), (a_ud, b_ud) = _link_args(budget, radio, split.p_s, split.p_u)
+    hops = _link_args(budget, radio, split.p_s, split.p_u)
+    return _link_outage(hops, [_marcum_q1_complement(a, b) for a, b in hops])
+
+
+def _link_outage(hops, outages: list[float]) -> float:
+    """The link's outage 1 - (1 - out_su)(1 - out_ud) from both hops' (a, b)
+    of ``_link_args`` and their outages 1 - Q_1(a, b).
+
+    A hop with b = inf gives exactly 1, which the sum below need not round to.
+    """
+    (_, b_su), (_, b_ud) = hops
     if b_su == math.inf or b_ud == math.inf:
         return 1.0
-    out_su, out_ud = _marcum_q1_complement(a_su, b_su), _marcum_q1_complement(a_ud, b_ud)
+    out_su, out_ud = outages
     # Same quantity as 1 - (1 - out_su)(1 - out_ud), arranged so small
     # outages are not rounded away against the leading 1.
     return out_su + out_ud - out_su * out_ud

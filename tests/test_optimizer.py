@@ -296,7 +296,7 @@ class TestMinimizeOutageExact:
         assert res.outage == 0.0  # far below the double range
 
         def log_slope(alpha):
-            (_, log_hb_1, _), (_, log_hb_2, _) = optimizer._hop_hazards(
+            (_, _, log_hb_1, _), (_, _, log_hb_2, _) = optimizer._hop_hazards(
                 budget, radio, PowerSplit.from_alpha(alpha, radio.total_power_w)
             )
             return log_hb_1 + math.log1p(-alpha) - log_hb_2 - math.log(alpha)
@@ -420,6 +420,31 @@ class TestMinimizeOutageExact:
         assert len(slope_args) == 2
         assert slope_args == outage_args
 
+    @given(
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.floats(min_value=-12.0, max_value=-6.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.floats(min_value=0.1, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_outage_from_the_last_slope_evaluation(self, g_su, g_ud, k_su, k_ud, pt, rate):
+        # The exact row's outage is built from the hop terms of the slope
+        # evaluation at the returned alpha, with no Marcum call of its own:
+        # bit for bit the outage that end_to_end_outage gives at that split.
+        # Handing over the theorem1 result changes nothing in the row.
+        budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
+        radio = make_radio(total_power_w=10.0**pt, rate=rate)
+        try:
+            approx = solve_theorem1(budget, radio)
+        except BracketError:
+            assume(False)
+        res = minimize_outage_exact(budget, radio, theorem1=approx)
+        split = PowerSplit.from_alpha(res.alpha_star, radio.total_power_w)
+        assert res.outage == end_to_end_outage(budget, split, radio)
+        assert minimize_outage_exact(budget, radio) == res
+
     def test_log_hazards_match_linear_hazards(self, radio, table1_budget):
         # Where nothing underflows, log Q_1 and log(hazard * b) are the logs
         # of marcum_q1 and of -b dQ_1/db / Q_1 from marcum_q1_partial_b.
@@ -427,7 +452,7 @@ class TestMinimizeOutageExact:
         for alpha in (0.01, 0.2, 0.5, 0.9):
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
             hops = optimizer._hop_hazards(table1_budget, radio, split)
-            for (log_q, log_hb, _), k, gain, power in zip(
+            for (log_q, _, log_hb, _), k, gain, power in zip(
                 hops,
                 (table1_budget.k_su, table1_budget.k_ud),
                 (table1_budget.g_su, table1_budget.g_ud),
@@ -440,7 +465,7 @@ class TestMinimizeOutageExact:
 
     @pytest.mark.parametrize("budget", ["table1", "deep-tail"])
     def test_log_hazard_derivative_matches_finite_differences(self, radio, budget):
-        # The third entry is d log(hazard * b)/d log b. Scaling both powers
+        # The fourth entry is d log(hazard * b)/d log b. Scaling both powers
         # by e^(-2 eps) scales every b by e^eps.
         if budget == "table1":
             budget = make_budget()
@@ -454,7 +479,7 @@ class TestMinimizeOutageExact:
                 optimizer._hop_hazards(budget, radio, PowerSplit(split.p_s * scale, split.p_u * scale))
                 for scale in (1.0, math.exp(-2.0 * eps), math.exp(2.0 * eps))
             )
-            for (_, _, derivative), (_, log_hb_up, _), (_, log_hb_down, _) in zip(hops, up, down):
+            for (_, _, _, derivative), (_, _, log_hb_up, _), (_, _, log_hb_down, _) in zip(hops, up, down):
                 assert derivative == pytest.approx((log_hb_up - log_hb_down) / (2.0 * eps), rel=1e-6, abs=1e-6)
 
     @given(
