@@ -16,6 +16,7 @@ tolerance options.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -43,6 +44,9 @@ _NODES = 24
 _WHOLE_STEP = math.pi / _NODES
 _WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
 _WHOLE_T_SUM = math.fsum(_WHOLE_NODES)
+# Largest noncentrality a*b of the quadrature, which forms 2ab; beyond it
+# the Marcum function takes its limit (``_far_log_marcum``).
+_MAX_KAPPA = 0.5 * sys.float_info.max
 
 
 def _bessel_series(order: int, x: float) -> float:
@@ -142,8 +146,10 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     e). Orders above 0 lose relative accuracy at small kappa, so the ratio
     is good to about 1e-15 absolute, not relative.
 
-    b = 0 gives (0, -inf, 0, 0) and b = inf gives (-inf, 0, -inf, 1); a
-    negative or NaN argument raises ValueError.
+    b = 0 gives (0, -inf, 0, 0), b = inf gives (-inf, 0, -inf, 1), and
+    a*b beyond ``_MAX_KAPPA``, where the rule's 2ab would overflow, gives
+    the limit of ``_far_log_marcum``; a negative or NaN argument raises
+    ValueError.
     """
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError("Marcum Q arguments must be non-negative")
@@ -154,6 +160,8 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     s, low = max(a, b), min(a, b)
     zeta, r = low / s, (s - low) / s
     kappa = a * b
+    if kappa > _MAX_KAPPA:
+        return _far_log_marcum(a, b)
     gap = 0.5 * (a - b) * (a - b)
     above, whole = b > a, kappa <= 25.0
     if whole:
@@ -200,6 +208,26 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
         return _log1mexp(log_small), log_small, log_i0e, ratio
     log_big = min(0.0, _log(rest * step / math.pi)) if whole else _log1mexp(log_small)
     return log_small, log_big, log_i0e, ratio
+
+
+def _far_log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
+    """``_log_marcum`` where a*b exceeds ``_MAX_KAPPA`` (about 9e307).
+
+    There a and b are equal, or differ by more than 7e137: within a factor of
+    2 of each other both exceed 4.7e153, where doubles are that far apart.
+    So where they differ, the small side is below exp(-(a - b)^2/2)
+    (Simon & Alouini, IEEE TCOM 48(3), 2000), at most e^-2.8e275; its log
+    is -(a - b)^2/2 to double precision, and the other side is 1. Where a = b,
+    Q_1 = (1 + I_0e(a^2))/2 is 1/2 to double precision. I_0e(ab) takes its
+    asymptotic value 1/sqrt(2 pi ab), and I_1/I_0 = 1 - 1/(2ab) rounds to 1.
+    """
+    log_i0e = -0.5 * (math.log(2.0 * math.pi) + math.log(a) + math.log(b))
+    if a == b:
+        return -math.log(2.0), -math.log(2.0), log_i0e, 1.0
+    log_small = -0.5 * (a - b) * (a - b)
+    if b > a:
+        return log_small, _log1mexp(log_small), log_i0e, 1.0
+    return _log1mexp(log_small), log_small, log_i0e, 1.0
 
 
 def marcum_q1(a: float, b: float) -> float:
@@ -252,8 +280,10 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
 
     Against mpmath the result is within 5e-13 relative for a up to 632,
     down to 1e-300 and for |a - b| down to 1e-12 a. It is clamped to [0, 1],
-    because a sum of weights can round to one ulp above 1; b = 0 gives 0 and
-    b = inf gives 1. A negative or NaN entry raises ValueError.
+    because a sum of weights can round to one ulp above 1; b = 0 gives 0,
+    b = inf gives 1, and a*b beyond ``_MAX_KAPPA`` gives the limit of
+    ``_far_log_marcum``: 1 where b > a, 0 where b < a and 1/2 where b = a.
+    A negative or NaN entry raises ValueError.
     """
     if not (a >= 0.0 and np.all(b >= 0.0)):
         raise ValueError("Marcum Q arguments must be non-negative")
@@ -284,6 +314,7 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     total += np.where(((s * s - low * low) * step < 4.0 * math.pi) & ~(whole & above), share, 0.0)
     log_small = np.log(total) - np.where(whole & above, 0.0, gap)
     out = np.where(above & ~whole, -np.expm1(log_small), np.exp(log_small))
+    out = np.where(kappa > _MAX_KAPPA, 0.5 + 0.5 * np.sign(b - a), out)
     out = np.where(b == 0.0, 0.0, np.where(b == math.inf, 1.0, out))
     return np.clip(out, 0.0, 1.0)
 
