@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavrelay import cli, optimizer
+from uavrelay import cli, optimizer, specfun
 from uavrelay import LinkBudget, OutageEstimate, equal_power
 from uavrelay.cli import (
     EXIT_OK,
@@ -498,6 +498,112 @@ class TestSolve:
         assert main(["solve", "--scenario", path, "--out", str(out_a)]) == EXIT_OK
         assert main(["solve", "--scenario", path, "--out", str(out_b)]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+#: The request of the benchmark's paper-sweep pool: 10 budgets.
+PAPER_SWEEP = ["sweep-power", "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"]
+
+
+def count_solver_work(monkeypatch, argvs):
+    """Per-request means of the solver work that ``argvs`` cause, by name:
+    saturation checks, Theorem 1 searches and residual evaluations, Marcum
+    kernel calls, and end_to_end_outage calls made inside an exact solve."""
+    counts = dict.fromkeys(["_check_saturated", "_theorem1_root", "theorem1_residual", "kernel", "outage_in_exact"], 0)
+    inside_exact = [False]
+
+    def counted(fn, key, only_inside_exact=False):
+        def wrapper(*args, **kwargs):
+            if inside_exact[0] or not only_inside_exact:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    true_exact = cli.minimize_outage_exact
+
+    def exact(*args, **kwargs):
+        inside_exact[0] = True
+        try:
+            return true_exact(*args, **kwargs)
+        finally:
+            inside_exact[0] = False
+
+    monkeypatch.setattr(cli, "minimize_outage_exact", exact)
+    for name in ("_check_saturated", "_theorem1_root", "theorem1_residual"):
+        monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), name))
+    monkeypatch.setattr(optimizer, "end_to_end_outage", counted(optimizer.end_to_end_outage, "outage_in_exact", True))
+    kernel = counted(specfun._log_marcum, "kernel")
+    monkeypatch.setattr(specfun, "_log_marcum", kernel)
+    monkeypatch.setattr(optimizer, "_log_marcum", kernel)
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+    return {key: value / len(argvs) for key, value in counts.items()}
+
+
+class TestSolverSharing:
+    """The exact solve starts from the theorem1 result of its budget, so each
+    budget's saturation check and Theorem 1 search run once."""
+
+    @pytest.mark.parametrize(
+        "argv, budgets",
+        [
+            (["solve"], 1),
+            (["sweep-alpha", "--alpha-grid", "0.1:0.9:9", "--pt", "0.1,0.25"], 2),
+            (["sweep-power", "--pt", "0.05,0.25,1.0", "--R", "1,2"], 6),
+        ],
+        ids=["solve", "sweep-alpha", "sweep-power"],
+    )
+    def test_each_budget_solved_once_through_the_cli_names(self, monkeypatch, capsys, argv, budgets):
+        # The benchmark's traced run wraps both solvers at these cli module
+        # names and counts them as solves.
+        calls = []
+
+        def recorded(fn, name):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.append((name, kwargs.get("theorem1"), result))
+                return result
+
+            return wrapper
+
+        for name in ("minimize_outage_exact", "solve_theorem1"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name), name))
+        assert main(argv + ["--excess-loss-convention", "paper"]) == EXIT_OK
+        assert [name for name, _, _ in calls] == ["solve_theorem1", "minimize_outage_exact"] * budgets
+        for (_, _, approx), (_, handed, exact) in zip(calls[::2], calls[1::2]):
+            assert handed is approx and exact.method == "exact"
+        # The exact row is still printed before the theorem1 row.
+        methods = [line.split(",")[0 if argv[0] == "solve" else -1] for line in capsys.readouterr().out.splitlines()]
+        assert [m for m in methods if m in ("exact", "theorem1")] == ["exact", "theorem1"] * budgets
+
+    def test_reference_sweep_counts(self, monkeypatch, capsys):
+        # The parent of this sharing made 20 saturation checks and 20
+        # Theorem 1 searches (208 residual evaluations), 190 kernel calls,
+        # and one end_to_end_outage call per exact solve.
+        counts = count_solver_work(monkeypatch, [PAPER_SWEEP + ["--excess-loss-convention", "paper"]])
+        assert counts == {
+            "_check_saturated": 10,
+            "_theorem1_root": 10,
+            "theorem1_residual": 109,
+            "kernel": 150,
+            "outage_in_exact": 0,
+        }
+
+    def test_paper_sweep_family_counts(self, monkeypatch, capsys, tmp_path):
+        # 16 geometries over the benchmark pool's ranges, h_u 800-1200 m and
+        # L 1600-2400 m. The parent made 188.25 kernel calls, 206.5 residual
+        # evaluations and 20 saturation checks per request here.
+        argvs = []
+        for h_u in (800.0, 933.0, 1067.0, 1200.0):
+            for length in (1600.0, 1867.0, 2133.0, 2400.0):
+                name = f"h{h_u:.0f}-L{length:.0f}.json"
+                path = write_scenario(tmp_path, name, geometry={"h_u": h_u, "L": length}, excess_loss_convention="paper")
+                argvs.append(PAPER_SWEEP + ["--scenario", path])
+        counts = count_solver_work(monkeypatch, argvs)
+        assert counts["_check_saturated"] == counts["_theorem1_root"] == 10
+        assert counts["kernel"] <= 148.3  # 148.25 here
+        assert counts["theorem1_residual"] <= 108.4  # 108.25 here
+        assert counts["outage_in_exact"] == 0
 
 
 class TestSweepAlpha:

@@ -402,6 +402,47 @@ class TestMarcumScalarQuadrature:
         assert abs(log_i0e) <= 1e-15 and abs(ratio) <= 1e-15
 
 
+class TestMarcumOverflowingNoncentrality:
+    """Beyond a*b = _MAX_KAPPA, half the largest double, the quadrature's 2ab
+    would overflow. There a and b are equal or more than 7e137 apart, and
+    both kernels give the Marcum function's limit."""
+
+    def test_former_failures_answer(self):
+        # These raised ZeroDivisionError, gave NaN in the log I_0e and ratio
+        # entries, and gave NaN from the array form.
+        assert specfun._log_marcum(1e200, 1e200)[:2] == (-math.log(2.0), -math.log(2.0))
+        log_q, log_out, log_i0e, ratio = specfun._log_marcum(5.0, 1.7e308)
+        assert (log_q, log_out, ratio) == (-math.inf, 0.0, 1.0)
+        assert log_i0e == pytest.approx(-0.5 * (math.log(2.0 * math.pi * 5.0) + math.log(1.7e308)), rel=1e-15)
+        assert _marcum_q1_complement(1e5, np.array([1e304])).tolist() == [1.0]
+        # Below, on and above the diagonal, in both forms.
+        bs = [1e199, 1e200, 1e201]
+        assert _marcum_q1_complement(1e200, np.array(bs)).tolist() == [0.0, 0.5, 1.0]
+        assert [_marcum_q1_complement(1e200, b) for b in bs] == [0.0, 0.5, 1.0]
+
+    def test_limit_continues_the_quadrature(self):
+        # On either side of _MAX_KAPPA on the diagonal, where Q_1 is 1/2 to
+        # double precision and I_0e(ab) is 1/sqrt(2 pi ab) to 1e-300.
+        below, above = math.sqrt(specfun._MAX_KAPPA) * (1.0 - 1e-15), math.sqrt(specfun._MAX_KAPPA) * (1.0 + 1e-15)
+        assert below * below <= specfun._MAX_KAPPA < above * above
+        inside, outside = specfun._log_marcum(below, below), specfun._log_marcum(above, above)
+        for got, near in zip(outside, inside):
+            assert got == pytest.approx(near, rel=1e-13)
+
+    @given(st.floats(min_value=0.0, max_value=1.7e308), st.floats(min_value=0.0, max_value=1.7e308))
+    @settings(max_examples=500, deadline=None)
+    def test_every_finite_argument_answers(self, a, b):
+        # Finite, in range and consistent over the whole double range, with
+        # no exception.
+        log_q, log_out, log_i0e, ratio = specfun._log_marcum(a, b)
+        q, out = math.exp(log_q), math.exp(log_out)
+        assert 0.0 <= q <= 1.0 and 0.0 <= out <= 1.0, (a, b, q, out)
+        assert abs(q + out - 1.0) <= 1e-12, (a, b, q, out)
+        assert -math.inf < log_i0e <= 1e-15 and -1e-15 <= ratio <= 1.0, (a, b, log_i0e, ratio)
+        array = _marcum_q1_complement(a, np.array([b]))[0]
+        assert array == pytest.approx(out, rel=1e-12, abs=1e-300), (a, b, array, out)
+
+
 class TestMarcumPartials:
     def test_partial_a_at_zero_threshold(self):
         for a in [0.5, 1.0, 3.0]:
