@@ -961,8 +961,8 @@ def _src_env():
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # Only validate needs the Monte Carlo thread pool, so importing the CLI
-    # must not pay for concurrent.futures; every command's start-up would.
+    # No command needs concurrent.futures, so importing the CLI must not pay
+    # for it; every command's start-up would.
     done = subprocess.run(
         [sys.executable, "-c", "import sys, uavrelay.cli; print('concurrent.futures' in sys.modules)"],
         env=_src_env(), capture_output=True, text=True, timeout=60, check=True,

@@ -18,7 +18,7 @@ from uavrelay import (
     SimSpec,
 )
 
-from uavrelay.mcsim import _hop_outages
+from uavrelay.mcsim import _hop_events
 
 from conftest import count_sign_changes, make_radio
 
@@ -72,8 +72,7 @@ class TestHopOutage:
         # 1e7 Rician draws with mean SNR 10 against the closed form
         rng = np.random.Generator(np.random.Philox(20240817))
         threshold = snr_threshold(1.0) / 10.0
-        power = np.empty(1_000_000)
-        p_mc = sum(_hop_outages(2.0, threshold, rng, power).size for _ in range(10)) / 10_000_000
+        p_mc = sum(_hop_events(2.0, threshold, 1_000_000, rng) for _ in range(10)) / 10_000_000
         std_err = math.sqrt(p_mc * (1.0 - p_mc) / 10_000_000)
         assert abs(hop_outage(2.0, 10.0, 1.0) - p_mc) <= 3.0 * std_err
 
