@@ -149,7 +149,7 @@ def estimate_outage(
     Per trial, both hops draw independent fading and the outage event is
     either hop's received SNR falling strictly below snr_threshold(rate),
     which is the capacity shortfall min(C_su, C_ud) < rate. Chunks are
-    tallied in order in the calling thread; the result depends only on
+    tallied one after another; the result depends only on
     (seed, trials, chunk_size).
     """
     events = sum(
