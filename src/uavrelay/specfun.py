@@ -6,11 +6,13 @@ The Marcum function has one algorithm, a fixed-node quadrature of the
 Craig-form integral in log space, with no overflow band, a cost that does
 not grow with its arguments and relative accuracy down to 1e-300. One
 threshold is summed in plain floats, and an array of them, such as one hop
-over a whole allocation grid, as one numpy expression. The Marcum function
-and its partial derivatives sit underneath every outage evaluation in this
-package, so the truncation tolerance and the node count are fixed constants
-set far below anything the link-level results can resolve; there are no
-tolerance options.
+over a whole allocation grid, as one numpy expression. The same nodes give
+the Bessel terms of the Marcum partial derivatives. I_n has one algorithm
+too, its ascending power series, whose positive terms keep their relative
+accuracy wherever I_n is finite. The Marcum function and its partial
+derivatives sit underneath every outage evaluation in this package, so the
+truncation tolerance and the node count are fixed constants set far below
+anything the link-level results can resolve; there are no tolerance options.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ __all__ = [
 _SERIES_TOL = 1e-14
 # Hard cap on series length; hitting it raises RuntimeError.
 _MAX_TERMS = 20000
-# Argument above which I_n(x) switches from the ascending power series to the
-# large-argument expansion. At 30 the power series needs about 60 terms and
-# both branches agree to ~1e-13.
-_ASYMPTOTIC_THRESHOLD = 30.0
+# Log of the largest double: a first series term beyond it overflows.
+_LOG_MAX = math.log(sys.float_info.max)
 # Midpoint nodes per threshold of the Marcum quadrature. Its step
 # is then at most 0.655/sqrt(ab), so the rule's aliasing error is about
 # exp(-2 pi^2 / 0.655^2) ~ 1e-20 (see ``_complement_quadrature``).
 _NODES = 24
-# Step and sin^2(phi/2) nodes of the rows with a*b <= 25, which take the
-# whole period [0, pi]; most scalar calls are such rows.
+# Rows with a*b up to this take the whole period [0, pi]; larger rows take
+# the window where a*b*sin^2(phi/2) stays below it.
+_WHOLE_KAPPA = 25.0
+# Step and sin^2(phi/2) nodes of the whole-period rows; most scalar calls
+# are such rows.
 _WHOLE_STEP = math.pi / _NODES
 _WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
 _WHOLE_T_SUM = math.fsum(_WHOLE_NODES)
@@ -50,14 +53,18 @@ _MAX_KAPPA = 0.5 * sys.float_info.max
 
 
 def _bessel_series(order: int, x: float) -> float:
-    """Ascending power series sum_k (x/2)^(order+2k) / (k! (order+k)!).
+    """Ascending power series sum_k (x/2)^(order+2k) / (k! (order+k)!), x > 0.
 
     Every term is positive, so there is no cancellation at any argument;
-    the only cost of a large x is term count.
+    the only cost of a large x is term count. The first term is formed in
+    logs, so that (x/2)^order alone cannot overflow, and the sum is inf
+    where it leaves the double range.
     """
     half = 0.5 * x
-    term = half**order / math.factorial(order)
-    total = term
+    log_first = order * math.log(half) - math.lgamma(order + 1)
+    if not log_first <= _LOG_MAX:  # or NaN, at x = inf and order 0
+        return math.inf
+    term = total = math.exp(log_first)
     for k in range(1, _MAX_TERMS + 1):
         term *= half * half / (k * (k + order))
         total += term
@@ -66,56 +73,24 @@ def _bessel_series(order: int, x: float) -> float:
     raise RuntimeError(f"I_{order}({x}) series did not converge in {_MAX_TERMS} terms")
 
 
-def _asymptotic_sum(order: int, x: float) -> float:
-    """Large-argument correction series for I_n, i.e. I_n(x)*sqrt(2*pi*x)/e^x.
-
-    Terms use mu = 4*order^2. The series is asymptotic, so summation stops
-    at the tolerance or as soon as the terms stop shrinking.
-    """
-    mu = 4.0 * order * order
-    inv8x = 1.0 / (8.0 * x)
-    term = 1.0
-    total = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        term *= -(mu - (2 * k - 1) ** 2) * inv8x / k
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if abs(term) <= _SERIES_TOL * abs(total):
-            break
-    return total
-
-
 def bessel_i_n(order: int, x: float) -> float:
     """Modified Bessel function of the first kind I_n(x), integer n >= 0, x >= 0.
 
-    The exponentially scaled value times e^x. Raises OverflowError once e^x
-    leaves the double range (x beyond roughly 709).
+    The power series of ``_bessel_series``, which keeps its relative
+    accuracy wherever I_n(x) is finite. Raises OverflowError where it is
+    not (I_0 beyond x = 713.9869) and at x = inf, and ValueError for a
+    negative order or a negative or NaN x.
     """
     if order < 0:
         raise ValueError("order must be a non-negative integer")
-    scaled = _bessel_i_n_scaled(order, x)
-    try:
-        return scaled * math.exp(x)
-    except OverflowError:
-        raise OverflowError(f"I_{order}({x}) exceeds the double-precision range") from None
-
-
-def _bessel_i_n_scaled(order: int, x: float) -> float:
-    """Exponentially scaled I_n(x) * e^(-x); never overflows for x >= 0.
-
-    Uses the ascending power series below ``_ASYMPTOTIC_THRESHOLD`` and the
-    large-argument expansion above it.
-    """
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    if x < _ASYMPTOTIC_THRESHOLD:
-        return _bessel_series(order, x) * math.exp(-x)
-    return _asymptotic_sum(order, x) / math.sqrt(2.0 * math.pi * x)
+    total = _bessel_series(order, x)
+    if total == math.inf:
+        raise OverflowError(f"I_{order}({x}) exceeds the double-precision range")
+    return total
 
 
 def _log(x: float) -> float:
@@ -163,11 +138,11 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     if kappa > _MAX_KAPPA:
         return _far_log_marcum(a, b)
     gap = 0.5 * (a - b) * (a - b)
-    above, whole = b > a, kappa <= 25.0
+    above, whole = b > a, kappa <= _WHOLE_KAPPA
     if whole:
         step, nodes = _WHOLE_STEP, _WHOLE_NODES
     else:
-        step = 2.0 * math.asin(math.sqrt(25.0 / kappa)) / _NODES
+        step = 2.0 * math.asin(math.sqrt(_WHOLE_KAPPA / kappa)) / _NODES
         nodes = [math.sin(step * (j + 0.5) / 2.0) ** 2 for j in range(_NODES)]
     # Local names and hoisted factors: this loop is the cost of every solver probe.
     exp, expm1 = math.exp, math.expm1
@@ -258,8 +233,9 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
 
     with w = (r + 2 zeta t)/D for Q_1 and zeta (r - 2 t)/D for 1 - Q_1, and
     D = r^2 + 4 zeta t. Each row takes ``_NODES`` midpoint nodes: over the
-    whole period where kappa <= 25, otherwise over the window where
-    2 kappa t <= 50, beyond which the integrand is below e^-50 of its peak.
+    whole period where kappa <= ``_WHOLE_KAPPA`` (25), otherwise over the
+    window where 2 kappa t <= 50, beyond which the integrand is below e^-50
+    of its peak.
     The step h is then at most 0.655/sqrt(kappa), and the aliasing error is
     about exp(-2 pi^2 / 0.655^2) ~ 1e-20. The prefactor is applied as a
     logarithm, so deep tails keep their relative accuracy and nothing
@@ -294,8 +270,8 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     kappa = a * b
     gap = 0.5 * (a - b) ** 2
     above = b > a
-    whole = kappa <= 25.0
-    step = 2.0 * np.arcsin(np.sqrt(np.minimum(1.0, 25.0 / kappa))) / _NODES
+    whole = kappa <= _WHOLE_KAPPA
+    step = 2.0 * np.arcsin(np.sqrt(np.minimum(1.0, _WHOLE_KAPPA / kappa))) / _NODES
     t = np.sin(step[:, None] * (np.arange(_NODES) + 0.5) / 2.0) ** 2
     decay = 2.0 * kappa[:, None] * t
     weight = np.where(above[:, None], r + 2.0 * zeta * t, zeta * (r - 2.0 * t)) / (r * r + 4.0 * zeta * t)
@@ -320,28 +296,36 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
 
 
 def marcum_q1_partial_a(a: float, b: float) -> float:
-    """dQ_1/da = b * exp(-(a^2 + b^2)/2) * I_1(a*b), for a > 0, b >= 0.
+    """dQ_1/da = b * exp(-(a - b)^2/2) * I_1e(a*b), for a > 0, b >= 0, with
+    I_ne(x) = e^-x I_n(x).
 
-    Evaluated with the exponentially scaled Bessel function so the product
-    stays finite for large a*b where I_1 alone would overflow.
+    Where a*b >= 1, I_1e = I_0e * (I_1/I_0) from the nodes of ``_log_marcum``.
+    Below that the node ratio, good to about 1e-15 absolute, loses relative
+    accuracy as I_1 shrinks like a*b/2, and the power series gives I_1.
+    A NaN argument raises ValueError.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("a must be positive")
-    if b < 0.0:
+    if not b >= 0.0:
         raise ValueError("b must be non-negative")
-    if b == 0.0:
-        return 0.0
-    return b * math.exp(-0.5 * (a - b) ** 2) * _bessel_i_n_scaled(1, a * b)
+    kappa = a * b
+    if kappa < 1.0:
+        return b * math.exp(-0.5 * (a - b) ** 2 - kappa) * bessel_i_n(1, kappa)
+    _, _, log_i0e, ratio = _log_marcum(a, b)
+    return b * math.exp(log_i0e - 0.5 * (a - b) ** 2) * ratio
 
 
 def marcum_q1_partial_b(a: float, b: float) -> float:
-    """dQ_1/db = -b * exp(-(a^2 + b^2)/2) * I_0(a*b), for a >= 0, b > 0.
+    """dQ_1/db = -b * exp(-(a - b)^2/2) * I_0e(a*b), for a >= 0, b > 0.
 
     Always <= 0: raising the threshold can only shrink the survival
-    probability. Same scaled-Bessel evaluation as the a-derivative.
+    probability. log I_0e comes from the nodes of ``_log_marcum``, the same
+    term as the exact solver's hazard (``optimizer._hop_hazards``), so the
+    product stays finite where I_0 alone would overflow. A NaN argument
+    raises ValueError.
     """
-    if a < 0.0:
+    if not a >= 0.0:
         raise ValueError("a must be non-negative")
-    if b <= 0.0:
+    if not b > 0.0:
         raise ValueError("b must be positive")
-    return -b * math.exp(-0.5 * (a - b) ** 2) * _bessel_i_n_scaled(0, a * b)
+    return -b * math.exp(_log_marcum(a, b)[2] - 0.5 * (a - b) ** 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import i0e
 from scipy.stats import ncx2
 
 from uavrelay import (
@@ -30,7 +31,7 @@ from uavrelay import (
     theorem1_residual,
 )
 from uavrelay import optimizer, outage, specfun
-from uavrelay.specfun import marcum_q1, marcum_q1_partial_b
+from uavrelay.specfun import marcum_q1
 
 from conftest import make_budget, make_radio, make_symmetric_budget
 
@@ -233,7 +234,7 @@ class TestMinimizeOutageExact:
         budget, evaluations = (make_budget(), 4) if budget == "table1" else (make_symmetric_budget(), 2)
         grid_calls, marcum_calls, bessel_calls = [], [], []
         true_grid, true_marcum = outage.end_to_end_outage_grid, optimizer._log_marcum
-        true_bessel = specfun._bessel_i_n_scaled
+        true_bessel = specfun._bessel_series
 
         def grid(*args):
             grid_calls.append(args)
@@ -249,7 +250,7 @@ class TestMinimizeOutageExact:
 
         monkeypatch.setattr(outage, "end_to_end_outage_grid", grid)
         monkeypatch.setattr(optimizer, "_log_marcum", marcum)
-        monkeypatch.setattr(specfun, "_bessel_i_n_scaled", bessel)
+        monkeypatch.setattr(specfun, "_bessel_series", bessel)
         res = minimize_outage_exact(budget, radio)
         assert grid_calls == [] and bessel_calls == []  # the kernel gives the Bessel terms
         assert len(marcum_calls) == 2 * res.iterations  # one Marcum call per hop per slope evaluation
@@ -447,7 +448,8 @@ class TestMinimizeOutageExact:
 
     def test_log_hazards_match_linear_hazards(self, radio, table1_budget):
         # Where nothing underflows, log Q_1 and log(hazard * b) are the logs
-        # of marcum_q1 and of -b dQ_1/db / Q_1 from marcum_q1_partial_b.
+        # of marcum_q1 and of -b dQ_1/db / Q_1 = b^2 exp(-(a - b)^2/2) I_0e(ab) / Q_1,
+        # with scipy's I_0e, not the Marcum nodes that both sides share.
         scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
         for alpha in (0.01, 0.2, 0.5, 0.9):
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
@@ -461,7 +463,8 @@ class TestMinimizeOutageExact:
                 a, b = math.sqrt(2.0 * k), math.sqrt(scale * (k + 1.0) / gain / power)
                 q = marcum_q1(a, b)
                 assert log_q == pytest.approx(math.log(q), rel=1e-12, abs=1e-15)
-                assert log_hb == pytest.approx(math.log(-b * marcum_q1_partial_b(a, b) / q), rel=1e-12, abs=1e-12)
+                hazard_b = b * b * math.exp(-0.5 * (a - b) ** 2) * i0e(a * b) / q
+                assert log_hb == pytest.approx(math.log(hazard_b), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("budget", ["table1", "deep-tail"])
     def test_log_hazard_derivative_matches_finite_differences(self, radio, budget):

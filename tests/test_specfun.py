@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import i0e, i1e
+from scipy.special import i0e, i1e, ive
 from scipy.stats import ncx2
 
 from uavrelay import specfun
@@ -88,6 +88,14 @@ I2_AT_45 = 1.9918525879736891643308994195e18
 I5_AT_120 = 4.2824178679842916538168870684e50
 I0_AT_700 = 1.5295933476718737363162072289e302
 Q1_AT_1_2 = 0.26901206003590999667851695922
+# Frozen 30-digit values where x is not large against n^2, so that the
+# large-argument expansion (A&S 9.7.1) does not hold, and near the top of
+# the double range.
+I12_AT_30 = 70361879442.410202702223226293
+I20_AT_40 = 104459633129479.92367529640674
+I50_AT_100 = 4.8219580855940806688574494111e36
+I300_AT_700 = 4.4962780853427053785134159244e274
+I0_AT_713 = 6.7051282636709966729172757369e307
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +126,25 @@ class TestBesselIN:
             (2, 45.0, I2_AT_45),
             (5, 120.0, I5_AT_120),
             (0, 700.0, I0_AT_700),
+            (12, 30.0, I12_AT_30),
+            (20, 40.0, I20_AT_40),
+            (50, 100.0, I50_AT_100),
+            (300, 700.0, I300_AT_700),
+            (0, 713.0, I0_AT_713),
         ],
     )
     def test_reference_values(self, order, x, expected):
-        assert bessel_i_n(order, x) == pytest.approx(expected, rel=1e-10)
+        assert bessel_i_n(order, x) == pytest.approx(expected, rel=1e-12)
+
+    @given(st.integers(min_value=0, max_value=300), st.floats(min_value=1e-6, max_value=713.98))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scipy_at_every_order(self, order, x):
+        # scipy's unscaled iv is off by up to 1.2e-12, or inf, above
+        # x = 709.78, where e^x overflows; its scaled ive is not. e^x is
+        # applied in two halves so that the reference stays finite there.
+        reference = ive(order, x) * math.exp(0.5 * x) * math.exp(0.5 * x)
+        if 1e-280 <= reference <= 1.7e308:
+            assert bessel_i_n(order, x) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_three_term_recurrence(self):
         # I_{n-1}(x) - I_{n+1}(x) = (2n/x) I_n(x)
@@ -131,24 +154,18 @@ class TestBesselIN:
                 rhs = 2.0 * n / x * bessel_i_n(n, x)
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
-    def test_branch_crossover_agreement(self):
-        for x in [25.0, 28.0, 30.0, 32.0, 35.0]:
-            for n in range(0, 4):
-                with mock.patch.object(specfun, "_ASYMPTOTIC_THRESHOLD", 1e6):
-                    series_val = bessel_i_n(n, x)
-                with mock.patch.object(specfun, "_ASYMPTOTIC_THRESHOLD", 20.0):
-                    asym_val = bessel_i_n(n, x)
-                assert asym_val == pytest.approx(series_val, rel=1e-6)
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel_i_n(0, -1.0)
         with pytest.raises(ValueError):
             bessel_i_n(-1, 1.0)
+        with pytest.raises(ValueError):
+            bessel_i_n(0, math.nan)
 
     def test_overflow_signal(self):
-        with pytest.raises(OverflowError):
-            bessel_i_n(0, 800.0)
+        for x in [714.0, 800.0, math.inf]:
+            with pytest.raises(OverflowError, match=r"exceeds the double-precision range$"):
+                bessel_i_n(0, x)
 
     def test_unconverged_series_raises(self):
         # x = 20 needs about 40 terms of the power series.
@@ -492,9 +509,25 @@ class TestMarcumPartials:
         assert math.isfinite(value)
         assert value < 0.0
 
+    @given(st.floats(min_value=-6.0, max_value=3.0), st.floats(min_value=-6.0, max_value=3.0))
+    @settings(max_examples=500, deadline=None)
+    def test_partials_match_scipy_bessel(self, log_a, log_b):
+        # a*b spans 1e-12 to 1e6: I_1 comes from the power series below
+        # a*b = 1 and from the Marcum nodes above it, I_0 from the nodes.
+        a, b = 10.0**log_a, 10.0**log_b
+        front = b * math.exp(-0.5 * (a - b) ** 2)
+        if front * i1e(a * b) >= 1e-290:
+            assert marcum_q1_partial_a(a, b) == pytest.approx(front * i1e(a * b), rel=1e-12, abs=0.0)
+        if front * i0e(a * b) >= 1e-290:
+            assert marcum_q1_partial_b(a, b) == pytest.approx(-front * i0e(a * b), rel=1e-12, abs=0.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             marcum_q1_partial_a(0.0, 1.0)
         with pytest.raises(ValueError):
             marcum_q1_partial_b(1.0, 0.0)
+        for partial in (marcum_q1_partial_a, marcum_q1_partial_b):
+            for args in [(math.nan, 1.0), (1.0, math.nan)]:
+                with pytest.raises(ValueError):
+                    partial(*args)
 
