@@ -4,10 +4,11 @@ Three routes to a power split are provided: the approximate closed-form root
 equation, an exact minimizer of the outage used as ground truth, and the
 equal-split baseline. The exact minimizer solves d log S/d alpha = 0 for the
 link survival S = 1 - outage, which is log-concave in alpha. Both equations
-decrease in alpha, and one bracketed root search solves each: the exact one
-starts from the approximate root and takes Newton steps. The analytic
-outage derivative along the total-power constraint comes from the same
-per-hop chain rule and is exposed for consistency checks.
+decrease in alpha, and one bracketed Newton search solves each, the
+approximate one from the balance point of its two hops and the exact one
+from the approximate root. The analytic outage derivative along the
+total-power constraint comes from the same per-hop chain rule and is
+exposed for consistency checks.
 """
 
 from __future__ import annotations
@@ -130,16 +131,28 @@ def theorem1_residual(
     sqrt(gamma_i / p_i) is exp((log gamma_i - log p_i) / 2), which is
     a_i b_i / 2 and so finite wherever the Marcum arguments are.
     """
+    return _theorem1_residual_du(split, consts, k_su, k_ud)[0]
+
+
+def _theorem1_residual_du(
+    split: PowerSplit, consts: Theorem1Constants, k_su: float, k_ud: float
+) -> tuple[float, float]:
+    """``theorem1_residual`` and its derivative in u = logit(alpha) along the
+    total power, -1.75 - (1 - alpha) sqrt(gamma_1 / p_s) - alpha sqrt(gamma_2 / p_u),
+    which is negative and takes the two square roots the residual forms."""
     if split.p_s <= 0.0 or split.p_u <= 0.0:
         raise ValueError("both powers must be positive")
-    return (
+    root_1 = math.exp(0.5 * (consts.log_gamma_1 - math.log(split.p_s)))
+    root_2 = math.exp(0.5 * (consts.log_gamma_2 - math.log(split.p_u)))
+    residual = (
         1.75 * math.log(split.p_u / split.p_s)
         + 0.75 * (consts.log_gamma_1 - consts.log_gamma_2)
         + 0.5 * math.log(k_ud / k_su)
-        + 2.0 * math.exp(0.5 * (consts.log_gamma_1 - math.log(split.p_s)))
-        - 2.0 * math.exp(0.5 * (consts.log_gamma_2 - math.log(split.p_u)))
+        + 2.0 * root_1
+        - 2.0 * root_2
         + (k_ud - k_su)
     )
+    return residual, -1.75 - split.p_u / split.total * root_1 - split.p_s / split.total * root_2
 
 
 def solve_theorem1(
@@ -148,9 +161,9 @@ def solve_theorem1(
     """Solve the approximate root equation for the allocation factor.
 
     ``_slope_root`` finds the one root of the decreasing log-domain residual
-    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol``. A
-    residual that keeps its sign over the whole bracket puts the root at
-    that end.
+    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` by
+    Newton steps from the balance point. A residual that keeps its sign over
+    the whole bracket puts the root at that end.
     ``iterations`` counts residual evaluations, ends included, and
     ``residual`` is the residual at the returned alpha. When one hop is in
     certain outage at every split, whether from a zero mean SNR or from
@@ -158,24 +171,25 @@ def solve_theorem1(
     """
     _check_saturated(budget, radio, cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon)
     alpha, evaluations, residual = _theorem1_root(budget, radio, cfg)
-    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha))
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha)[0])
 
 
 def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig):
     """(alpha, evaluations, residual): the root of the Theorem 1 residual over
-    [bracket_epsilon, 1 - bracket_epsilon] by ``_slope_root``, which gets no
-    derivative and so takes Brent's steps, its residual evaluations, and the
-    residual as a function of alpha."""
+    [bracket_epsilon, 1 - bracket_epsilon] by ``_slope_root``, its residual
+    evaluations, and alpha -> (residual, its derivative in logit(alpha)). The
+    search starts at the balance point gamma_1 / (gamma_1 + gamma_2), the root
+    on symmetric hops, taken as the logistic of log gamma_1 - log gamma_2,
+    since that gap can pass 709, where exp overflows."""
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
-    def residual(alpha: float) -> float:
-        return theorem1_residual(
-            PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud
-        )
+    def residual(alpha: float) -> tuple[float, float]:
+        return _theorem1_residual_du(PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud)
 
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    alpha, evaluations, _ = _slope_root(lambda alpha: (residual(alpha), math.nan), lo, hi, lo, cfg)
+    start = min(max(_logistic(consts.log_gamma_1 - consts.log_gamma_2), lo), hi)
+    alpha, evaluations, _ = _slope_root(residual, lo, hi, start, cfg)
     return alpha, evaluations, residual
 
 
@@ -299,15 +313,20 @@ def minimize_outage_exact(
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width, outages)
 
 
+def _logistic(u: float) -> float:
+    """1 / (1 + exp(-u)), in a form that cannot overflow."""
+    return 0.5 + 0.5 * math.tanh(0.5 * u)
+
+
 def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float]:
-    """Root of a decreasing function on [lo, hi] within (0, 1) by Brent's
-    method, with Newton steps where the function gives its derivative.
+    """Root of a decreasing function on [lo, hi] within (0, 1) by Newton
+    steps safeguarded by bisection.
 
     ``f(x)`` returns the value at x and its derivative in u = log(x/(1 - x)),
-    or NaN for a derivative it does not give: the exact minimizer's log
-    slope gives it, the Theorem 1 residual does not. Newton steps are taken
-    in u, where the log slope's terms log x and log(1 - x) are linear, so
-    that a start near an end of (0, 1) reaches the root in a few steps.
+    or NaN where it has none (the exact minimizer's log slope where a hop's
+    Q_1 is 0). Both steps are taken in u, where the log slope's terms log x
+    and log(1 - x) are linear, so that a start near an end of (0, 1)
+    reaches the root in a few steps.
 
     The search starts at ``start`` in [lo, hi]. Until a value changes
     sign, the far side of the bracket is the end of [lo, hi] on the root's
@@ -315,35 +334,27 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
     root's side there (<= 0 at lo, >= 0 at hi) puts the root at that end.
     Returns the root, the evaluations of ``f`` and the final bracket width.
 
-    Each step is a Newton step where the function decreases at the best
-    point and the step passes Brent's acceptance test, else a secant or
-    inverse quadratic step where that passes it, and a bisection otherwise,
-    or while a bracket end has an infinite value. A Newton step shorter than
-    half the tolerance is carried a quarter of the tolerance past the root
-    it predicts, so that its value can close the bracket. The search stops
-    once the bracket is narrower than ``cfg.alpha_tol`` (width 0 if a value
-    is exactly 0), or at ``cfg.max_iter`` evaluations. Follows Brent,
-    Algorithms for Minimization without Derivatives (1973), ch. 4, and
-    ``rtsafe`` in Press et al., Numerical Recipes, 3rd ed. (2007), sec. 9.4.
+    Each step starts from the last point evaluated, an end of the bracket.
+    It is a Newton step where the function decreases there and the step
+    passes Brent's acceptance test, and a bisection in u otherwise; an
+    infinite value gives a Newton step out of the bracket, so it bisects
+    too. A Newton step shorter than half the tolerance is carried a quarter
+    of the tolerance past the root it predicts, so that its value can close
+    the bracket. The search stops once the bracket is narrower than
+    ``cfg.alpha_tol`` (width 0 if a value is exactly 0), or at
+    ``cfg.max_iter`` evaluations. Follows ``rtsafe`` in Press et al.,
+    Numerical Recipes, 3rd ed. (2007), sec. 9.4, with the acceptance test of
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
     """
     x_cur = start
     f_cur, d_cur = f(x_cur)
     evaluations = 1
-    # x_cur is the best point, x_blk the end of the bracket across the root
-    # from it (f_blk None while it is an end not yet evaluated), x_pre the
-    # previous x_cur; s_cur and s_pre are the last two steps. The d_* are
-    # the derivatives at the three points.
-    x_pre, f_pre, d_pre = x_cur, f_cur, d_cur
-    x_blk, f_blk, d_blk = (hi if f_cur > 0.0 else lo), None, math.nan
+    # x_cur is the last point evaluated and x_blk the bracket end across the
+    # root from it, an end of [lo, hi] not yet evaluated while blk_evaluated
+    # is False; s_cur and s_pre are the last two steps.
+    x_blk, blk_evaluated = (hi if f_cur > 0.0 else lo), False
     s_pre = s_cur = x_blk - x_cur
     while True:
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            x_blk, f_blk, d_blk = x_pre, f_pre, d_pre
-            s_pre = s_cur = x_cur - x_pre
-        if f_blk is not None and abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-            d_pre, d_cur, d_blk = d_cur, d_blk, d_cur
         # Half the tolerance, and never below the spacing of doubles at x_cur.
         delta = 0.5 * cfg.alpha_tol + 2.0 * sys.float_info.epsilon * abs(x_cur)
         s_bis = 0.5 * (x_blk - x_cur)
@@ -352,36 +363,23 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
         # Brent's acceptance test: a step toward x_blk must be shorter than
         # half the step before last and land within 3/4 of the way to x_blk.
         bound = min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        u_cur = math.log(x_cur / (1.0 - x_cur))
         s_new = math.nan
-        if d_cur < 0.0:  # Newton in u = logit x, which heads for x_blk, since f decreases
-            s_new = 0.5 + 0.5 * math.tanh(0.5 * (math.log(x_cur / (1.0 - x_cur)) - f_cur / d_cur)) - x_cur
+        if d_cur < 0.0:  # Newton in u, which heads for x_blk, since f decreases
+            s_new = _logistic(u_cur - f_cur / d_cur) - x_cur
         if 2.0 * abs(s_new) < bound:
             s_pre, s_cur = s_cur, s_new
             x_next = x_cur + (s_cur if abs(s_cur) > delta else s_cur + math.copysign(0.5 * delta, s_bis))
-        elif f_blk is None:
+        elif not blk_evaluated:
             x_next = x_blk
-        else:
-            if abs(s_pre) > delta and abs(f_cur) < abs(f_pre) and math.isfinite(f_pre) and math.isfinite(f_blk):
-                # The step is num / den; both are formed first so that a zero
-                # denominator or a non-finite product falls back to bisection.
-                if x_pre == x_blk:  # secant
-                    num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
-                else:  # inverse quadratic through the three points
-                    q_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                    q_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                    num = -f_cur * (f_blk * q_blk - f_pre * q_pre)
-                    den = q_blk * q_pre * (f_blk - f_pre)
-                if 2.0 * abs(num) < bound * abs(den):
-                    s_pre, s_cur = s_cur, num / den
-                else:
-                    s_pre = s_cur = s_bis
-            else:
-                s_pre = s_cur = s_bis
+        else:  # bisection in u
+            s_pre = s_cur = _logistic(0.5 * (u_cur + math.log(x_blk / (1.0 - x_blk)))) - x_cur
             x_next = x_cur + (s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis))
-        x_pre, f_pre, d_pre = x_cur, f_cur, d_cur
-        x_cur = x_next
-        f_cur, d_cur = f(x_cur)
+        f_next, d_next = f(x_next)
         evaluations += 1
+        if (f_next > 0.0) != (f_cur > 0.0):
+            x_blk, blk_evaluated = x_cur, True
+        x_cur, f_cur, d_cur = x_next, f_next, d_next
     return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur)
 
 

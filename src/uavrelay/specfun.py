@@ -302,7 +302,7 @@ def marcum_q1_partial_a(a: float, b: float) -> float:
     Where a*b >= 1, I_1e = I_0e * (I_1/I_0) from the nodes of ``_log_marcum``.
     Below that the node ratio, good to about 1e-15 absolute, loses relative
     accuracy as I_1 shrinks like a*b/2, and the power series gives I_1.
-    A NaN argument raises ValueError.
+    At b = inf the partial is its limit 0. A NaN argument raises ValueError.
     """
     if not a > 0.0:
         raise ValueError("a must be positive")
@@ -312,7 +312,7 @@ def marcum_q1_partial_a(a: float, b: float) -> float:
     if kappa < 1.0:
         return b * math.exp(-0.5 * (a - b) ** 2 - kappa) * bessel_i_n(1, kappa)
     _, _, log_i0e, ratio = _log_marcum(a, b)
-    return b * math.exp(log_i0e - 0.5 * (a - b) ** 2) * ratio
+    return b * math.exp(log_i0e - 0.5 * (a - b) ** 2) * ratio if b < math.inf else 0.0
 
 
 def marcum_q1_partial_b(a: float, b: float) -> float:
@@ -321,11 +321,11 @@ def marcum_q1_partial_b(a: float, b: float) -> float:
     Always <= 0: raising the threshold can only shrink the survival
     probability. log I_0e comes from the nodes of ``_log_marcum``, the same
     term as the exact solver's hazard (``optimizer._hop_hazards``), so the
-    product stays finite where I_0 alone would overflow. A NaN argument
-    raises ValueError.
+    product stays finite where I_0 alone would overflow. At b = inf it is its
+    limit 0. A NaN argument raises ValueError.
     """
     if not a >= 0.0:
         raise ValueError("a must be non-negative")
     if not b > 0.0:
         raise ValueError("b must be positive")
-    return -b * math.exp(_log_marcum(a, b)[2] - 0.5 * (a - b) ** 2)
+    return -b * math.exp(_log_marcum(a, b)[2] - 0.5 * (a - b) ** 2) if b < math.inf else 0.0

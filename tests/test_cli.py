@@ -507,8 +507,10 @@ PAPER_SWEEP = ["sweep-power", "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"]
 def count_solver_work(monkeypatch, argvs):
     """Per-request means of the solver work that ``argvs`` cause, by name:
     saturation checks, Theorem 1 searches and residual evaluations, Marcum
-    kernel calls, and end_to_end_outage calls made inside an exact solve."""
-    counts = dict.fromkeys(["_check_saturated", "_theorem1_root", "theorem1_residual", "kernel", "outage_in_exact"], 0)
+    kernel calls, and end_to_end_outage calls made inside an exact solve.
+    ``_theorem1_residual_du`` counts every residual evaluation: the searches
+    call it, and ``theorem1_residual`` goes through it."""
+    counts = dict.fromkeys(["_check_saturated", "_theorem1_root", "_theorem1_residual_du", "kernel", "outage_in_exact"], 0)
     inside_exact = [False]
 
     def counted(fn, key, only_inside_exact=False):
@@ -529,7 +531,7 @@ def count_solver_work(monkeypatch, argvs):
             inside_exact[0] = False
 
     monkeypatch.setattr(cli, "minimize_outage_exact", exact)
-    for name in ("_check_saturated", "_theorem1_root", "theorem1_residual"):
+    for name in ("_check_saturated", "_theorem1_root", "_theorem1_residual_du"):
         monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), name))
     monkeypatch.setattr(optimizer, "end_to_end_outage", counted(optimizer.end_to_end_outage, "outage_in_exact", True))
     kernel = counted(specfun._log_marcum, "kernel")
@@ -579,20 +581,24 @@ class TestSolverSharing:
     def test_reference_sweep_counts(self, monkeypatch, capsys):
         # The parent of this sharing made 20 saturation checks and 20
         # Theorem 1 searches (208 residual evaluations), 190 kernel calls,
-        # and one end_to_end_outage call per exact solve.
+        # and one end_to_end_outage call per exact solve. Cold Brent searches
+        # of the Theorem 1 residual made 109 residual evaluations and 150
+        # kernel calls.
         counts = count_solver_work(monkeypatch, [PAPER_SWEEP + ["--excess-loss-convention", "paper"]])
         assert counts == {
             "_check_saturated": 10,
             "_theorem1_root": 10,
-            "theorem1_residual": 109,
-            "kernel": 150,
+            "_theorem1_residual_du": 60,
+            "kernel": 146,
             "outage_in_exact": 0,
         }
 
     def test_paper_sweep_family_counts(self, monkeypatch, capsys, tmp_path):
         # 16 geometries over the benchmark pool's ranges, h_u 800-1200 m and
-        # L 1600-2400 m. The parent made 188.25 kernel calls, 206.5 residual
-        # evaluations and 20 saturation checks per request here.
+        # L 1600-2400 m. The parent of the sharing made 188.25 kernel calls,
+        # 206.5 residual evaluations and 20 saturation checks per request
+        # here, and cold Brent searches of the Theorem 1 residual 108.25
+        # residual evaluations.
         argvs = []
         for h_u in (800.0, 933.0, 1067.0, 1200.0):
             for length in (1600.0, 1867.0, 2133.0, 2400.0):
@@ -602,7 +608,7 @@ class TestSolverSharing:
         counts = count_solver_work(monkeypatch, argvs)
         assert counts["_check_saturated"] == counts["_theorem1_root"] == 10
         assert counts["kernel"] <= 148.3  # 148.25 here
-        assert counts["theorem1_residual"] <= 108.4  # 108.25 here
+        assert counts["_theorem1_residual_du"] <= 60.0  # 60 here: 5 per search, 1 per theorem1 row
         assert counts["outage_in_exact"] == 0
 
 

@@ -503,6 +503,14 @@ class TestMarcumPartials:
             for b in [0.2, 1.0, 4.0, 9.0]:
                 assert marcum_q1_partial_b(a, b) <= 0.0
 
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 1.0, 30.0, 1e300])
+    def test_infinite_threshold_gives_the_limit(self, a):
+        # The density b exp(-(a - b)^2/2) I_n(ab) e^-ab vanishes as b -> inf,
+        # where the product forms inf * 0 (and a*b is 0 * inf at a = 0).
+        if a > 0.0:
+            assert marcum_q1_partial_a(a, math.inf) == 0.0
+        assert marcum_q1_partial_b(a, math.inf) == 0.0
+
     def test_large_argument_stability(self):
         # a*b far beyond the overflow point of the unscaled Bessel function
         value = marcum_q1_partial_b(30.0, 40.0)
