@@ -286,8 +286,13 @@ def minimize_outage_exact(
     b_2 as (1 - alpha)^(-1/2). ``solve_theorem1`` has checked for a hop in
     certain outage at full power; a probe where hop 1's Q_1 is 0 reads g > 0,
     hop 2's g < 0, and both a saturated objective: a BracketError, never an
-    arbitrary alpha. The outage is taken from the hop terms of the slope
-    evaluation at the returned alpha, with no further Marcum call.
+    arbitrary alpha. A nearly deterministic hop (K near its 1500 dB cap) can
+    take its survival from 0 to 1 within the final bracket; where the
+    search's other bracket end has more than twice the link survival, that
+    end is returned instead, so that the result is never the dead side of
+    such a cliff, and rounding-level gaps never flip the choice. The outage
+    is taken from the hop terms of the slope evaluation at the returned
+    alpha, with no further Marcum call.
     ``iterations`` counts slope evaluations, not the residual evaluations of
     the start, and ``residual`` is the final bracket width. The total power
     constraint is treated as active: p_u = P_t - p_s.
@@ -309,6 +314,14 @@ def minimize_outage_exact(
 
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     alpha, evaluations, width = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
+
+    def log_survival(x: float) -> float:
+        (log_q_1, _, _, _), (log_q_2, _, _, _) = evaluated[x]
+        return log_q_1 + log_q_2
+
+    for end in (alpha - width, alpha + width):
+        if end in evaluated and log_survival(end) > log_survival(alpha) + math.log(2.0):
+            alpha = end
     outages = [math.exp(log_out) for _, log_out, _, _ in evaluated[alpha]]
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width, outages)
 

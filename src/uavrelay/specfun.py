@@ -6,7 +6,9 @@ The Marcum function has one algorithm, a fixed-node quadrature of the
 Craig-form integral in log space, with no overflow band, a cost that does
 not grow with its arguments and relative accuracy down to 1e-300. One
 threshold is summed in plain floats, and an array of them, such as one hop
-over a whole allocation grid, as one numpy expression. The same nodes give
+over a whole allocation grid, in numpy blocks: the rows are grouped once by
+branch (whole period or window, threshold above a or not), and each group
+takes only its own weight and integrand. The same nodes give
 the Bessel terms of the Marcum partial derivatives. I_n has one algorithm
 too, its ascending power series, whose positive terms keep their relative
 accuracy wherever I_n is finite. The Marcum function and its partial
@@ -43,9 +45,12 @@ _NODES = 24
 # the window where a*b*sin^2(phi/2) stays below it.
 _WHOLE_KAPPA = 25.0
 # Step and sin^2(phi/2) nodes of the whole-period rows; most scalar calls
-# are such rows.
+# are such rows. The array kernel reads the same nodes as an array. They
+# are taken by math.sin, since a first np.sin call at import costs every
+# process ~0.3 MB of resident memory.
 _WHOLE_STEP = math.pi / _NODES
 _WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
+_WHOLE_T = np.array(_WHOLE_NODES)
 _WHOLE_T_SUM = math.fsum(_WHOLE_NODES)
 # Largest noncentrality a*b of the quadrature, which forms 2ab; beyond it
 # the Marcum function takes its limit (``_far_log_marcum``).
@@ -254,6 +259,13 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     Q_1 weight integrates to 1, so 1 - Q_1 is the integral of
     w (1 - exp(-(a - b)^2/2 - 2 kappa t)), which has no pole.
 
+    The rows are split once into four groups, whole period or window and
+    b > a or not, and ``_complement_rows`` evaluates each group's one
+    weight and one integrand on its own block; the pole share is formed
+    only on the rows that meet its condition. A row's result depends on no
+    other row of the array: it agrees to the bit with the same threshold
+    taken alone.
+
     Against mpmath the result is within 5e-13 relative for a up to 632,
     down to 1e-300 and for |a - b| down to 1e-12 a. It is clamped to [0, 1],
     because a sum of weights can round to one ulp above 1; b = 0 gives 0,
@@ -263,36 +275,58 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     """
     if not (a >= 0.0 and np.all(b >= 0.0)):
         raise ValueError("Marcum Q arguments must be non-negative")
-    s = np.maximum(a, b)
-    low = np.minimum(a, b)
+    kappa = a * b
+    whole, above = kappa <= _WHOLE_KAPPA, b > a
+    out = np.empty(b.shape)
+    for rows_whole in (True, False):
+        for rows_above in (True, False):
+            rows = (whole == rows_whole) & (above == rows_above)
+            if rows.any():
+                out[rows] = _complement_rows(a, b[rows], rows_whole, rows_above)
+    out = np.where(kappa > _MAX_KAPPA, 0.5 + 0.5 * np.sign(b - a), out)
+    out = np.where(b == 0.0, 0.0, np.where(b == math.inf, 1.0, out))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _complement_rows(a: float, b: np.ndarray, whole: bool, above: bool) -> np.ndarray:
+    """``_complement_quadrature`` before its limits and clamp, on rows that
+    share one branch: the whole period (kappa <= ``_WHOLE_KAPPA``) or a
+    window, and b > a or not. Whole-period rows share the node table
+    ``_WHOLE_T``; window rows form their own. Each row is one row of a
+    C-contiguous (rows, ``_NODES``) block, so its sum adds the nodes in one
+    fixed order.
+    """
+    s, low = np.maximum(a, b), np.minimum(a, b)
     zeta = (low / s)[:, None]
     r = ((s - low) / s)[:, None]  # not 1 - zeta, which would lose r's digits as b nears a
     kappa = a * b
     gap = 0.5 * (a - b) ** 2
-    above = b > a
-    whole = kappa <= _WHOLE_KAPPA
-    step = 2.0 * np.arcsin(np.sqrt(np.minimum(1.0, _WHOLE_KAPPA / kappa))) / _NODES
-    t = np.sin(step[:, None] * (np.arange(_NODES) + 0.5) / 2.0) ** 2
+    if whole:
+        step, t = np.full(b.size, _WHOLE_STEP), _WHOLE_T
+    else:
+        step = 2.0 * np.arcsin(np.sqrt(_WHOLE_KAPPA / kappa)) / _NODES
+        t = np.sin(step[:, None] * (np.arange(_NODES) + 0.5) / 2.0) ** 2
     decay = 2.0 * kappa[:, None] * t
-    weight = np.where(above[:, None], r + 2.0 * zeta * t, zeta * (r - 2.0 * t)) / (r * r + 4.0 * zeta * t)
-    integrand = np.where(
-        whole[:, None],
-        np.where(
-            above[:, None],
-            -np.expm1(-gap[:, None] - decay),
-            np.exp(-kappa[:, None]) * np.expm1(kappa[:, None] - decay),
-        ),
-        np.exp(-decay),
-    )
+    if above:
+        weight = (r + 2.0 * zeta * t) / (r * r + 4.0 * zeta * t)
+    else:
+        weight = zeta * (r - 2.0 * t) / (r * r + 4.0 * zeta * t)
+    if not whole:
+        integrand = np.exp(-decay)
+    elif above:
+        integrand = -np.expm1(-gap[:, None] - decay)
+    else:
+        integrand = np.exp(-kappa[:, None]) * np.expm1(kappa[:, None] - decay)
     total = (weight * integrand).sum(axis=1) * (step / math.pi)
-    share = np.exp(gap) / (np.exp(2.0 * math.pi * np.log(s / low) / step) + 1.0)
-    share *= np.where(whole, -np.expm1(-0.5 * (a * a + b * b)), 1.0)
-    total += np.where(((s * s - low * low) * step < 4.0 * math.pi) & ~(whole & above), share, 0.0)
-    log_small = np.log(total) - np.where(whole & above, 0.0, gap)
-    out = np.where(above & ~whole, -np.expm1(log_small), np.exp(log_small))
-    out = np.where(kappa > _MAX_KAPPA, 0.5 + 0.5 * np.sign(b - a), out)
-    out = np.where(b == 0.0, 0.0, np.where(b == math.inf, 1.0, out))
-    return np.clip(out, 0.0, 1.0)
+    if whole and above:  # 1 - Q_1 itself, with no pole; through its log, as the other groups
+        return np.exp(np.log(total))
+    pole = (s * s - low * low) * step < 4.0 * math.pi
+    share = np.exp(gap[pole]) / (np.exp(2.0 * math.pi * np.log(s[pole] / low[pole]) / step[pole]) + 1.0)
+    if whole:
+        share *= -np.expm1(-0.5 * (a * a + b[pole] * b[pole]))
+    total[pole] += share
+    log_small = np.log(total) - gap
+    return -np.expm1(log_small) if above and not whole else np.exp(log_small)
 
 
 def marcum_q1_partial_a(a: float, b: float) -> float:

@@ -33,7 +33,7 @@ from uavrelay import (
 from uavrelay import optimizer, outage, specfun
 from uavrelay.specfun import marcum_q1
 
-from conftest import make_budget, make_radio, make_symmetric_budget
+from conftest import count_sign_changes, make_budget, make_radio, make_symmetric_budget
 
 # Frozen 50-digit evaluations of the root-equation constants at the
 # reference parameters, per excess-loss convention.
@@ -251,6 +251,25 @@ class TestSolveTheorem1:
 
 
 class TestMinimizeOutageExact:
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_cliff_returns_the_live_side(self, radio, mirrored):
+        # K = 1500 dB makes the strong hop nearly deterministic: its survival
+        # jumps from 0 to 1 within far less than alpha_tol of alpha = 0.1
+        # (0.9 mirrored), and the final bracket straddles the jump. The end
+        # where that hop fails reads an outage of 1 - 1e-16; the other end,
+        # 8.2e-12.
+        u = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+        hops = [(10.0 * u, 1e150), (1e11 * u, 1.0)]
+        if mirrored:
+            hops.reverse()
+        (g_su, k_su), (g_ud, k_ud) = hops
+        budget = LinkBudget(g_su, g_ud, k_su, k_ud)
+        result = minimize_outage_exact(budget, radio)
+        assert result.alpha_star == pytest.approx(0.9 if mirrored else 0.1, abs=1e-8)
+        split = PowerSplit.from_alpha(result.alpha_star, radio.total_power_w)
+        assert result.outage <= 1e-11
+        assert end_to_end_outage(budget, split, radio) <= 1e-11
+
     def test_symmetric_gives_half(self, radio, symmetric_budget):
         # Near the flat minimum the outage changes by less than one ulp for
         # |alpha - 0.5| below ~1e-7, so localization past that is noise; the
@@ -636,6 +655,28 @@ class TestLogSurvival:
         trusted = np.all([np.min([h[:-2], h[1:-1], h[2:]], axis=0) > -400.0 for h in logs], axis=0)
         scale = 1.0 + np.max(np.abs([log_s[:-2], log_s[1:-1], log_s[2:]]), axis=0)
         assert np.all(second[trusted] <= 1e-12 * scale[trusted])
+
+    def test_outage_not_convex_in_alpha(self):
+        # The abstract calls the allocation problem convex. What holds is the
+        # concavity of log S above, so the outage 1 - S is quasi-convex and
+        # unimodal in alpha, but not convex: at L = 2000 m, R = 2 and
+        # P_t = 0.05 W (paper convention) it bends down near alpha = 0.032,
+        # where it flattens toward 1. Second differences over the 999-point
+        # grid, with Q_1(a, b) = ncx2.sf(b^2, 2, a^2), so that the witness
+        # does not rest on the Marcum code: O'' = -681 at alpha = 0.032, and
+        # 577 of 997 interior cells are negative.
+        pt = 0.05
+        radio = make_radio(total_power_w=pt, rate=2.0)
+        budget = make_budget(L=2000.0, radio=radio)
+        alphas = np.arange(1, 1000) / 1000.0
+        scale = snr_threshold(radio.rate) * radio.noise_power_w
+        survival = 1.0
+        for k, g, p in ((budget.k_su, budget.g_su, alphas * pt), (budget.k_ud, budget.g_ud, (1.0 - alphas) * pt)):
+            survival = survival * ncx2.sf(2.0 * (k + 1.0) * scale / (p * g), 2.0, 2.0 * k)
+        outages = 1.0 - survival
+        second = (outages[:-2] - 2.0 * outages[1:-1] + outages[2:]) / 1e-6
+        assert second[np.flatnonzero(alphas[1:-1] == 0.032)[0]] < -100.0
+        assert count_sign_changes(outages.tolist()) == 1
 
 
 class TestSlopeRoot:

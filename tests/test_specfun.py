@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e, i1e, ive
@@ -300,6 +300,24 @@ MARCUM_TABLE = _read_table()
 LOG_1E_300 = math.log(1e-300)
 
 
+@st.composite
+def mixed_thresholds(draw):
+    """(a, thresholds, a permutation of them): thresholds on both sides of the
+    diagonal b = a and of the whole-period edge a*b = _WHOLE_KAPPA, over the
+    whole double range, and the entries b = 0, inf, a, the edge and 1.7e308
+    (a*b beyond _MAX_KAPPA wherever a >= 1)."""
+    a = draw(st.one_of(st.floats(min_value=0.0, max_value=700.0), st.sampled_from([0.0, 1e-300, 5.0, 1e154, 1e200])))
+    edge = specfun._WHOLE_KAPPA / a if a >= 1e-300 else 1.0
+    threshold = st.one_of(
+        st.floats(min_value=0.0, max_value=3.0).map(lambda x: x * a),
+        st.floats(min_value=0.0, max_value=3.0).map(lambda x: x * edge),
+        st.floats(min_value=0.0, max_value=1.7e308),
+        st.sampled_from([0.0, math.inf, a, edge, 1.7e308]),
+    )
+    bs = draw(st.lists(threshold, min_size=1, max_size=40))
+    return a, np.array(bs), draw(st.permutations(range(len(bs))))
+
+
 class TestMarcumComplementArray:
     """The array path: one quadrature over all thresholds, against oracles."""
 
@@ -340,6 +358,23 @@ class TestMarcumComplementArray:
             sf = ncx2.sf(b * b, 2.0, a * a) if b > a else 0.0
             if sf >= 1e-30:
                 assert abs((1.0 - value) - sf) <= 1e-7 * sf + 2e-15, (a, b, value, sf)
+
+    @given(mixed_thresholds())
+    @example((2.0, np.array([3.0, 1.0, 20.0, 2.0, 0.0, math.inf, 1.7e308]), [6, 0, 3, 5, 1, 4, 2]))
+    @example((10.0, np.array([9.0, 2.0, 20.0, 10.0, 0.0, math.inf, 1.7e308]), [2, 4, 6, 0, 1, 3, 5]))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_invariant(self, case):
+        # The kernel evaluates each (whole period, above the diagonal) group
+        # of rows as one block and scatters the results back. Each entry must
+        # equal, to the bit, the same threshold taken alone and the same
+        # threshold at another place of the array; a wrong gather or scatter
+        # moves a value to another row. The two examples take all four
+        # groups, b = 0, b = inf, b = a and a*b beyond _MAX_KAPPA.
+        a, bs, order = case
+        got = specfun._complement_quadrature(a, bs)
+        alone = np.concatenate([specfun._complement_quadrature(a, bs[i : i + 1]) for i in range(bs.size)])
+        assert got.tobytes() == alone.tobytes(), (a, bs, got, alone)
+        assert got[order].tobytes() == specfun._complement_quadrature(a, bs[order]).tobytes(), (a, bs, order)
 
     def test_edge_entries(self):
         # Finite values in [0, 1] with no warning (pytest turns RuntimeWarning
