@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, _link_args, _link_outage, end_to_end_outage, snr_threshold
@@ -86,6 +86,8 @@ class AllocationResult:
     method: str
     iterations: int
     residual: float
+    # Both hops' _hop_hazards terms at alpha_star: an exact search's first slope.
+    _hops: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:
@@ -165,22 +167,25 @@ def solve_theorem1(
     Newton steps from the balance point. A residual that keeps its sign over
     the whole bracket puts the root at that end.
     ``iterations`` counts residual evaluations, ends included, and
-    ``residual`` is the residual at the returned alpha. When one hop is in
-    certain outage at every split, whether from a zero mean SNR or from
-    constants that overflow, a BracketError names the saturated objective.
+    ``residual`` is the residual at the returned alpha. The outage comes from
+    the ``_hop_hazards`` terms there, kept for ``minimize_outage_exact``.
+    When one hop is in certain outage at every split, whether from a zero
+    mean SNR or from constants that overflow, a BracketError names the
+    saturated objective.
     """
     _check_saturated(budget, radio, cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon)
     alpha, evaluations, residual = _theorem1_root(budget, radio, cfg)
-    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual(alpha)[0])
+    hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, radio.total_power_w))
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual, hops)
 
 
-def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig):
+def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tuple[float, int, float]:
     """(alpha, evaluations, residual): the root of the Theorem 1 residual over
     [bracket_epsilon, 1 - bracket_epsilon] by ``_slope_root``, its residual
-    evaluations, and alpha -> (residual, its derivative in logit(alpha)). The
-    search starts at the balance point gamma_1 / (gamma_1 + gamma_2), the root
-    on symmetric hops, taken as the logistic of log gamma_1 - log gamma_2,
-    since that gap can pass 709, where exp overflows."""
+    evaluations, and the residual there. The search starts at the balance
+    point gamma_1 / (gamma_1 + gamma_2), the root on symmetric hops, taken as
+    the logistic of log gamma_1 - log gamma_2, since that gap can pass 709,
+    where exp overflows."""
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
@@ -189,17 +194,20 @@ def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig):
 
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     start = min(max(_logistic(consts.log_gamma_1 - consts.log_gamma_2), lo), hi)
-    alpha, evaluations, _ = _slope_root(residual, lo, hi, start, cfg)
-    return alpha, evaluations, residual
+    alpha, evaluations, _, value = _slope_root(residual, lo, hi, start, cfg)
+    return alpha, evaluations, value
 
 
 def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
     """Raise the saturated-objective BracketError if one hop is in outage with
     probability 1 even at the most power an allocation factor in [lo, hi]
-    gives it, hence at every such split.
+    gives it, hence at every such split. A hop with b <= a needs no Marcum
+    call, as Q_1(a, b) >= Q_1(a, a) = (1 + e^(-a^2) I_0(a^2))/2 > 1/2 there
+    (Simon & Alouini, IEEE TCOM 46(12), 1998); a NaN fails b <= a, so it
+    still reaches the kernel's ValueError.
     """
     hops = _link_args(budget, radio, hi * radio.total_power_w, (1.0 - lo) * radio.total_power_w)
-    if any(_marcum_q1_complement(a, b) == 1.0 for a, b in hops):
+    if any(not b <= a and _marcum_q1_complement(a, b) == 1.0 for a, b in hops):
         raise BracketError(_SATURATED)
 
 
@@ -210,19 +218,20 @@ def _allocation_at(
     method: str,
     iterations: int,
     residual: float,
-    outages: list[float] | None = None,
+    hops: list | None = None,
 ) -> AllocationResult:
     """The split at allocation factor alpha of the total power, with its outage:
-    from ``outages``, both hops' 1 - Q_1 at that split where given, else by
-    ``end_to_end_outage``."""
+    from ``hops``, both hops' ``_hop_hazards`` terms at that split, where
+    given (the result keeps them), else by ``end_to_end_outage``."""
     split = PowerSplit.from_alpha(alpha, radio.total_power_w)
-    if outages is None:
+    if hops is None:
         outage = end_to_end_outage(budget, split, radio)
     else:
+        outages = [math.exp(log_out) for _, log_out, _, _ in hops]
         outage = _link_outage(_link_args(budget, radio, split.p_s, split.p_u), outages)
     if not 0.0 <= outage <= 1.0:  # a numerical fault, reported as a solver failure
         raise RuntimeError(f"outage {outage!r} at alpha {alpha!r} is not a probability")
-    return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual)
+    return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual, hops)
 
 
 def _hop_hazards(
@@ -277,7 +286,8 @@ def minimize_outage_exact(
     over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at
     most ``cfg.max_iter`` slope evaluations. It starts at the alpha of
     ``theorem1``, the ``solve_theorem1`` result of the same budget, radio and
-    cfg (solved here when it is None), and takes Newton steps on f in
+    cfg (solved here when it is None), whose hop terms are the slope
+    evaluation there, and takes Newton steps on f in
     u = logit(alpha):
 
         df/du = -((E_1 + 2) (1 - alpha) + (E_2 + 2) alpha) / 2,
@@ -300,10 +310,12 @@ def minimize_outage_exact(
     if theorem1 is None:
         theorem1 = solve_theorem1(budget, radio, cfg)
     total = radio.total_power_w
-    evaluated = {}  # alpha -> its hop terms, for the outage at the root
+    evaluated = {theorem1.alpha_star: theorem1._hops}  # alpha -> its hop terms
 
     def slope(alpha: float) -> tuple[float, float]:
-        hops = evaluated[alpha] = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+        hops = evaluated.get(alpha)
+        if hops is None:
+            hops = evaluated[alpha] = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
         (log_q_1, _, log_hb_1, elastic_1), (log_q_2, _, log_hb_2, elastic_2) = hops
         if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
@@ -313,7 +325,7 @@ def minimize_outage_exact(
         return value, -0.5 * ((elastic_1 + 2.0) * (1.0 - alpha) + (elastic_2 + 2.0) * alpha)
 
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    alpha, evaluations, width = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
+    alpha, evaluations, width, _ = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
 
     def log_survival(x: float) -> float:
         (log_q_1, _, _, _), (log_q_2, _, _, _) = evaluated[x]
@@ -322,8 +334,7 @@ def minimize_outage_exact(
     for end in (alpha - width, alpha + width):
         if end in evaluated and log_survival(end) > log_survival(alpha) + math.log(2.0):
             alpha = end
-    outages = [math.exp(log_out) for _, log_out, _, _ in evaluated[alpha]]
-    return _allocation_at(budget, radio, alpha, "exact", evaluations, width, outages)
+    return _allocation_at(budget, radio, alpha, "exact", evaluations, width, evaluated[alpha])
 
 
 def _logistic(u: float) -> float:
@@ -331,7 +342,7 @@ def _logistic(u: float) -> float:
     return 0.5 + 0.5 * math.tanh(0.5 * u)
 
 
-def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float]:
+def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float, float]:
     """Root of a decreasing function on [lo, hi] within (0, 1) by Newton
     steps safeguarded by bisection.
 
@@ -345,7 +356,8 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
     sign, the far side of the bracket is the end of [lo, hi] on the root's
     side, which is evaluated only once a step needs it; a value of the
     root's side there (<= 0 at lo, >= 0 at hi) puts the root at that end.
-    Returns the root, the evaluations of ``f`` and the final bracket width.
+    Returns the root, the evaluations of ``f``, the final bracket width and
+    the value of ``f`` at the root, which was its last evaluation.
 
     Each step starts from the last point evaluated, an end of the bracket.
     It is a Newton step where the function decreases there and the step
@@ -393,7 +405,7 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
         if (f_next > 0.0) != (f_cur > 0.0):
             x_blk, blk_evaluated = x_cur, True
         x_cur, f_cur, d_cur = x_next, f_next, d_next
-    return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur)
+    return x_cur, evaluations, 0.0 if f_cur == 0.0 else abs(x_blk - x_cur), f_cur
 
 
 def outage_gradient_ps(

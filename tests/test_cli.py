@@ -583,13 +583,16 @@ class TestSolverSharing:
         # Theorem 1 searches (208 residual evaluations), 190 kernel calls,
         # and one end_to_end_outage call per exact solve. Cold Brent searches
         # of the Theorem 1 residual made 109 residual evaluations and 150
-        # kernel calls.
+        # kernel calls. Before the theorem1 row handed its hop terms to the
+        # exact search, and before the saturation check skipped hops with
+        # b <= a, 146 kernel calls; before the search returned its value at
+        # the root, 60 residual evaluations.
         counts = count_solver_work(monkeypatch, [PAPER_SWEEP + ["--excess-loss-convention", "paper"]])
         assert counts == {
             "_check_saturated": 10,
             "_theorem1_root": 10,
-            "_theorem1_residual_du": 60,
-            "kernel": 146,
+            "_theorem1_residual_du": 50,
+            "kernel": 106,
             "outage_in_exact": 0,
         }
 
@@ -607,8 +610,8 @@ class TestSolverSharing:
                 argvs.append(PAPER_SWEEP + ["--scenario", path])
         counts = count_solver_work(monkeypatch, argvs)
         assert counts["_check_saturated"] == counts["_theorem1_root"] == 10
-        assert counts["kernel"] <= 148.3  # 148.25 here
-        assert counts["_theorem1_residual_du"] <= 60.0  # 60 here: 5 per search, 1 per theorem1 row
+        assert counts["kernel"] <= 108.7  # 108.625 here, 148.25 before the hop terms were shared
+        assert counts["_theorem1_residual_du"] <= 50.0  # 50 here: 5 per search
         assert counts["outage_in_exact"] == 0
 
 

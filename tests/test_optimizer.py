@@ -43,6 +43,12 @@ FROZEN_GAMMA = {
 }
 
 
+def result_bytes(res: AllocationResult) -> tuple:
+    """The compared fields of an allocation, floats by their exact bits."""
+    fields = (res.alpha_star, res.p_s, res.p_u, res.outage, res.method, res.iterations, res.residual)
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
+
+
 def random_budget(rng: random.Random, radio) -> LinkBudget:
     """A plausible random asymmetric configuration."""
     h_u = rng.uniform(400.0, 2500.0)
@@ -248,6 +254,56 @@ class TestSolveTheorem1:
         assert abs(consts.log_gamma_1 - consts.log_gamma_2) > 710.0
         result = solve_theorem1(budget, radio)
         assert result.alpha_star == pytest.approx(0.6 if mirrored else 0.4, abs=1e-8)
+
+    def test_saturation_check_skips_hops_below_the_diagonal(self, radio, table1_budget, monkeypatch):
+        # Where b <= a, Q_1(a, b) > 1/2, so the check cannot fire: at full
+        # power both reference hops are there, and the kernel is not asked.
+        # The saturated budgets still reach it and raise, and so does a NaN.
+        calls = []
+        true_kernel = specfun._log_marcum
+
+        def kernel(a, b):
+            calls.append((a, b))
+            return true_kernel(a, b)
+
+        monkeypatch.setattr(specfun, "_log_marcum", kernel)
+        lo, hi = 1e-6, 1.0 - 1e-6
+        optimizer._check_saturated(table1_budget, radio, lo, hi)
+        assert calls == []
+        for saturated in (make_radio(rate=511.9), make_radio(total_power_w=1e-318)):
+            with pytest.raises(BracketError, match="^saturated objective: "):
+                optimizer._check_saturated(make_budget(radio=saturated), saturated, lo, hi)
+            assert calls
+            calls.clear()
+        monkeypatch.setattr(optimizer, "_link_args", lambda *args: [(1.0, 0.5), (1.0, math.nan)])
+        with pytest.raises(ValueError):
+            optimizer._check_saturated(table1_budget, radio, lo, hi)
+
+    @given(
+        st.floats(min_value=-14.0, max_value=-4.0),
+        st.floats(min_value=-14.0, max_value=-4.0),
+        st.floats(min_value=-10.0, max_value=60.0),
+        st.floats(min_value=-10.0, max_value=60.0),
+        st.floats(min_value=-3.0, max_value=1.0),
+        st.sampled_from([1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hop_terms_change_no_bit(self, g_su, g_ud, k_su, k_ud, pt, rate):
+        # The theorem1 row's outage comes from the hop terms that the exact
+        # search then takes as its first slope evaluation: the same bits as
+        # end_to_end_outage at that split, and the same exact row as a
+        # search that evaluates its start itself.
+        budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
+        radio = make_radio(total_power_w=10.0**pt, rate=rate)
+        try:
+            approx = solve_theorem1(budget, radio)
+        except BracketError:
+            assume(False)
+        split = PowerSplit.from_alpha(approx.alpha_star, radio.total_power_w)
+        assert approx.outage.hex() == end_to_end_outage(budget, split, radio).hex()
+        handed = minimize_outage_exact(budget, radio, theorem1=approx)
+        cold = minimize_outage_exact(budget, radio, theorem1=dataclasses.replace(approx, _hops=None))
+        assert result_bytes(handed) == result_bytes(cold) == result_bytes(minimize_outage_exact(budget, radio))
 
 
 class TestMinimizeOutageExact:
@@ -625,7 +681,9 @@ class TestMinimizeOutageExact:
         monkeypatch.setattr(outage, "_marcum_q1_complement", scalar_only)
         end_to_end_outage_grid(table1_budget, [0.0, 0.25, 0.5, 0.75], radio)
         minimize_outage_exact(table1_budget, radio)
-        assert calls  # the solver's own outage evaluations stay scalar calls
+        assert calls == []  # both solver rows take their outages from slope terms
+        equal_power(radio, table1_budget)
+        assert len(calls) == 2  # the equal row's outage stays two scalar calls
 
 
 class TestLogSurvival:
@@ -693,7 +751,8 @@ class TestSlopeRoot:
     )
     def test_brackets_the_root(self, slope, root):
         cfg = SolverConfig()
-        x, evaluations, width = optimizer._slope_root(lambda x: (slope(x), math.nan), 1e-6, 1.0 - 1e-6, 1e-6, cfg)
+        x, evaluations, width, value = optimizer._slope_root(lambda x: (slope(x), math.nan), 1e-6, 1.0 - 1e-6, 1e-6, cfg)
+        assert value == slope(x)
         assert 0.0 <= width <= cfg.alpha_tol
         assert abs(x - root) <= cfg.alpha_tol
         assert evaluations <= 60
@@ -718,7 +777,8 @@ class TestSlopeRoot:
     def test_newton_steps(self, slope, logit_derivative, start, evaluations):
         cfg = SolverConfig()
         f = lambda x: (slope(x), logit_derivative(x))
-        x, count, width = optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, start, cfg)
+        x, count, width, value = optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, start, cfg)
+        assert value == slope(x)
         assert 0.0 <= width <= cfg.alpha_tol
         assert slope(x - cfg.alpha_tol) > 0.0 > slope(x + cfg.alpha_tol)
         assert count == evaluations
@@ -727,12 +787,14 @@ class TestSlopeRoot:
     def test_one_signed_slope_gives_the_edge(self, sign, edge):
         slope = lambda x: sign * (2.0 - x)
         f = lambda x: (slope(x), math.nan)
-        assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig()) == (edge, 1 if sign < 0 else 2, 0.0)
+        assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig()) == (
+            edge, 1 if sign < 0 else 2, 0.0, slope(edge)
+        )
         # From an interior start, the end on the root's side is evaluated
         # once a step needs it: here the first step, since a Newton step
         # fails the acceptance test.
         for f in (lambda x: (slope(x), math.nan), lambda x: (slope(x), -1.0)):
-            assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 0.5, SolverConfig()) == (edge, 2, 0.0)
+            assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 0.5, SolverConfig()) == (edge, 2, 0.0, slope(edge))
 
     @given(
         st.sampled_from(["lo", "below-half", "above-half", "hi"]),
@@ -769,9 +831,10 @@ class TestSlopeRoot:
             return value(x), dvalue(x) * x * (1.0 - x) if derivative else math.nan
 
         start = min(max(0.5 + 0.5 * math.tanh(0.5 * start_u), lo), hi)
-        x, evaluations, width = optimizer._slope_root(f, lo, hi, start, cfg)
+        x, evaluations, width, at_x = optimizer._slope_root(f, lo, hi, start, cfg)
         assert x in evaluated
         assert evaluations == len(evaluated) <= 60
+        assert at_x == f(x)[0]
         assert 0.0 <= width <= cfg.alpha_tol
         if lo + cfg.alpha_tol < root < hi - cfg.alpha_tol:
             assert value(x - cfg.alpha_tol) > 0.0 > value(x + cfg.alpha_tol)
@@ -780,7 +843,8 @@ class TestSlopeRoot:
 
     def test_stops_at_max_iter(self):
         slope = lambda x: (math.log(0.3 / x), math.nan)
-        x, evaluations, width = optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig(max_iter=3))
+        x, evaluations, width, value = optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig(max_iter=3))
+        assert value == slope(x)[0]
         assert evaluations == 3
         assert width > 1e-8
 

@@ -281,6 +281,49 @@ class TestMarcumComplement:
                 _marcum_q1_complement(*bad)
 
 
+@st.composite
+def below_diagonal(draw):
+    """(a, b) with 0 <= b <= a over the whole double range, with b = a,
+    b = 0, subnormals and a*b beyond _MAX_KAPPA among them."""
+    a = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+            st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+            st.sampled_from([0.0, 5e-324, 1.0, math.sqrt(specfun._MAX_KAPPA), 1e200, 1.7976931348623157e308]),
+        )
+    )
+    b = draw(
+        st.one_of(
+            st.just(a),
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=a),
+            st.floats(min_value=0.0, max_value=1.0).map(lambda x: x * a),
+            st.floats(min_value=0.0, max_value=2.2250738585072014e-308).map(lambda x: min(x, a)),
+        )
+    )
+    return a, b
+
+
+class TestMarcumComplementBelowDiagonal:
+    """Where b <= a, Q_1(a, b) >= Q_1(a, a) = (1 + e^(-a^2) I_0(a^2))/2 > 1/2,
+    so the complement is at most 1/2: the optimizer's saturation check asks
+    the kernel nothing there."""
+
+    @given(below_diagonal())
+    @example((0.0, 0.0))
+    @example((5e-324, 5e-324))
+    @example((5e-324, 0.0))
+    @example((1.0, 1.0))
+    @example((5.0, 5.0))
+    @example((1e200, 1e200))
+    @example((1e200, 1e199))
+    @example((1.7976931348623157e308, 1.7976931348623157e308))
+    @settings(max_examples=2000, deadline=None)
+    def test_complement_at_most_half(self, args):
+        a, b = args
+        assert 0.0 <= _marcum_q1_complement(a, b) <= 0.5, (a, b)
+
+
 # Written by tests/make_marcum_table.py from 40-digit mpmath; see its docstring.
 TABLE = Path(__file__).parent / "data" / "marcum_complement.csv"
 
