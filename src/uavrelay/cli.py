@@ -400,8 +400,8 @@ def _parse_alpha_grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ScenarioError(f"bad --alpha-grid: {exc}") from exc
-    if count < 1:
-        raise ScenarioError("--alpha-grid count must be at least 1")
+    if not 1 <= count <= _MAX_GRID_POINTS:
+        raise ScenarioError(f"--alpha-grid count must lie in [1, {_MAX_GRID_POINTS}]")
     if stop < start:
         raise ScenarioError("--alpha-grid stop must not precede start")
     if count == 1:
@@ -439,6 +439,9 @@ def _sweep_override(args: argparse.Namespace, scenario: Scenario, *names: str) -
 
 _DEFAULT_ALPHA_GRID = "0.01:0.99:99"
 _DEFAULT_VALIDATE_GRID = "0.1:0.9:5"
+# Largest --alpha-grid COUNT, checked before the grid is built: 100x the
+# 999 points of the benchmark's high-k grid.
+_MAX_GRID_POINTS = 100_000
 _DEFAULT_PT_GRID = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1.0"
 
 

@@ -472,6 +472,53 @@ class TestExitCodes:
             "error: invalid scenario value: relay distance r_s must lie in [0, L]"
         ]
 
+    @pytest.mark.parametrize(
+        "scenario_text, argv",
+        [
+            ('{"radio": ', ["solve"]),
+            (None, ["validate", "--alpha-grid", "0:2:3"]),
+            (None, ["sweep-alpha", "--alpha-grid", "foo"]),
+            (None, ["sweep-alpha", "--alpha-grid", "0.1:0.9:foo"]),
+            (None, ["sweep-alpha", "--alpha-grid", "0.1:0.9:0"]),
+            (None, ["sweep-alpha", "--alpha-grid", "0.9:0.1:3"]),
+            # One point past the cap, which is checked before the grid is built.
+            (None, ["sweep-alpha", "--alpha-grid", "0.1:0.9:100001"]),
+            (None, ["sweep-alpha", "--pt", "abc"]),
+            (None, ["sweep-power", "--pt", ","]),
+        ],
+        ids=[
+            "malformed-json",
+            "validate-alpha-above-one",
+            "alpha-grid-one-part",
+            "alpha-grid-count-not-integer",
+            "alpha-grid-count-zero",
+            "alpha-grid-descending",
+            "alpha-grid-count-above-cap",
+            "pt-not-a-number",
+            "pt-no-value",
+        ],
+    )
+    def test_malformed_arguments_exit_2(self, tmp_path, capsys, scenario_text, argv):
+        if scenario_text is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(scenario_text, encoding="utf-8")
+            argv = argv + ["--scenario", str(path)]
+        assert main(argv) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_alpha_grid_cap_is_inclusive(self):
+        assert len(cli._parse_alpha_grid("0:1:100000")) == 100_000
+        with pytest.raises(ScenarioError, match=r"count must lie in \[1, 100000\]"):
+            cli._parse_alpha_grid("0:1:100001")
+
+    def test_sweep_power_rejects_a_nonpositive_total(self):
+        # The parser already rejects it, so only a direct call reaches this check.
+        with pytest.raises(ScenarioError, match="total power grid values must be positive"):
+            cli.cmd_sweep_power(load_scenario(None), [0.0], "L", [2000.0])
+
 
 class TestSolve:
     def test_symmetric_methods_agree(self, tmp_path, capsys):

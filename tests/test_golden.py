@@ -52,7 +52,8 @@ CASES = {
     "solve_paper": (["solve", *PAPER], None),
     "sweep_alpha_pt": (["sweep-alpha", *PAPER, "--alpha-grid", "0.1:0.9:9", "--pt", "0.25,1.0"], None),
     "sweep_alpha_L": (["sweep-alpha", *PAPER, "--alpha-grid", "0.2:0.8:4", "--L", "1000,1500,2000"], None),
-    # K near 25 dB: long Marcum series, and the |b - a| >= 9 shortcut at the grid edges.
+    # K near 25 dB: Marcum a*b well above 25, so the quadrature takes its window branch, and
+    # the grid edges put b on both sides of a.
     "sweep_alpha_high_k": (["sweep-alpha", *PAPER, "--alpha-grid", "0.001:0.999:199"], HIGH_K_SCENARIO),
     "sweep_power_R": (["sweep-power", *PAPER, "--pt", "0.1,0.25,0.5", "--R", "1,2"], None),
     "sweep_power_L": (["sweep-power", *PAPER, "--pt", "0.1,0.5", "--L", "1000,3000"], None),

@@ -374,3 +374,7 @@ class TestEstimateOutage:
             SimSpec(trials=100, seed=2**64)
         with pytest.raises(ValueError):
             OutageEstimate(p_hat=1.2, std_err=0.0, trials=10)
+
+    def test_estimate_rejects_negative_std_err(self):
+        with pytest.raises(ValueError, match="standard error must be non-negative"):
+            OutageEstimate(p_hat=0.5, std_err=-1e-3, trials=10)

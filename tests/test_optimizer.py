@@ -19,6 +19,7 @@ from uavrelay import (
     PowerSplit,
     RicianEndpoints,
     SolverConfig,
+    Theorem1Constants,
     end_to_end_outage,
     end_to_end_outage_grid,
     equal_power,
@@ -879,6 +880,41 @@ class TestEqualPower:
                 method="newton", iterations=0, residual=0.0,
             )
 
+    def test_exact_outperforms_equal_over_paper_family(self):
+        # The abstract's "significantly outperforms the conventional equal
+        # power allocation": 120 budgets, L x R x P_t = 0.05..1.0 W.
+        ratios = []
+        for L in (1000.0, 1500.0, 2000.0):
+            budget = make_budget(L=L)
+            for rate in (1.0, 2.0):
+                for pt in (0.05 * i for i in range(1, 21)):
+                    radio = make_radio(total_power_w=pt, rate=rate)
+                    ratios.append(equal_power(radio, budget).outage / minimize_outage_exact(budget, radio).outage)
+        assert len(ratios) == 120
+        # Measured: 1.716 (L 2000 m, R 1, P_t 1 W) and a median of 3.358.
+        assert min(ratios) > 1.7
+        assert np.median(ratios) > 3.3
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SolverConfig(max_iter=0), "max_iter must be positive"),
+        (
+            lambda: AllocationResult(
+                alpha_star=0.5, p_s=0.125, p_u=0.125, outage=1.5, method="equal", iterations=0, residual=0.0
+            ),
+            "outage must be a probability",
+        ),
+        (lambda: Theorem1Constants(-math.inf, 0.0), "constants must be positive"),
+        (lambda: Theorem1Constants(0.0, -math.inf), "constants must be positive"),
+    ],
+    ids=["max-iter-zero", "outage-above-one", "gamma-1-zero", "gamma-2-zero"],
+)
+def test_value_types_reject_out_of_range_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
 
 class TestOutageGradient:
     def test_symmetric_zero_at_half(self, radio, symmetric_budget):
@@ -925,6 +961,20 @@ class TestOutageGradient:
             + outage_at(exact.alpha_star - h)
         ) / h**2
         assert second > 0.0
+
+    @pytest.mark.parametrize(
+        "total_power_w, rate",
+        # log S is about -790 at R = 6; at 1e-310 W both log hazards b h
+        # overflow to inf, where -S times the hazard term would be NaN.
+        [(0.25, 6.0), (1e-310, 1.0)],
+        ids=["rate-6", "subnormal-power"],
+    )
+    def test_zero_where_the_survival_underflows(self, total_power_w, rate):
+        radio = make_radio(total_power_w=total_power_w, rate=rate)
+        budget = make_budget(radio=radio)
+        split = PowerSplit.from_alpha(0.5, total_power_w)
+        assert end_to_end_outage(budget, split, radio) == 1.0
+        assert outage_gradient_ps(budget, split, radio) == 0.0
 
     def test_rejects_boundary_and_budget_violations(self, radio, table1_budget):
         with pytest.raises(ValueError):

@@ -57,6 +57,19 @@ class TestHopCapacity:
         with pytest.raises(ValueError):
             hop_capacity(1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "power, gain, fading, message",
+        [
+            (-1.0, 1.0, 1.0, "power and gain must be non-negative"),
+            (1.0, -1.0, 1.0, "power and gain must be non-negative"),
+            (1.0, 1.0, np.array([1.0, -1.0]), "fading power must be non-negative"),
+        ],
+        ids=["negative-power", "negative-gain", "negative-fading"],
+    )
+    def test_rejects_negative_inputs(self, power, gain, fading, message):
+        with pytest.raises(ValueError, match=message):
+            hop_capacity(power, gain, fading, 1.0)
+
 
 class TestHopOutage:
     def test_high_snr_limit(self):

@@ -1,11 +1,15 @@
-"""README's library example runs as printed, so the API it shows cannot drift."""
+"""README's library example runs as printed and its scenario block is the
+default scenario, so neither can drift from the code."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from uavrelay.cli import DEFAULT_SCENARIO
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,10 @@ def test_library_example_runs():
     assert alpha == pytest.approx(0.1473229551, abs=1e-9)
     assert outage == pytest.approx(8.505655790331e-05, rel=1e-9)
     assert baseline == pytest.approx(2.282111338607e-04, rel=1e-9)
+
+
+def test_scenario_block_is_the_default_scenario():
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    # Serialized, so key order and int-versus-float must match as well.
+    assert json.dumps(json.loads(blocks[0])) == json.dumps(DEFAULT_SCENARIO)
