@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, _link_args, _link_outage, end_to_end_outage, snr_threshold
-from .specfun import _log_marcum, _marcum_q1_complement
+from .specfun import _LOG_MAX, _log_marcum, _marcum_q1_complement
 
 __all__ = [
     "SolverConfig",
@@ -164,8 +164,10 @@ def solve_theorem1(
 
     ``_slope_root`` finds the one root of the decreasing log-domain residual
     over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` by
-    Newton steps from the balance point. A residual that keeps its sign over
-    the whole bracket puts the root at that end.
+    Newton steps from the balance point gamma_1 / (gamma_1 + gamma_2), the
+    root on symmetric hops, taken as the logistic of log gamma_1 - log gamma_2,
+    since that gap can pass 709, where exp overflows. A residual that keeps
+    its sign over the whole bracket puts the root at that end.
     ``iterations`` counts residual evaluations, ends included, and
     ``residual`` is the residual at the returned alpha. The outage comes from
     the ``_hop_hazards`` terms there, kept for ``minimize_outage_exact``.
@@ -173,29 +175,18 @@ def solve_theorem1(
     mean SNR or from constants that overflow, a BracketError names the
     saturated objective.
     """
-    _check_saturated(budget, radio, cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon)
-    alpha, evaluations, residual = _theorem1_root(budget, radio, cfg)
-    hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, radio.total_power_w))
-    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, residual, hops)
-
-
-def _theorem1_root(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tuple[float, int, float]:
-    """(alpha, evaluations, residual): the root of the Theorem 1 residual over
-    [bracket_epsilon, 1 - bracket_epsilon] by ``_slope_root``, its residual
-    evaluations, and the residual there. The search starts at the balance
-    point gamma_1 / (gamma_1 + gamma_2), the root on symmetric hops, taken as
-    the logistic of log gamma_1 - log gamma_2, since that gap can pass 709,
-    where exp overflows."""
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    _check_saturated(budget, radio, lo, hi)
     consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
 
     def residual(alpha: float) -> tuple[float, float]:
         return _theorem1_residual_du(PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud)
 
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     start = min(max(_logistic(consts.log_gamma_1 - consts.log_gamma_2), lo), hi)
     alpha, evaluations, _, value = _slope_root(residual, lo, hi, start, cfg)
-    return alpha, evaluations, value
+    hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, value, hops)
 
 
 def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
@@ -249,7 +240,9 @@ def _hop_hazards(
     b dL/db = 2 + b (a - b) + ab (I_1/I_0 - 1) + h b; ``_log_marcum`` gives
     both Bessel terms. The logs stay finite where Q_1 underflows. The hazard
     is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean SNR that
-    overflows; the derivative is NaN at both.
+    overflows; the derivative is NaN at both. It is NaN too where L passes
+    the log of the largest double: where b >> a, L is the difference of two
+    terms of size (a - b)^2/2, so it is rounding noise there.
     """
     hops = []
     for a, b in _link_args(budget, radio, split.p_s, split.p_u):
@@ -260,7 +253,7 @@ def _hop_hazards(
             hops.append((log_q, log_out, -math.inf, math.nan))
         else:
             log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
-            elastic = 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
+            elastic = math.nan if log_hb > _LOG_MAX else 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
             hops.append((log_q, log_out, log_hb, elastic))
     return hops
 
@@ -297,15 +290,17 @@ def minimize_outage_exact(
     certain outage at full power; a probe where hop 1's Q_1 is 0 reads g > 0,
     hop 2's g < 0, and both a saturated objective: a BracketError, never an
     arbitrary alpha. A nearly deterministic hop (K near its 1500 dB cap) can
-    take its survival from 0 to 1 within the final bracket; where the
-    search's other bracket end has more than twice the link survival, that
-    end is returned instead, so that the result is never the dead side of
-    such a cliff, and rounding-level gaps never flip the choice. The outage
-    is taken from the hop terms of the slope evaluation at the returned
-    alpha, with no further Marcum call.
+    take its survival from 0 to 1 within the final bracket, and at such K
+    the log slope can be rounding noise. So the result is the alpha the
+    search ends on, unless a split it evaluated has more than twice the link
+    survival there; the evaluated split with the greatest survival is then
+    returned. Rounding-level gaps never flip the choice, and since the
+    start is evaluated, the exact row never has less than half the theorem1
+    row's survival. The outage is taken from the hop terms of the slope
+    evaluation at the returned alpha, with no further Marcum call.
     ``iterations`` counts slope evaluations, not the residual evaluations of
-    the start, and ``residual`` is the final bracket width. The total power
-    constraint is treated as active: p_u = P_t - p_s.
+    the start, and ``residual`` is the search's final bracket width. The
+    total power constraint is treated as active: p_u = P_t - p_s.
     """
     if theorem1 is None:
         theorem1 = solve_theorem1(budget, radio, cfg)
@@ -331,9 +326,9 @@ def minimize_outage_exact(
         (log_q_1, _, _, _), (log_q_2, _, _, _) = evaluated[x]
         return log_q_1 + log_q_2
 
-    for end in (alpha - width, alpha + width):
-        if end in evaluated and log_survival(end) > log_survival(alpha) + math.log(2.0):
-            alpha = end
+    best = max(evaluated, key=log_survival)
+    if log_survival(best) > log_survival(alpha) + math.log(2.0):
+        alpha = best
     return _allocation_at(budget, radio, alpha, "exact", evaluations, width, evaluated[alpha])
 
 
@@ -348,9 +343,10 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
 
     ``f(x)`` returns the value at x and its derivative in u = log(x/(1 - x)),
     or NaN where it has none (the exact minimizer's log slope where a hop's
-    Q_1 is 0). Both steps are taken in u, where the log slope's terms log x
-    and log(1 - x) are linear, so that a start near an end of (0, 1)
-    reaches the root in a few steps.
+    Q_1 is 0 or its log hazard is past the double range). Both steps are
+    taken in u, where the log slope's terms log x and log(1 - x) are
+    linear, so that a start near an end of (0, 1) reaches the root in a few
+    steps.
 
     The search starts at ``start`` in [lo, hi]. Until a value changes
     sign, the far side of the bracket is the end of [lo, hi] on the root's

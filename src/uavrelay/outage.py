@@ -132,7 +132,7 @@ def _link_outage(hops, outages: list[float]) -> float:
 def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
     """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
     of each allocation factor in ``alphas``. Each hop's outages are one call of
-    the numpy form of the same quadrature (``specfun._complement_quadrature``).
+    the array form of the same quadrature, ``specfun._complement_quadrature``.
 
     The factors must lie in [0, 1]; the total power is ``radio.total_power_w``.
     """
@@ -143,8 +143,8 @@ def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: Radio
     (a_su, b_su), (a_ud, b_ud) = _link_args(budget, radio, alpha * total, (1.0 - alpha) * total)
     # Called through the module attribute, which per-call instrumentation
     # of the scalar entry points leaves alone; the kernel already clamps.
-    out_su = specfun._marcum_q1_complement(a_su, b_su)
-    out_ud = specfun._marcum_q1_complement(a_ud, b_ud)
+    out_su = specfun._complement_quadrature(a_su, b_su)
+    out_ud = specfun._complement_quadrature(a_ud, b_ud)
     return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud).tolist()
 
 

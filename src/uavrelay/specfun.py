@@ -1,7 +1,8 @@
 """Modified Bessel functions of the first kind and the first-order Marcum Q-function.
 
-All routines here are pure and evaluated in IEEE double precision; all are
-scalar, except that the Marcum complement also takes an array of thresholds.
+All routines here are pure and evaluated in IEEE double precision, and
+each entry point takes one argument shape: all are scalar, except
+``_complement_quadrature``, the Marcum complement at an array of thresholds.
 The Marcum function has one algorithm, a fixed-node quadrature of the
 Craig-form integral in log space, with no overflow band, a cost that does
 not grow with its arguments and relative accuracy down to 1e-300. One
@@ -216,13 +217,8 @@ def marcum_q1(a: float, b: float) -> float:
 
 
 def _marcum_q1_complement(a: float, b: float) -> float:
-    """1 - Q_1(a, b), by the quadrature of ``_log_marcum``.
-
-    ``b`` may also be a 1-D numpy array; the result is then an array of the
-    complement at each entry, by the same rule in ``_complement_quadrature``.
-    """
-    if isinstance(b, np.ndarray):
-        return _complement_quadrature(a, b)
+    """1 - Q_1(a, b), by the quadrature of ``_log_marcum``. The array form
+    is ``_complement_quadrature``."""
     return math.exp(_log_marcum(a, b)[1])
 
 

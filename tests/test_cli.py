@@ -366,6 +366,34 @@ class TestExitCodes:
         assert rows["exact"][4:] == ["0.000000000000e+00", "1", "0.000000000000e+00"]
 
     @pytest.mark.parametrize(
+        "r_s, k_su_db, k_ud_db, total_power_w",
+        [
+            # log(hazard * b) cancels two terms of about 1e120 on one hop, and
+            # exp of what is left overflowed: exit 3 on "math range error",
+            # although no hop is saturated.
+            (1052.619, 1203.5351055777528, 955.3351873822082, 0.13313355893558876),
+            # The log slope is rounding noise, and the search ended at
+            # alpha = 0.934 with an outage of 1, while the theorem1 and equal
+            # rows read 0.
+            (1944.937, 698.3625997846729, 1126.5657422395434, 0.04212969506510837),
+        ],
+        ids=["overflowing-hazard", "wandering-search"],
+    )
+    def test_large_k_exact_row_is_the_best_split_evaluated(self, tmp_path, capsys, r_s, k_su_db, k_ud_db, total_power_w):
+        path = paper_scenario(
+            tmp_path,
+            geometry={"r_s": r_s},
+            rician_su={"k0_db": k_su_db, "kpi2_db": k_su_db + 5.0},
+            rician_ud={"k0_db": k_ud_db, "kpi2_db": k_ud_db + 5.0},
+            radio={"total_power_w": total_power_w},
+        )
+        assert main(["solve", "--scenario", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = solver_rows("solve", captured.out)
+        assert rows["exact"][1] == rows["equal"][1] == 0.0
+
+    @pytest.mark.parametrize(
         "argv, rician_db, extra",
         [
             (["solve"], (23.5, 20.5), {"radio": {"total_power_w": 0.01}}),
@@ -519,6 +547,14 @@ class TestExitCodes:
         with pytest.raises(ScenarioError, match="total power grid values must be positive"):
             cli.cmd_sweep_power(load_scenario(None), [0.0], "L", [2000.0])
 
+    @pytest.mark.parametrize(
+        "command, grid", [(cli.cmd_sweep_alpha, [0.5]), (cli.cmd_sweep_power, [0.25])], ids=["sweep-alpha", "sweep-power"]
+    )
+    def test_unknown_override_is_a_scenario_error(self, command, grid):
+        # The parser offers only the known overrides, so only a direct call reaches this check.
+        with pytest.raises(ScenarioError, match="unknown override 'h_u'"):
+            command(load_scenario(None), grid, "h_u", [1000.0])
+
 
 class TestSolve:
     def test_symmetric_methods_agree(self, tmp_path, capsys):
@@ -553,11 +589,12 @@ PAPER_SWEEP = ["sweep-power", "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"]
 
 def count_solver_work(monkeypatch, argvs):
     """Per-request means of the solver work that ``argvs`` cause, by name:
-    saturation checks, Theorem 1 searches and residual evaluations, Marcum
-    kernel calls, and end_to_end_outage calls made inside an exact solve.
+    saturation checks, Theorem 1 searches (``solve_theorem1`` calls at the
+    cli name) and residual evaluations, Marcum kernel calls, and
+    end_to_end_outage calls made inside an exact solve.
     ``_theorem1_residual_du`` counts every residual evaluation: the searches
     call it, and ``theorem1_residual`` goes through it."""
-    counts = dict.fromkeys(["_check_saturated", "_theorem1_root", "_theorem1_residual_du", "kernel", "outage_in_exact"], 0)
+    counts = dict.fromkeys(["_check_saturated", "solve_theorem1", "_theorem1_residual_du", "kernel", "outage_in_exact"], 0)
     inside_exact = [False]
 
     def counted(fn, key, only_inside_exact=False):
@@ -578,7 +615,8 @@ def count_solver_work(monkeypatch, argvs):
             inside_exact[0] = False
 
     monkeypatch.setattr(cli, "minimize_outage_exact", exact)
-    for name in ("_check_saturated", "_theorem1_root", "_theorem1_residual_du"):
+    monkeypatch.setattr(cli, "solve_theorem1", counted(cli.solve_theorem1, "solve_theorem1"))
+    for name in ("_check_saturated", "_theorem1_residual_du"):
         monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), name))
     monkeypatch.setattr(optimizer, "end_to_end_outage", counted(optimizer.end_to_end_outage, "outage_in_exact", True))
     kernel = counted(specfun._log_marcum, "kernel")
@@ -637,7 +675,7 @@ class TestSolverSharing:
         counts = count_solver_work(monkeypatch, [PAPER_SWEEP + ["--excess-loss-convention", "paper"]])
         assert counts == {
             "_check_saturated": 10,
-            "_theorem1_root": 10,
+            "solve_theorem1": 10,
             "_theorem1_residual_du": 50,
             "kernel": 106,
             "outage_in_exact": 0,
@@ -656,7 +694,7 @@ class TestSolverSharing:
                 path = write_scenario(tmp_path, name, geometry={"h_u": h_u, "L": length}, excess_loss_convention="paper")
                 argvs.append(PAPER_SWEEP + ["--scenario", path])
         counts = count_solver_work(monkeypatch, argvs)
-        assert counts["_check_saturated"] == counts["_theorem1_root"] == 10
+        assert counts["_check_saturated"] == counts["solve_theorem1"] == 10
         assert counts["kernel"] <= 108.7  # 108.625 here, 148.25 before the hop terms were shared
         assert counts["_theorem1_residual_du"] <= 50.0  # 50 here: 5 per search
         assert counts["outage_in_exact"] == 0

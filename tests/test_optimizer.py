@@ -327,6 +327,37 @@ class TestMinimizeOutageExact:
         assert result.outage <= 1e-11
         assert end_to_end_outage(budget, split, radio) <= 1e-11
 
+    def test_large_k_keeps_half_the_theorem1_survival(self):
+        # K from 150 to 1500 dB per hop, full-power SNR margins 10^-0.5 to
+        # 10^3 and R in {0.5, 1, 2}. At such K the log slope is rounding
+        # noise. The search then ends anywhere, and the exact row is the
+        # best split it evaluated, which includes the Theorem 1 start. When
+        # the row was the end of the final bracket, 19 of these budgets lost
+        # more than half the theorem1 row's survival. The log survivals are
+        # taken afresh from the kernel at each row's split.
+        rng = random.Random(1)
+
+        def log_survival(budget, radio, alpha):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            return sum(specfun._log_marcum(a, b)[0] for a, b in outage._link_args(budget, radio, split.p_s, split.p_u))
+
+        solved = 0
+        for _ in range(1000):
+            radio = make_radio(rate=rng.choice([0.5, 1.0, 2.0]))
+            unit_gain = snr_threshold(radio.rate) * radio.noise_power_w / radio.total_power_w
+            k_su, k_ud = (10.0 ** rng.uniform(15.0, 150.0) for _ in range(2))
+            g_su, g_ud = (unit_gain * 10.0 ** rng.uniform(-0.5, 3.0) for _ in range(2))
+            budget = LinkBudget(g_su, g_ud, k_su, k_ud)
+            try:
+                approx = solve_theorem1(budget, radio)
+            except BracketError:
+                continue
+            exact = minimize_outage_exact(budget, radio, theorem1=approx)
+            floor = log_survival(budget, radio, approx.alpha_star) - math.log(2.0)
+            assert log_survival(budget, radio, exact.alpha_star) >= floor, (budget, radio.rate)
+            solved += 1
+        assert solved == 730
+
     def test_symmetric_gives_half(self, radio, symmetric_budget):
         # Near the flat minimum the outage changes by less than one ulp for
         # |alpha - 0.5| below ~1e-7, so localization past that is noise; the
