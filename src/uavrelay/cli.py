@@ -23,8 +23,6 @@ import sys
 import typing
 from itertools import repeat
 
-import numpy as np
-
 from . import __version__
 from .channel import (
     EXCESS_LOSS_CONVENTIONS,
@@ -304,12 +302,10 @@ def cmd_sweep_alpha(
         if not 0.0 < alpha < 1.0:
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
-    alphas = np.array(alpha_grid)
-
     def cells(swept, budget):
         total = swept.radio.total_power_w
         # The products of PowerSplit.from_alpha, entry by entry.
-        p_s, p_u = (alphas * total).tolist(), ((1.0 - alphas) * total).tolist()
+        p_s, p_u = [alpha * total for alpha in alpha_grid], [(1.0 - alpha) * total for alpha in alpha_grid]
         outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
         yield from zip(alpha_grid, p_s, p_u, outages, repeat("grid"))
         yield from map(_allocation, _solve_both(budget, swept.radio, swept.solver))

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import specfun
 from .channel import LinkBudget, RadioConfig
 from .specfun import _marcum_q1_complement
 
@@ -23,7 +20,6 @@ __all__ = [
     "hop_outage",
     "end_to_end_outage",
     "end_to_end_outage_grid",
-    "hop_capacity",
 ]
 
 
@@ -62,24 +58,21 @@ def snr_threshold(rate: float) -> float:
     return 2.0 ** (2.0 * rate) - 1.0
 
 
-def _hop_args(k: float, mean_snr, rate: float):
+def _hop_args(k: float, mean_snr: float, rate: float) -> tuple[float, float]:
     """(a, b) = (sqrt(2K), sqrt(2(K + 1) gamma_th / mean_snr)) of a Rician hop's
     survival Q_1(a, b), with gamma_th = snr_threshold(rate).
 
     A zero mean SNR, from a zero power or one so small that it underflows, is
-    b = inf: certain outage. ``mean_snr`` is a float, or a numpy array whose
-    caller ignores numpy's divide and overflow warnings, so that each entry's
-    b is what the float arithmetic gives.
+    b = inf: certain outage. The array form is ``_arrays._grid_args``.
     """
-    sqrt = np.sqrt if isinstance(mean_snr, np.ndarray) else math.sqrt
-    if sqrt is math.sqrt and mean_snr == 0.0:
+    if mean_snr == 0.0:
         return math.sqrt(2.0 * k), math.inf
-    return math.sqrt(2.0 * k), sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
+    return math.sqrt(2.0 * k), math.sqrt(2.0 * (k + 1.0) * (snr_threshold(rate) / mean_snr))
 
 
-def _link_args(budget: LinkBudget, radio: RadioConfig, p_s, p_u):
+def _link_args(budget: LinkBudget, radio: RadioConfig, p_s: float, p_u: float) -> list[tuple[float, float]]:
     """``_hop_args`` of both hops at the mean SNRs p G / N_0 of the powers
-    ``p_s`` and ``p_u``: floats, or numpy arrays under the caller's np.errstate."""
+    ``p_s`` and ``p_u``."""
     noise = radio.noise_power_w
     hops = ((budget.k_su, budget.g_su, p_s), (budget.k_ud, budget.g_ud, p_u))
     return [_hop_args(k, p * g / noise, radio.rate) for k, g, p in hops]
@@ -128,38 +121,14 @@ def _link_outage(hops, outages: list[float]) -> float:
     return out_su + out_ud - out_su * out_ud
 
 
-@np.errstate(over="ignore", divide="ignore")  # an overflow is inf, and a zero SNR gives b = inf, as for floats
 def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
     """``end_to_end_outage`` at the split ``PowerSplit.from_alpha(alpha, P_t)``
     of each allocation factor in ``alphas``. Each hop's outages are one call of
-    the array form of the same quadrature, ``specfun._complement_quadrature``.
+    the array form of the same quadrature, ``_arrays._complement_quadrature``;
+    numpy is loaded on the first call.
 
     The factors must lie in [0, 1]; the total power is ``radio.total_power_w``.
     """
-    alpha = np.asarray(alphas, dtype=float)
-    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
-        raise ValueError("allocation factor must lie in [0, 1]")
-    total = radio.total_power_w
-    (a_su, b_su), (a_ud, b_ud) = _link_args(budget, radio, alpha * total, (1.0 - alpha) * total)
-    # Called through the module attribute, which per-call instrumentation
-    # of the scalar entry points leaves alone; the kernel already clamps.
-    out_su = specfun._complement_quadrature(a_su, b_su)
-    out_ud = specfun._complement_quadrature(a_ud, b_ud)
-    return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud).tolist()
+    from ._arrays import _outage_grid
 
-
-def hop_capacity(power, gain, fading_power, noise):
-    """Instantaneous hop capacity 0.5 * log2(1 + P * G * |h|^2 / N0) in bits/s/Hz.
-
-    Accepts scalars or numpy arrays for ``fading_power``. It is the reference
-    definition of the outage event C < R, which the Monte Carlo simulator
-    evaluates as the equivalent threshold test P * G * |h|^2 < snr_threshold(R) * N0.
-    """
-    if noise <= 0.0:
-        raise ValueError("noise power must be positive")
-    if power < 0.0 or gain < 0.0:
-        raise ValueError("power and gain must be non-negative")
-    fading = np.asarray(fading_power, dtype=float)
-    if np.any(fading < 0.0):
-        raise ValueError("fading power must be non-negative")
-    return 0.5 * np.log2(1.0 + power * gain * fading / noise)
+    return _outage_grid(budget, alphas, radio)

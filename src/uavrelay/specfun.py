@@ -1,16 +1,13 @@
 """Modified Bessel functions of the first kind and the first-order Marcum Q-function.
 
-All routines here are pure and evaluated in IEEE double precision, and
-each entry point takes one argument shape: all are scalar, except
-``_complement_quadrature``, the Marcum complement at an array of thresholds.
+All routines here are pure, scalar and evaluated in IEEE double precision.
 The Marcum function has one algorithm, a fixed-node quadrature of the
 Craig-form integral in log space, with no overflow band, a cost that does
-not grow with its arguments and relative accuracy down to 1e-300. One
-threshold is summed in plain floats, and an array of them, such as one hop
-over a whole allocation grid, in numpy blocks: the rows are grouped once by
-branch (whole period or window, threshold above a or not), and each group
-takes only its own weight and integrand. The same nodes give
-the Bessel terms of the Marcum partial derivatives. I_n has one algorithm
+not grow with its arguments and relative accuracy down to 1e-300. Here it
+is summed in plain floats, one threshold at a time;
+``_arrays._complement_quadrature`` sums the same rule in numpy blocks over
+an array of thresholds, such as one hop over a whole allocation grid. The
+same nodes give the Bessel terms of the Marcum partial derivatives. I_n has one algorithm
 too, its ascending power series, whose positive terms keep their relative
 accuracy wherever I_n is finite. The Marcum function and its partial
 derivatives sit underneath every outage evaluation in this package, so the
@@ -22,8 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
 
 __all__ = [
     "bessel_i_n",
@@ -40,18 +35,15 @@ _MAX_TERMS = 20000
 _LOG_MAX = math.log(sys.float_info.max)
 # Midpoint nodes per threshold of the Marcum quadrature. Its step
 # is then at most 0.655/sqrt(ab), so the rule's aliasing error is about
-# exp(-2 pi^2 / 0.655^2) ~ 1e-20 (see ``_complement_quadrature``).
+# exp(-2 pi^2 / 0.655^2) ~ 1e-20 (see ``_log_marcum``).
 _NODES = 24
 # Rows with a*b up to this take the whole period [0, pi]; larger rows take
 # the window where a*b*sin^2(phi/2) stays below it.
 _WHOLE_KAPPA = 25.0
-# Step and sin^2(phi/2) nodes of the whole-period rows; most scalar calls
-# are such rows. The array kernel reads the same nodes as an array. They
-# are taken by math.sin, since a first np.sin call at import costs every
-# process ~0.3 MB of resident memory.
+# Step and sin^2(phi/2) nodes of the whole-period rows; most calls are such
+# rows, and the array kernel of ``_arrays`` reads the same nodes.
 _WHOLE_STEP = math.pi / _NODES
 _WHOLE_NODES = tuple(math.sin(_WHOLE_STEP * (j + 0.5) / 2.0) ** 2 for j in range(_NODES))
-_WHOLE_T = np.array(_WHOLE_NODES)
 _WHOLE_T_SUM = math.fsum(_WHOLE_NODES)
 # Largest noncentrality a*b of the quadrature, which forms 2ab; beyond it
 # the Marcum function takes its limit (``_far_log_marcum``).
@@ -113,19 +105,47 @@ def _log1mexp(x: float) -> float:
 
 def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     """(log Q_1(a, b), log(1 - Q_1(a, b)), log I_0e(ab), I_1(ab)/I_0(ab)) for
-    scalar a and b, by the rule of ``_complement_quadrature`` (its nodes, pole
-    share and rearrangements) in plain floats. The small side is the sum
-    itself and the other side is log(1 - e^small), except that where b > a on
-    a whole-period row both are summed, each from its own weight, since
-    1 - (1 - Q_1) would lose Q_1's digits. So each log keeps its relative
-    accuracy.
+    scalar a and b, by one midpoint rule in log space.
 
-    With kappa = ab and t = sin^2(phi/2), I_ne(kappa) = e^-kappa I_n(kappa)
-    is (1/pi) int_0^pi cos(n phi) e dphi with e = exp(-2 kappa t), the Craig
-    integrand without its weight, and cos(phi) = 1 - 2t. So the same nodes
-    give I_0e as the sum of e, and the ratio as 1 - 2 (sum of t e)/(sum of
-    e). Orders above 0 lose relative accuracy at small kappa, so the ratio
-    is good to about 1e-15 absolute, not relative.
+    Craig form (Simon & Alouini, IEEE TCOM 46(12), 1998): with s = max(a, b),
+    zeta = min(a, b)/s, r = 1 - zeta, kappa = a*b and t = sin^2(phi/2), the
+    smaller of Q_1 (where b > a) and 1 - Q_1 (where b <= a) is
+
+        exp(-(a - b)^2/2) * (1/pi) * int_0^pi w(t) exp(-2 kappa t) dphi,
+
+    with w = (r + 2 zeta t)/D for Q_1 and zeta (r - 2 t)/D for 1 - Q_1, and
+    D = r^2 + 4 zeta t. The rule takes ``_NODES`` midpoint nodes: over the
+    whole period where kappa <= ``_WHOLE_KAPPA`` (25), otherwise over the
+    window where 2 kappa t <= 50, beyond which the integrand is below e^-50
+    of its peak. The step h is then at most 0.655/sqrt(kappa), and the
+    aliasing error is about exp(-2 pi^2 / 0.655^2) ~ 1e-20. The prefactor is
+    applied as a logarithm, so deep tails keep their relative accuracy and
+    nothing overflows.
+
+    w has a pole at phi = i log(s/min(a, b)), which nears the real axis as b
+    nears a. Where it lies below the contour that bounds the aliasing error,
+    kappa h log(s/min) < 2 pi, here taken as (s^2 - min^2) h/2 < 2 pi, the
+    rule misses the pole's exact share
+    exp((a - b)^2/2)/(exp(2 pi log(s/min)/h) + 1), which is added; further
+    out the plain rule is accurate and the share would only cancel against
+    it. On whole-period rows two rearrangements avoid cancellation when a*b
+    is tiny. Where b <= a the weight integrates to 0 over the period, so
+    exp(-2 kappa t) - exp(-kappa) is integrated in place of exp(-2 kappa t),
+    and the pole share scales by 1 - exp(-(a^2 + b^2)/2). Where b > a the
+    Q_1 weight integrates to 1, so 1 - Q_1 is the integral of
+    w (1 - exp(-(a - b)^2/2 - 2 kappa t)), which has no pole.
+
+    The small side is the sum itself and the other side is log(1 - e^small),
+    except that where b > a on a whole-period row both are summed, each from
+    its own weight, since 1 - (1 - Q_1) would lose Q_1's digits. So each log
+    keeps its relative accuracy.
+
+    With I_ne(kappa) = e^-kappa I_n(kappa), I_ne is (1/pi) int_0^pi
+    cos(n phi) e dphi with e = exp(-2 kappa t), the Craig integrand without
+    its weight, and cos(phi) = 1 - 2t. So the same nodes give I_0e as the
+    sum of e, and the ratio as 1 - 2 (sum of t e)/(sum of e). Orders above 0
+    lose relative accuracy at small kappa, so the ratio is good to about
+    1e-15 absolute, not relative.
 
     b = 0 gives (0, -inf, 0, 0), b = inf gives (-inf, 0, -inf, 1), and
     a*b beyond ``_MAX_KAPPA``, where the rule's 2ab would overflow, gives
@@ -217,112 +237,9 @@ def marcum_q1(a: float, b: float) -> float:
 
 
 def _marcum_q1_complement(a: float, b: float) -> float:
-    """1 - Q_1(a, b), by the quadrature of ``_log_marcum``. The array form
-    is ``_complement_quadrature``."""
+    """1 - Q_1(a, b), by the quadrature of ``_log_marcum``. Its array form
+    is ``_arrays._complement_quadrature``."""
     return math.exp(_log_marcum(a, b)[1])
-
-
-@np.errstate(all="ignore")  # pytest turns RuntimeWarning into an error; inf and NaN are masked here
-def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
-    """1 - Q_1(a, b) at every entry of ``b`` by one midpoint rule in log space.
-
-    Craig form (Simon & Alouini, IEEE TCOM 46(12), 1998): with s = max(a, b),
-    zeta = min(a, b)/s, r = 1 - zeta, kappa = a*b and t = sin^2(phi/2), the
-    smaller of Q_1 (where b > a) and 1 - Q_1 (where b <= a) is
-
-        exp(-(a - b)^2/2) * (1/pi) * int_0^pi w(t) exp(-2 kappa t) dphi,
-
-    with w = (r + 2 zeta t)/D for Q_1 and zeta (r - 2 t)/D for 1 - Q_1, and
-    D = r^2 + 4 zeta t. Each row takes ``_NODES`` midpoint nodes: over the
-    whole period where kappa <= ``_WHOLE_KAPPA`` (25), otherwise over the
-    window where 2 kappa t <= 50, beyond which the integrand is below e^-50
-    of its peak.
-    The step h is then at most 0.655/sqrt(kappa), and the aliasing error is
-    about exp(-2 pi^2 / 0.655^2) ~ 1e-20. The prefactor is applied as a
-    logarithm, so deep tails keep their relative accuracy and nothing
-    overflows.
-
-    w has a pole at phi = i log(s/min(a, b)), which nears the real axis as b
-    nears a. Where it lies below the contour that bounds the aliasing error,
-    kappa h log(s/min) < 2 pi, here taken as (s^2 - min^2) h/2 < 2 pi, the
-    rule misses the pole's exact share
-    exp((a - b)^2/2)/(exp(2 pi log(s/min)/h) + 1), which is added; further
-    out the plain rule is accurate and the share would only cancel against
-    it. On whole-period rows two rearrangements avoid cancellation when a*b
-    is tiny. Where b <= a the weight integrates to 0 over the period, so
-    exp(-2 kappa t) - exp(-kappa) is integrated in place of exp(-2 kappa t),
-    and the pole share scales by 1 - exp(-(a^2 + b^2)/2). Where b > a the
-    Q_1 weight integrates to 1, so 1 - Q_1 is the integral of
-    w (1 - exp(-(a - b)^2/2 - 2 kappa t)), which has no pole.
-
-    The rows are split once into four groups, whole period or window and
-    b > a or not, and ``_complement_rows`` evaluates each group's one
-    weight and one integrand on its own block; the pole share is formed
-    only on the rows that meet its condition. A row's result depends on no
-    other row of the array: it agrees to the bit with the same threshold
-    taken alone.
-
-    Against mpmath the result is within 5e-13 relative for a up to 632,
-    down to 1e-300 and for |a - b| down to 1e-12 a. It is clamped to [0, 1],
-    because a sum of weights can round to one ulp above 1; b = 0 gives 0,
-    b = inf gives 1, and a*b beyond ``_MAX_KAPPA`` gives the limit of
-    ``_far_log_marcum``: 1 where b > a, 0 where b < a and 1/2 where b = a.
-    A negative or NaN entry raises ValueError.
-    """
-    if not (a >= 0.0 and np.all(b >= 0.0)):
-        raise ValueError("Marcum Q arguments must be non-negative")
-    kappa = a * b
-    whole, above = kappa <= _WHOLE_KAPPA, b > a
-    out = np.empty(b.shape)
-    for rows_whole in (True, False):
-        for rows_above in (True, False):
-            rows = (whole == rows_whole) & (above == rows_above)
-            if rows.any():
-                out[rows] = _complement_rows(a, b[rows], rows_whole, rows_above)
-    out = np.where(kappa > _MAX_KAPPA, 0.5 + 0.5 * np.sign(b - a), out)
-    out = np.where(b == 0.0, 0.0, np.where(b == math.inf, 1.0, out))
-    return np.clip(out, 0.0, 1.0)
-
-
-def _complement_rows(a: float, b: np.ndarray, whole: bool, above: bool) -> np.ndarray:
-    """``_complement_quadrature`` before its limits and clamp, on rows that
-    share one branch: the whole period (kappa <= ``_WHOLE_KAPPA``) or a
-    window, and b > a or not. Whole-period rows share the node table
-    ``_WHOLE_T``; window rows form their own. Each row is one row of a
-    C-contiguous (rows, ``_NODES``) block, so its sum adds the nodes in one
-    fixed order.
-    """
-    s, low = np.maximum(a, b), np.minimum(a, b)
-    zeta = (low / s)[:, None]
-    r = ((s - low) / s)[:, None]  # not 1 - zeta, which would lose r's digits as b nears a
-    kappa = a * b
-    gap = 0.5 * (a - b) ** 2
-    if whole:
-        step, t = np.full(b.size, _WHOLE_STEP), _WHOLE_T
-    else:
-        step = 2.0 * np.arcsin(np.sqrt(_WHOLE_KAPPA / kappa)) / _NODES
-        t = np.sin(step[:, None] * (np.arange(_NODES) + 0.5) / 2.0) ** 2
-    decay = 2.0 * kappa[:, None] * t
-    if above:
-        weight = (r + 2.0 * zeta * t) / (r * r + 4.0 * zeta * t)
-    else:
-        weight = zeta * (r - 2.0 * t) / (r * r + 4.0 * zeta * t)
-    if not whole:
-        integrand = np.exp(-decay)
-    elif above:
-        integrand = -np.expm1(-gap[:, None] - decay)
-    else:
-        integrand = np.exp(-kappa[:, None]) * np.expm1(kappa[:, None] - decay)
-    total = (weight * integrand).sum(axis=1) * (step / math.pi)
-    if whole and above:  # 1 - Q_1 itself, with no pole; through its log, as the other groups
-        return np.exp(np.log(total))
-    pole = (s * s - low * low) * step < 4.0 * math.pi
-    share = np.exp(gap[pole]) / (np.exp(2.0 * math.pi * np.log(s[pole] / low[pole]) / step[pole]) + 1.0)
-    if whole:
-        share *= -np.expm1(-0.5 * (a * a + b[pole] * b[pole]))
-    total[pole] += share
-    log_small = np.log(total) - gap
-    return -np.expm1(log_small) if above and not whole else np.exp(log_small)
 
 
 def marcum_q1_partial_a(a: float, b: float) -> float:

@@ -16,11 +16,10 @@ from uavrelay import (
     SimSpec,
     end_to_end_outage,
     estimate_outage,
-    hop_capacity,
     snr_threshold,
 )
-from uavrelay import cli, mcsim
-from uavrelay.mcsim import _chunk_events, _chunk_rng, _hop_events
+from uavrelay import _arrays, cli
+from uavrelay._arrays import _chunk_events, _chunk_rng, _hop_events
 
 from conftest import make_radio
 
@@ -64,6 +63,12 @@ def polar_power(los, sigma, r, w):
     return (r - los) ** 2 + c * c * (4.0 * los) * r
 
 
+def capacity(power, gain, fading, noise):
+    """Instantaneous hop capacity 0.5 log2(1 + P G |h|^2 / N0) in bits/s/Hz,
+    the reference definition of the outage event C < R."""
+    return 0.5 * np.log2(1.0 + power * gain * fading / noise)
+
+
 def hop_draws(draws):
     """(candidate count, exponentials, phases) of each hop in recorded ``draws``."""
     return [tuple(result for _, _, result in draws[i : i + 3]) for i in range(0, len(draws) - 1, 3)]
@@ -78,7 +83,7 @@ def streams(monkeypatch):
         created.append(RecordingGenerator(_chunk_rng(seed, chunk_index)))
         return created[-1]
 
-    monkeypatch.setattr(mcsim, "_chunk_rng", recording_rng)
+    monkeypatch.setattr(_arrays, "_chunk_rng", recording_rng)
     return created
 
 
@@ -274,7 +279,7 @@ class TestEstimateOutage:
 
     @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
     def test_threshold_event_equals_capacity_shortfall(self, table1_budget, rate):
-        # hop_capacity is the reference definition of the outage event; the
+        # capacity() is the reference definition of the outage event; the
         # chunk tally compares fading power with the SNR threshold instead.
         # The same draws are rebuilt here: per hop, the candidate count, then
         # an exponential and a phase uniform per candidate; then the overlap.
@@ -297,11 +302,11 @@ class TestEstimateOutage:
                     threshold = snr_threshold(rate) * noise / received if received else math.inf
                     los, sigma, near = polar_screen(k, threshold)
                     if near > 0.0:
-                        assert hop_capacity(power, gain, (sigma * near - los) ** 2, noise) >= rate
+                        assert capacity(power, gain, (sigma * near - los) ** 2, noise) >= rate
                     m = rng.binomial(count, math.exp(-0.5 * near * near))
                     r = candidate_radius(sigma, near, rng.standard_exponential(m))
                     fading = polar_power(los, sigma, r, rng.random(m))
-                    events.append(int(np.count_nonzero(hop_capacity(power, gain, fading, noise) < rate)))
+                    events.append(int(np.count_nonzero(capacity(power, gain, fading, noise) < rate)))
                 k_su, k_ud = events
                 expected = k_su + k_ud - rng.hypergeometric(k_su, count - k_su, k_ud)
                 got = _chunk_events(table1_budget, split, radio, seed, 1, count)

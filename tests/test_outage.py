@@ -12,13 +12,14 @@ from uavrelay import (
     end_to_end_outage,
     end_to_end_outage_grid,
     estimate_outage,
-    hop_capacity,
     hop_outage,
     snr_threshold,
     SimSpec,
 )
 
-from uavrelay.mcsim import _hop_events
+from uavrelay import _arrays
+from uavrelay._arrays import _hop_events
+from uavrelay.outage import _link_args
 
 from conftest import count_sign_changes, make_radio
 
@@ -35,40 +36,6 @@ class TestSnrThreshold:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             snr_threshold(0.0)
-
-
-class TestHopCapacity:
-    def test_zero_fading(self):
-        assert hop_capacity(1.0, 1e-10, 0.0, 1e-14) == 0.0
-
-    def test_snr_three(self):
-        # P*G*|h|^2/N0 = 3 -> half log2(4) = 1 bit/s/Hz
-        assert hop_capacity(3.0, 1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_snr_fifteen(self):
-        assert hop_capacity(15.0, 1.0, 1.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_vectorized(self):
-        fading = np.array([0.0, 3.0, 15.0])
-        caps = hop_capacity(1.0, 1.0, fading, 1.0)
-        assert caps == pytest.approx([0.0, 1.0, 2.0], rel=1e-14)
-
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            hop_capacity(1.0, 1.0, 1.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "power, gain, fading, message",
-        [
-            (-1.0, 1.0, 1.0, "power and gain must be non-negative"),
-            (1.0, -1.0, 1.0, "power and gain must be non-negative"),
-            (1.0, 1.0, np.array([1.0, -1.0]), "fading power must be non-negative"),
-        ],
-        ids=["negative-power", "negative-gain", "negative-fading"],
-    )
-    def test_rejects_negative_inputs(self, power, gain, fading, message):
-        with pytest.raises(ValueError, match=message):
-            hop_capacity(power, gain, fading, 1.0)
 
 
 class TestHopOutage:
@@ -202,6 +169,31 @@ class TestEndToEndOutageGrid:
             assert 0.0 <= value <= 1.0
             if expected >= 1e-8:
                 assert abs(value - expected) <= 1e-12 * expected, (alpha, value, expected)
+
+    @given(
+        st.floats(min_value=-320.0, max_value=-0.01),
+        st.floats(min_value=-320.0, max_value=-0.01),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-10.0, max_value=45.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_thresholds_equal_the_scalar_hop_args(self, g_su, g_ud, k_su, k_ud, pt, rate, alphas):
+        # The grid forms each hop's b array itself, apart from _hop_args.
+        # Entry by entry it must be the same double, with alpha = 0 and 1,
+        # where one hop has no power and b = inf, and gains and powers where
+        # a mean SNR can underflow (b = inf) or overflow (b = 0).
+        budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
+        radio = make_radio(total_power_w=10.0**pt, rate=rate)
+        alphas = [0.0, 1.0, *alphas]
+        grid = _arrays._grid_args(budget, radio, np.array(alphas))
+        assert grid[0][1][0] == grid[1][1][1] == math.inf
+        for i, alpha in enumerate(alphas):
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            for (a, b), (a_grid, b_grid) in zip(_link_args(budget, radio, split.p_s, split.p_u), grid):
+                assert (a_grid.hex(), float(b_grid[i]).hex()) == (a.hex(), b.hex()), (alpha, b_grid[i], b)
 
     def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):
         for bad in (-0.1, 1.5, math.nan):

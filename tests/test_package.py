@@ -33,6 +33,40 @@ def test_library_import_leaves_the_cli_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_scalar_commands_leave_numpy_unloaded():
+    # numpy costs every process that loads it ~70 ms and ~13 MB, and only
+    # the alpha grid and the Monte Carlo sampler use arrays. sweep-alpha
+    # shows that the check sees numpy once it is loaded.
+    code = (
+        "import os, sys, uavrelay\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "import uavrelay.cli\n"
+        "for argv in (['solve'], ['sweep-power'], ['sweep-alpha', '--alpha-grid', '0.1:0.9:3']):\n"
+        "    uavrelay.cli.main([*argv, '--out', os.devnull, '--excess-loss-convention', 'paper'])\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[False, False, False, True]"
+
+
+def test_only_the_array_module_imports_numpy():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.append(path.name)
+    assert importers == ["_arrays.py"]
+
+
 def _private_definitions(tree):
     """Private functions, classes and constants a module defines at its top level."""
     for node in tree.body:

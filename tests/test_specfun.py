@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import i0e, i1e, ive
 from scipy.stats import ncx2
 
-from uavrelay import specfun
+from uavrelay import _arrays, specfun
 from uavrelay.specfun import (
     _marcum_q1_complement,
     bessel_i_n,
@@ -373,7 +373,7 @@ class TestMarcumComplementArray:
         for a, b, log_ref, _ in MARCUM_TABLE[region]:
             by_a.setdefault(a, []).append((b, log_ref))
         for a, entries in by_a.items():
-            got = specfun._complement_quadrature(a, np.array([b for b, _ in entries]))
+            got = _arrays._complement_quadrature(a, np.array([b for b, _ in entries]))
             for value, (b, log_ref) in zip(got.tolist(), entries):
                 if log_ref >= LOG_1E_300:
                     assert value > 0.0 and abs(math.log(value) - log_ref) <= 1e-11, (a, b, value, log_ref)
@@ -393,7 +393,7 @@ class TestMarcumComplementArray:
         # test_against_noncentral_chi_square in test_outage. Q_1 is checked
         # where b > a, where it is the small side: for tiny b at large a,
         # ncx2.sf raises OverflowError.
-        got = specfun._complement_quadrature(a, np.array(bs))
+        got = _arrays._complement_quadrature(a, np.array(bs))
         for value, b in zip(got.tolist(), bs):
             cdf = ncx2.cdf(b * b, 2.0, a * a)
             if cdf >= 1e-30:
@@ -414,26 +414,26 @@ class TestMarcumComplementArray:
         # moves a value to another row. The two examples take all four
         # groups, b = 0, b = inf, b = a and a*b beyond _MAX_KAPPA.
         a, bs, order = case
-        got = specfun._complement_quadrature(a, bs)
-        alone = np.concatenate([specfun._complement_quadrature(a, bs[i : i + 1]) for i in range(bs.size)])
+        got = _arrays._complement_quadrature(a, bs)
+        alone = np.concatenate([_arrays._complement_quadrature(a, bs[i : i + 1]) for i in range(bs.size)])
         assert got.tobytes() == alone.tobytes(), (a, bs, got, alone)
-        assert got[order].tobytes() == specfun._complement_quadrature(a, bs[order]).tobytes(), (a, bs, order)
+        assert got[order].tobytes() == _arrays._complement_quadrature(a, bs[order]).tobytes(), (a, bs, order)
 
     def test_edge_entries(self):
         # Finite values in [0, 1] with no warning (pytest turns RuntimeWarning
         # into an error).
         for a in (0.0, 1.0, 37.0, 632.0):
             bs = np.array([0.0, math.inf, 1e-300, 1e300, a, a * (1.0 + 1e-12), a * (1.0 - 1e-12), 38.0])
-            got = specfun._complement_quadrature(a, bs)
+            got = _arrays._complement_quadrature(a, bs)
             assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0)), (a, got)
             assert got[0] == 0.0 and got[1] == 1.0 and got[3] == 1.0
-        assert specfun._complement_quadrature(0.0, np.array([1.0]))[0] == pytest.approx(-math.expm1(-0.5), rel=1e-14)
+        assert _arrays._complement_quadrature(0.0, np.array([1.0]))[0] == pytest.approx(-math.expm1(-0.5), rel=1e-14)
         for bad in (np.array([1.0, -0.5]), np.array([math.nan]), np.array([2.0, math.nan, 1.0])):
             with pytest.raises(ValueError):
-                specfun._complement_quadrature(1.0, bad)
+                _arrays._complement_quadrature(1.0, bad)
         for bad_a in (-1.0, math.nan):
             with pytest.raises(ValueError):
-                specfun._complement_quadrature(bad_a, np.array([1.0]))
+                _arrays._complement_quadrature(bad_a, np.array([1.0]))
 
 
 class TestMarcumScalarQuadrature:
@@ -466,7 +466,7 @@ class TestMarcumScalarQuadrature:
         # Both evaluators apply one rule; only summation order and libm
         # differ. Each value is exp of a log, so it also carries the log's
         # rounding, up to 2.3e-16 |log value| relative in deep tails.
-        got = specfun._complement_quadrature(a, np.array(bs))
+        got = _arrays._complement_quadrature(a, np.array(bs))
         for value, b in zip(got.tolist(), bs):
             scalar = _marcum_q1_complement(a, b)
             if value >= 1e-300:
@@ -509,10 +509,10 @@ class TestMarcumOverflowingNoncentrality:
         log_q, log_out, log_i0e, ratio = specfun._log_marcum(5.0, 1.7e308)
         assert (log_q, log_out, ratio) == (-math.inf, 0.0, 1.0)
         assert log_i0e == pytest.approx(-0.5 * (math.log(2.0 * math.pi * 5.0) + math.log(1.7e308)), rel=1e-15)
-        assert specfun._complement_quadrature(1e5, np.array([1e304])).tolist() == [1.0]
+        assert _arrays._complement_quadrature(1e5, np.array([1e304])).tolist() == [1.0]
         # Below, on and above the diagonal, in both forms.
         bs = [1e199, 1e200, 1e201]
-        assert specfun._complement_quadrature(1e200, np.array(bs)).tolist() == [0.0, 0.5, 1.0]
+        assert _arrays._complement_quadrature(1e200, np.array(bs)).tolist() == [0.0, 0.5, 1.0]
         assert [_marcum_q1_complement(1e200, b) for b in bs] == [0.0, 0.5, 1.0]
 
     def test_limit_continues_the_quadrature(self):
@@ -534,7 +534,7 @@ class TestMarcumOverflowingNoncentrality:
         assert 0.0 <= q <= 1.0 and 0.0 <= out <= 1.0, (a, b, q, out)
         assert abs(q + out - 1.0) <= 1e-12, (a, b, q, out)
         assert -math.inf < log_i0e <= 1e-15 and -1e-15 <= ratio <= 1.0, (a, b, log_i0e, ratio)
-        array = specfun._complement_quadrature(a, np.array([b]))[0]
+        array = _arrays._complement_quadrature(a, np.array([b]))[0]
         assert array == pytest.approx(out, rel=1e-12, abs=1e-300), (a, b, array, out)
 
 
