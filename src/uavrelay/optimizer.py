@@ -238,21 +238,26 @@ def _hop_hazards(
     So L = 2 log b - (a - b)^2/2 + log I_0e(ab) - log Q_1, and with
     d log I_0e(x)/dx = I_1(x)/I_0(x) - 1,
     b dL/db = 2 + b (a - b) + ab (I_1/I_0 - 1) + h b; ``_log_marcum`` gives
-    both Bessel terms. The logs stay finite where Q_1 underflows. The hazard
-    is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean SNR that
-    overflows; the derivative is NaN at both. It is NaN too where L passes
-    the log of the largest double: where b >> a, L is the difference of two
-    terms of size (a - b)^2/2, so it is rounding noise there.
+    both Bessel terms. Where b > a, -(a - b)^2/2 - log Q_1 would be the
+    difference of two terms of size (a - b)^2/2, rounding noise where they
+    are large, so L takes log Q_1 + (a - b)^2/2 as the kernel's log of its
+    sum before the shift. The logs stay finite where Q_1 underflows. The
+    hazard is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean
+    SNR that overflows; the derivative is NaN at both. It is NaN too where
+    L passes the log of the largest double, where h b overflows.
     """
     hops = []
     for a, b in _link_args(budget, radio, split.p_s, split.p_u):
-        log_q, log_out, log_i0e, ratio = _log_marcum(a, b)
+        log_q, log_out, log_i0e, ratio, log_sum = _log_marcum(a, b)
         if log_q == -math.inf:
             hops.append((log_q, log_out, math.inf, math.nan))
         elif b == 0.0:
             hops.append((log_q, log_out, -math.inf, math.nan))
         else:
-            log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
+            if b > a:
+                log_hb = 2.0 * math.log(b) + log_i0e - log_sum
+            else:
+                log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
             elastic = math.nan if log_hb > _LOG_MAX else 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
             hops.append((log_q, log_out, log_hb, elastic))
     return hops

@@ -103,9 +103,10 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
-    """(log Q_1(a, b), log(1 - Q_1(a, b)), log I_0e(ab), I_1(ab)/I_0(ab)) for
-    scalar a and b, by one midpoint rule in log space.
+def _log_marcum(a: float, b: float) -> tuple[float, float, float, float, float]:
+    """(log Q_1(a, b), log(1 - Q_1(a, b)), log I_0e(ab), I_1(ab)/I_0(ab),
+    log of the small side before the -(a - b)^2/2 shift) for scalar a and b,
+    by one midpoint rule in log space.
 
     Craig form (Simon & Alouini, IEEE TCOM 46(12), 1998): with s = max(a, b),
     zeta = min(a, b)/s, r = 1 - zeta, kappa = a*b and t = sin^2(phi/2), the
@@ -138,7 +139,9 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     The small side is the sum itself and the other side is log(1 - e^small),
     except that where b > a on a whole-period row both are summed, each from
     its own weight, since 1 - (1 - Q_1) would lose Q_1's digits. So each log
-    keeps its relative accuracy.
+    keeps its relative accuracy. The last entry is the log of the sum alone,
+    the small side times exp((a - b)^2/2): where the shift is large, adding
+    it back to the small side's log would leave rounding noise.
 
     With I_ne(kappa) = e^-kappa I_n(kappa), I_ne is (1/pi) int_0^pi
     cos(n phi) e dphi with e = exp(-2 kappa t), the Craig integrand without
@@ -147,7 +150,7 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     lose relative accuracy at small kappa, so the ratio is good to about
     1e-15 absolute, not relative.
 
-    b = 0 gives (0, -inf, 0, 0), b = inf gives (-inf, 0, -inf, 1), and
+    b = 0 gives (0, -inf, 0, 0, -inf), b = inf gives (-inf, 0, -inf, 1, -inf), and
     a*b beyond ``_MAX_KAPPA``, where the rule's 2ab would overflow, gives
     the limit of ``_far_log_marcum``; a negative or NaN argument raises
     ValueError.
@@ -155,9 +158,9 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     if not (a >= 0.0 and b >= 0.0):
         raise ValueError("Marcum Q arguments must be non-negative")
     if b == 0.0:
-        return 0.0, -math.inf, 0.0, 0.0
+        return 0.0, -math.inf, 0.0, 0.0, -math.inf
     if b == math.inf:
-        return -math.inf, 0.0, -math.inf, 1.0
+        return -math.inf, 0.0, -math.inf, 1.0, -math.inf
     s, low = max(a, b), min(a, b)
     zeta, r = low / s, (s - low) / s
     kappa = a * b
@@ -203,15 +206,16 @@ def _log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
         p = 2.0 * math.pi * math.log(s / low) / step
         share = math.exp(gap - p) / (1.0 + math.exp(-p))
         small += share * (-math.expm1(-0.5 * (a * a + b * b)) if whole and not above else 1.0)
-    log_small = min(0.0, _log(small) - gap)
+    log_sum = _log(small)
+    log_small = min(0.0, log_sum - gap)
     log_i0e, ratio = math.log(sum_e * step / math.pi), 1.0 - 2.0 * sum_te / sum_e
     if not above:
-        return _log1mexp(log_small), log_small, log_i0e, ratio
+        return _log1mexp(log_small), log_small, log_i0e, ratio, log_sum
     log_big = min(0.0, _log(rest * step / math.pi)) if whole else _log1mexp(log_small)
-    return log_small, log_big, log_i0e, ratio
+    return log_small, log_big, log_i0e, ratio, log_sum
 
 
-def _far_log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
+def _far_log_marcum(a: float, b: float) -> tuple[float, float, float, float, float]:
     """``_log_marcum`` where a*b exceeds ``_MAX_KAPPA`` (about 9e307).
 
     There a and b are equal, or differ by more than 7e137: within a factor of
@@ -221,14 +225,15 @@ def _far_log_marcum(a: float, b: float) -> tuple[float, float, float, float]:
     is -(a - b)^2/2 to double precision, and the other side is 1. Where a = b,
     Q_1 = (1 + I_0e(a^2))/2 is 1/2 to double precision. I_0e(ab) takes its
     asymptotic value 1/sqrt(2 pi ab), and I_1/I_0 = 1 - 1/(2ab) rounds to 1.
+    Where they differ, the small side's log before the shift is taken as 0.
     """
     log_i0e = -0.5 * (math.log(2.0 * math.pi) + math.log(a) + math.log(b))
     if a == b:
-        return -math.log(2.0), -math.log(2.0), log_i0e, 1.0
+        return -math.log(2.0), -math.log(2.0), log_i0e, 1.0, -math.log(2.0)
     log_small = -0.5 * (a - b) * (a - b)
     if b > a:
-        return log_small, _log1mexp(log_small), log_i0e, 1.0
-    return _log1mexp(log_small), log_small, log_i0e, 1.0
+        return log_small, _log1mexp(log_small), log_i0e, 1.0, 0.0
+    return _log1mexp(log_small), log_small, log_i0e, 1.0, 0.0
 
 
 def marcum_q1(a: float, b: float) -> float:
@@ -258,7 +263,7 @@ def marcum_q1_partial_a(a: float, b: float) -> float:
     kappa = a * b
     if kappa < 1.0:
         return b * math.exp(-0.5 * (a - b) ** 2 - kappa) * bessel_i_n(1, kappa)
-    _, _, log_i0e, ratio = _log_marcum(a, b)
+    _, _, log_i0e, ratio, _ = _log_marcum(a, b)
     return b * math.exp(log_i0e - 0.5 * (a - b) ** 2) * ratio if b < math.inf else 0.0
 
 

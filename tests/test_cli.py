@@ -376,8 +376,13 @@ class TestExitCodes:
             # alpha = 0.934 with an outage of 1, while the theorem1 and equal
             # rows read 0.
             (1944.937, 698.3625997846729, 1126.5657422395434, 0.04212969506510837),
+            # On the hop with b > a, log(hazard * b) was formed from
+            # -(a - b)^2/2 and -log Q_1, both of size 2e53, so it was rounding
+            # noise: the exact row read alpha 0.771 and an outage of 1, while
+            # the equal row reads 0.
+            (1708.801, 828.373018341847, 540.5016321733062, 0.008506422554209818),
         ],
-        ids=["overflowing-hazard", "wandering-search"],
+        ids=["overflowing-hazard", "wandering-search", "missed-plateau"],
     )
     def test_large_k_exact_row_is_the_best_split_evaluated(self, tmp_path, capsys, r_s, k_su_db, k_ud_db, total_power_w):
         path = paper_scenario(

@@ -432,7 +432,7 @@ class TestMinimizeOutageExact:
     def test_saturated_probe_raises(self, radio, table1_budget, monkeypatch):
         # Both hops' Q_1 read 0 at a probe that the full-power check (which
         # does not call optimizer._log_marcum) lets through.
-        monkeypatch.setattr(optimizer, "_log_marcum", lambda a, b: (-math.inf, 0.0, -math.inf, 1.0))
+        monkeypatch.setattr(optimizer, "_log_marcum", lambda a, b: (-math.inf, 0.0, -math.inf, 1.0, -math.inf))
         with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(table1_budget, radio)
 

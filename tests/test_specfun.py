@@ -484,17 +484,30 @@ class TestMarcumScalarQuadrature:
         rng = np.random.default_rng(17)
         for a, b in zip(10.0 ** rng.uniform(-3.0, 3.0, 400), 10.0 ** rng.uniform(-1.5, 1.5, 400)):
             b *= a
-            _, _, log_i0e, ratio = specfun._log_marcum(a, b)
+            _, _, log_i0e, ratio, _ = specfun._log_marcum(a, b)
             kappa = a * b
             assert abs(log_i0e - math.log(i0e(kappa))) <= 4e-15, (a, b)
             assert abs(ratio - i1e(kappa) / i0e(kappa)) <= 2e-15, (a, b)
 
     def test_bessel_terms_at_the_ends(self):
         # kappa = 0 at b = 0 or a = 0, and the limit kappa -> inf at b = inf.
-        assert specfun._log_marcum(3.0, 0.0) == (0.0, -math.inf, 0.0, 0.0)
-        assert specfun._log_marcum(3.0, math.inf) == (-math.inf, 0.0, -math.inf, 1.0)
-        _, _, log_i0e, ratio = specfun._log_marcum(0.0, 2.0)
+        assert specfun._log_marcum(3.0, 0.0) == (0.0, -math.inf, 0.0, 0.0, -math.inf)
+        assert specfun._log_marcum(3.0, math.inf) == (-math.inf, 0.0, -math.inf, 1.0, -math.inf)
+        _, _, log_i0e, ratio, _ = specfun._log_marcum(0.0, 2.0)
         assert abs(log_i0e) <= 1e-15 and abs(ratio) <= 1e-15
+
+
+    def test_unshifted_log_far_above_the_diagonal(self):
+        # Q_1(a, b) = sqrt(b/a) Q(b - a) (1 + O((b - a)^-2)) far above the
+        # diagonal, with Q the Gaussian tail, so the small side's log before
+        # the shift, log Q_1 + (a - b)^2/2, tends to log(b/a)/2 - log(2 pi)/2
+        # - log(b - a). The kernel's own sum meets it; adding (a - b)^2/2 back
+        # to log Q_1 would leave rounding noise of the size of its ulp.
+        for a, b in [(1e5, 1.3e5), (1e10, 1.5e10), (2.4e27, 3.0e27)]:
+            log_q, _, _, _, log_sum = specfun._log_marcum(a, b)
+            expected = 0.5 * math.log(b / a) - 0.5 * math.log(2.0 * math.pi) - math.log(b - a)
+            assert abs(log_sum - expected) <= 1e-8 * abs(expected), (a, b, log_sum, expected)
+            assert log_q == -0.5 * (a - b) * (a - b) + log_sum
 
 
 class TestMarcumOverflowingNoncentrality:
@@ -506,8 +519,8 @@ class TestMarcumOverflowingNoncentrality:
         # These raised ZeroDivisionError, gave NaN in the log I_0e and ratio
         # entries, and gave NaN from the array form.
         assert specfun._log_marcum(1e200, 1e200)[:2] == (-math.log(2.0), -math.log(2.0))
-        log_q, log_out, log_i0e, ratio = specfun._log_marcum(5.0, 1.7e308)
-        assert (log_q, log_out, ratio) == (-math.inf, 0.0, 1.0)
+        log_q, log_out, log_i0e, ratio, log_sum = specfun._log_marcum(5.0, 1.7e308)
+        assert (log_q, log_out, ratio, log_sum) == (-math.inf, 0.0, 1.0, 0.0)
         assert log_i0e == pytest.approx(-0.5 * (math.log(2.0 * math.pi * 5.0) + math.log(1.7e308)), rel=1e-15)
         assert _arrays._complement_quadrature(1e5, np.array([1e304])).tolist() == [1.0]
         # Below, on and above the diagonal, in both forms.
@@ -529,7 +542,7 @@ class TestMarcumOverflowingNoncentrality:
     def test_every_finite_argument_answers(self, a, b):
         # Finite, in range and consistent over the whole double range, with
         # no exception.
-        log_q, log_out, log_i0e, ratio = specfun._log_marcum(a, b)
+        log_q, log_out, log_i0e, ratio, _ = specfun._log_marcum(a, b)
         q, out = math.exp(log_q), math.exp(log_out)
         assert 0.0 <= q <= 1.0 and 0.0 <= out <= 1.0, (a, b, q, out)
         assert abs(q + out - 1.0) <= 1e-12, (a, b, q, out)
