@@ -9,6 +9,7 @@ rewrite them after a deliberate output change, run
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -91,6 +92,38 @@ def run_case(name: str, workdir: Path) -> str:
 def test_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert run_case(name, tmp_path).encode("utf-8") == expected
+
+
+#: case name -> (argv, scenario or None, SHA-256 of stdout). The digests
+#: were taken before the alpha-grid kernel evaluated its rows in blocks and
+#: the sweep emitter formatted each override cell once. On the 999-point
+#: high-K grid the larger row groups span several kernel blocks, and each
+#: override value heads 1001 rows.
+FROZEN_DIGESTS = {
+    "sweep_alpha_high_k_999": (
+        ["sweep-alpha", *PAPER, "--alpha-grid", "0.001:0.999:999", "--pt", "0.25,1.0"],
+        HIGH_K_SCENARIO,
+        "6c8077402ba9770f0c76cd29e396ea363f8c56547b861f13fd12ed02f19fc90b",
+    ),
+    "sweep_power_paper_sweep": (
+        ["sweep-power", *PAPER, "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"],
+        None,
+        "3f9e2357955a74534f52133f1caf5e4d6807cb9c03b9a24eb04f79fdec0d604f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+def test_frozen_digest(name, tmp_path):
+    argv, scenario, digest = FROZEN_DIGESTS[name]
+    if scenario is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        argv = [*argv, "--scenario", str(path)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_every_golden_file_has_a_case():
