@@ -66,8 +66,10 @@ SWEEP_HEADER = "override_name,override_value,alpha,p_s_w,p_u_w,outage_closed_for
 VALIDATE_HEADER = "alpha,outage_closed_form,outage_mc,std_err,z_score"
 SOLVE_HEADER = "method,alpha,p_s_w,p_u_w,outage,iterations,residual"
 #: Row template of each table, one slot per header column: %s for a name,
-#: %d for a count and %.12e for a float, which must be finite.
-SWEEP_ROW = "%s,%.12e,%.12e,%.12e,%.12e,%.12e,%s"
+#: %d for a count and %.12e for a float, which must be finite. A sweep row is
+#: its override's prefix, formatted once per override value, then its cells.
+SWEEP_PREFIX = "%s,%.12e,"
+SWEEP_CELLS = "%.12e,%.12e,%.12e,%.12e,%s"
 VALIDATE_ROW = "%.12e,%.12e,%.12e,%.12e,%.12e"
 SOLVE_ROW = "%s,%.12e,%.12e,%.12e,%.12e,%d,%.12e"
 
@@ -258,15 +260,14 @@ def _lines(template: str, rows: list[tuple]) -> list[str]:
     return [template % row for row in rows]
 
 
-def _render(scenario: Scenario, header: str, template: str, rows: list[tuple]) -> str:
-    lines = [
+def _render(scenario: Scenario, header: str, lines: list[str]) -> str:
+    head = [
         f"# uavrelay {__version__}",
         f"# scenario_sha256: {scenario.sha256}",
         f"# seed: {scenario.sim.seed}",
         header,
-        *_lines(template, rows),
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(head + lines) + "\n"
 
 
 def _allocation(result) -> tuple:
@@ -283,12 +284,18 @@ def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tu
 
 
 def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells) -> str:
-    """Sweep table: ``cells(swept, budget)`` yields the rows of each override value."""
-    rows = []
+    """Sweep table: ``cells(swept, budget)`` yields the rows of each override
+    value. Every row is computed before any is formatted, and each value's
+    ``SWEEP_PREFIX`` is formatted once and heads all of its rows."""
+    tables = []
     for value in override_values:
         swept = _with_override(scenario, override_name, value)
-        rows.extend((override_name, value, *row) for row in cells(swept, swept.budget()))
-    return _render(scenario, SWEEP_HEADER, SWEEP_ROW, rows)
+        tables.append(((override_name, value), list(cells(swept, swept.budget()))))
+    lines = []
+    for head, rows in tables:
+        [prefix] = _lines(SWEEP_PREFIX, [head])
+        lines += [prefix + line for line in _lines(SWEEP_CELLS, rows)]
+    return _render(scenario, SWEEP_HEADER, lines)
 
 
 def cmd_sweep_alpha(
@@ -352,7 +359,7 @@ def cmd_solve(scenario: Scenario) -> str:
     ]
     if exact.outage > 0.0:
         comments.append(("vs_exact_outage_ratio", approx.outage / exact.outage))
-    text = _render(scenario, SOLVE_HEADER, SOLVE_ROW, rows)
+    text = _render(scenario, SOLVE_HEADER, _lines(SOLVE_ROW, rows))
     return text + "\n".join(_lines("# theorem1_%s: %.12e", comments)) + "\n"
 
 
@@ -385,7 +392,7 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
             z_score = (estimate.p_hat - closed) * estimate.trials
         passed = passed and abs(z_score) <= 3.0
         rows.append((alpha, closed, estimate.p_hat, estimate.std_err, z_score))
-    return _render(scenario, VALIDATE_HEADER, VALIDATE_ROW, rows), passed
+    return _render(scenario, VALIDATE_HEADER, _lines(VALIDATE_ROW, rows)), passed
 
 
 def _parse_alpha_grid(text: str) -> list[float]:

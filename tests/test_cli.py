@@ -995,7 +995,7 @@ _CELLS = {
     "%.12e": st.floats(allow_nan=False, allow_infinity=False),
 }
 _TABLES = [
-    (cli.SWEEP_HEADER, cli.SWEEP_ROW),
+    (cli.SWEEP_HEADER, cli.SWEEP_PREFIX + cli.SWEEP_CELLS),
     (cli.SOLVE_HEADER, cli.SOLVE_ROW),
     (cli.VALIDATE_HEADER, cli.VALIDATE_ROW),
 ]
@@ -1007,9 +1007,24 @@ def _table_rows(table):
     return st.tuples(st.just(table), st.lists(row, max_size=3))
 
 
+def _record_lines(monkeypatch):
+    """The (template, rows) of every ``cli._lines`` call, in call order."""
+    emitted = []
+    true_lines = cli._lines
+
+    def recording(template, rows):
+        emitted.append((template, rows))
+        return true_lines(template, rows)
+
+    monkeypatch.setattr(cli, "_lines", recording)
+    return emitted
+
+
 class TestRowTemplates:
     @pytest.mark.parametrize("header, template", _TABLES, ids=["sweep", "solve", "validate"])
     def test_one_slot_per_column(self, header, template):
+        # A sweep row is its prefix then its cells, so the two templates
+        # together hold one slot per header column.
         assert template == ",".join(_slots(template))
         assert len(_slots(template)) == len(header.split(","))
 
@@ -1035,14 +1050,7 @@ class TestRowTemplates:
     def test_every_cell_matches_its_slot(self, monkeypatch, capsys, argv):
         # An int in a %.12e slot, or a float in a %d or %s slot, would still
         # format, with other bytes than the cell's own format.
-        emitted = []
-        true_lines = cli._lines
-
-        def recording(template, rows):
-            emitted.append((template, rows))
-            return true_lines(template, rows)
-
-        monkeypatch.setattr(cli, "_lines", recording)
+        emitted = _record_lines(monkeypatch)
         assert main(argv + ["--excess-loss-convention", "paper"]) == EXIT_OK
         kinds = {"%s": (str,), "%d": (int,), "%.12e": (float,)}
         assert emitted and all(rows for _, rows in emitted)
@@ -1051,6 +1059,18 @@ class TestRowTemplates:
                 assert len(row) == len(_slots(template))
                 for slot, cell in zip(_slots(template), row):
                     assert isinstance(cell, kinds[slot]) and not isinstance(cell, bool), (template, row)
+
+    def test_sweep_formats_each_override_value_once(self, monkeypatch, capsys):
+        # Each override value's name and value cells are formatted once, as
+        # the prefix of all its rows; the row cells hold no override cell.
+        emitted = _record_lines(monkeypatch)
+        argv = ["sweep-alpha", "--alpha-grid", "0.2:0.8:4", "--pt", "0.25,1.0", "--excess-loss-convention", "paper"]
+        assert main(argv) == EXIT_OK
+        assert [rows for template, rows in emitted if template == cli.SWEEP_PREFIX] == [[("pt", 0.25)], [("pt", 1.0)]]
+        assert [len(rows) for template, rows in emitted if template == cli.SWEEP_CELLS] == [6, 6]
+        assert len(emitted) == 4
+        data = capsys.readouterr().out.splitlines()[4:]
+        assert [line.split(",", 2)[:2] for line in data] == [["pt", "2.500000000000e-01"]] * 6 + [["pt", "1.000000000000e+00"]] * 6
 
 
 def _src_env():

@@ -8,20 +8,23 @@ from scipy.stats import ncx2
 
 from uavrelay import (
     LinkBudget,
+    LinkGeometry,
     PowerSplit,
+    RicianEndpoints,
     end_to_end_outage,
     end_to_end_outage_grid,
     estimate_outage,
     hop_outage,
     snr_threshold,
     SimSpec,
+    link_budget,
 )
 
 from uavrelay import _arrays
 from uavrelay._arrays import _hop_events
 from uavrelay.outage import _link_args
 
-from conftest import count_sign_changes, make_radio
+from conftest import TABLE1, count_sign_changes, make_radio
 
 # Frozen quadrature value of Q_1(2, sqrt(1.8)), the survival term for
 # (k = 2, mean_snr = 10, rate = 1).
@@ -194,6 +197,39 @@ class TestEndToEndOutageGrid:
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
             for (a, b), (a_grid, b_grid) in zip(_link_args(budget, radio, split.p_s, split.p_u), grid):
                 assert (a_grid.hex(), float(b_grid[i]).hex()) == (a.hex(), b.hex()), (alpha, b_grid[i], b)
+
+    def test_grid_rows_reach_the_kernel_in_blocks(self, monkeypatch):
+        # The benchmark's 999-point grid at K near 25 dB and 22 dB, 1 W: each
+        # hop's _complement_rows calls take its 999 rows once between them, at
+        # most _ROW_BLOCK a call, and groups larger than a block are split. A
+        # block slice that skips or repeats rows changes these sizes; the
+        # outages equal, to the bit, those of one call per row group.
+        radio = make_radio(total_power_w=1.0)
+        budget = link_budget(
+            LinkGeometry.midpoint(1000.0, 2000.0), TABLE1["env_su"], TABLE1["env_ud"],
+            RicianEndpoints(20.0, 30.0), RicianEndpoints(17.0, 27.0), radio, "paper",
+        )
+        hops, true_quadrature, true_rows = [], _arrays._complement_quadrature, _arrays._complement_rows
+
+        def quadrature(a, b):
+            hops.append([])
+            return true_quadrature(a, b)
+
+        def rows(a, b, whole, above):
+            hops[-1].append((whole, above, b.size))
+            return true_rows(a, b, whole, above)
+
+        alphas = [0.001 + i * (0.998 / 998) for i in range(999)]
+        monkeypatch.setattr(_arrays, "_complement_quadrature", quadrature)
+        monkeypatch.setattr(_arrays, "_complement_rows", rows)
+        grid = end_to_end_outage_grid(budget, alphas, radio)
+        assert _arrays._ROW_BLOCK == 256
+        assert hops == [
+            [(True, False, 256), (True, False, 256), (True, False, 113), (False, False, 256), (False, False, 118)],
+            [(False, True, 7), (False, False, 256), (False, False, 256), (False, False, 256), (False, False, 224)],
+        ]
+        monkeypatch.setattr(_arrays, "_ROW_BLOCK", 999)  # one call per row group
+        assert end_to_end_outage_grid(budget, alphas, radio) == grid
 
     def test_rejects_alpha_outside_unit_interval(self, radio, table1_budget):
         for bad in (-0.1, 1.5, math.nan):

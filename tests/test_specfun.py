@@ -361,6 +361,16 @@ def mixed_thresholds(draw):
     return a, np.array(bs), draw(st.permutations(range(len(bs))))
 
 
+def block_edge_case(a, *ranges):
+    """(a, thresholds, a permutation of them) with b = 0, inf and 1.7e308 and
+    ``_ROW_BLOCK`` + 44 thresholds spread over each (low, high) range, all
+    shuffled, so that each range's row group spans a kernel block edge."""
+    spread = [np.linspace(low, high, _arrays._ROW_BLOCK + 44) for low, high in ranges]
+    bs = np.concatenate([[0.0, math.inf, 1.7e308], *spread])
+    rng = np.random.default_rng(len(bs))
+    return a, bs[rng.permutation(bs.size)], rng.permutation(bs.size).tolist()
+
+
 class TestMarcumComplementArray:
     """The array path: one quadrature over all thresholds, against oracles."""
 
@@ -405,14 +415,17 @@ class TestMarcumComplementArray:
     @given(mixed_thresholds())
     @example((2.0, np.array([3.0, 1.0, 20.0, 2.0, 0.0, math.inf, 1.7e308]), [6, 0, 3, 5, 1, 4, 2]))
     @example((10.0, np.array([9.0, 2.0, 20.0, 10.0, 0.0, math.inf, 1.7e308]), [2, 4, 6, 0, 1, 3, 5]))
+    @example(block_edge_case(2.0, (1e-3, 2.0), (2.001, 12.5), (12.6, 1e4)))
+    @example(block_edge_case(10.0, (1e-3, 2.5), (2.51, 10.0), (10.001, 1e4)))
     @settings(max_examples=300, deadline=None)
     def test_batch_invariant(self, case):
         # The kernel evaluates each (whole period, above the diagonal) group
         # of rows as one block and scatters the results back. Each entry must
         # equal, to the bit, the same threshold taken alone and the same
         # threshold at another place of the array; a wrong gather or scatter
-        # moves a value to another row. The two examples take all four
-        # groups, b = 0, b = inf, b = a and a*b beyond _MAX_KAPPA.
+        # moves a value to another row. The first two examples take all four
+        # groups, b = 0, b = inf, b = a and a*b beyond _MAX_KAPPA; the last
+        # two take all four groups again, each on both sides of a block edge.
         a, bs, order = case
         got = _arrays._complement_quadrature(a, bs)
         alone = np.concatenate([_arrays._complement_quadrature(a, bs[i : i + 1]) for i in range(bs.size)])
