@@ -92,20 +92,16 @@ def _complement_rows(a: float, b: np.ndarray, whole: bool, above: bool) -> np.nd
         np.sin(t, out=t)
         t *= t
     # weight = (r + 2 zeta t) / (r^2 + 4 zeta t) where b > a, else zeta (r - 2 t) / (r^2 + 4 zeta t)
-    scale = np.multiply(4.0 * zeta, t)
-    scale += r * r
-    weight = np.empty_like(scale)
-    if above:
-        np.multiply(2.0 * zeta, t, out=weight)
-        weight += r
-    else:
-        np.multiply(t, -2.0, out=weight)
-        weight += r
+    denominator = np.multiply(4.0 * zeta, t)
+    denominator += r * r
+    weight = np.multiply(2.0 * zeta if above else -2.0, t, out=np.empty_like(denominator))
+    weight += r
+    if not above:
         weight *= zeta
-    weight /= scale
+    weight /= denominator
     # integrand = exp(-decay) on a window; on the whole period -expm1(-gap - decay)
     # where b > a, else exp(-kappa) expm1(kappa - decay); decay = 2 kappa t
-    integrand = np.multiply((-2.0 * kappa)[:, None], t, out=scale)
+    integrand = np.multiply((-2.0 * kappa)[:, None], t, out=denominator)
     if not whole:
         np.exp(integrand, out=integrand)
     elif above:
