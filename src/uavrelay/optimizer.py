@@ -7,8 +7,9 @@ link survival S = 1 - outage, which is log-concave in alpha. Both equations
 decrease in alpha, and one bracketed Newton search solves each, the
 approximate one from the balance point of its two hops and the exact one
 from the approximate root. The analytic outage derivative along the
-total-power constraint comes from the same per-hop chain rule and is
-exposed for consistency checks.
+total-power constraint, exposed for consistency checks, comes from the same
+per-hop chain rule. All of them read the hop terms of ``outage._link_terms``,
+so this module makes no Marcum call of its own.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .channel import LinkBudget, RadioConfig
-from .outage import PowerSplit, _link_args, _link_outage, end_to_end_outage, snr_threshold
-from .specfun import _LOG_MAX, _log_marcum, _marcum_q1_complement
+from .outage import PowerSplit, _link_args, _link_outage, _link_terms, _saturated, snr_threshold
 
 __all__ = [
     "SolverConfig",
@@ -86,7 +86,7 @@ class AllocationResult:
     method: str
     iterations: int
     residual: float
-    # Both hops' _hop_hazards terms at alpha_star: an exact search's first slope.
+    # Both hops' outage._link_terms at alpha_star: an exact search's first slope.
     _hops: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -170,36 +170,23 @@ def solve_theorem1(
     its sign over the whole bracket puts the root at that end.
     ``iterations`` counts residual evaluations, ends included, and
     ``residual`` is the residual at the returned alpha. The outage comes from
-    the ``_hop_hazards`` terms there, kept for ``minimize_outage_exact``.
+    the hop terms there, kept for ``minimize_outage_exact``.
     When one hop is in certain outage at every split, whether from a zero
     mean SNR or from constants that overflow, a BracketError names the
     saturated objective.
     """
     lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
-    _check_saturated(budget, radio, lo, hi)
-    consts = theorem1_constants(budget, radio)
     total = radio.total_power_w
+    if _saturated(budget, radio, hi * total, (1.0 - lo) * total):
+        raise BracketError(_SATURATED)
+    consts = theorem1_constants(budget, radio)
 
     def residual(alpha: float) -> tuple[float, float]:
         return _theorem1_residual_du(PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud)
 
     start = min(max(_logistic(consts.log_gamma_1 - consts.log_gamma_2), lo), hi)
     alpha, evaluations, _, value = _slope_root(residual, lo, hi, start, cfg)
-    hops = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
-    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, value, hops)
-
-
-def _check_saturated(budget: LinkBudget, radio: RadioConfig, lo: float, hi: float) -> None:
-    """Raise the saturated-objective BracketError if one hop is in outage with
-    probability 1 even at the most power an allocation factor in [lo, hi]
-    gives it, hence at every such split. A hop with b <= a needs no Marcum
-    call, as Q_1(a, b) >= Q_1(a, a) = (1 + e^(-a^2) I_0(a^2))/2 > 1/2 there
-    (Simon & Alouini, IEEE TCOM 46(12), 1998); a NaN fails b <= a, so it
-    still reaches the kernel's ValueError.
-    """
-    hops = _link_args(budget, radio, hi * radio.total_power_w, (1.0 - lo) * radio.total_power_w)
-    if any(not b <= a and _marcum_q1_complement(a, b) == 1.0 for a, b in hops):
-        raise BracketError(_SATURATED)
+    return _allocation_at(budget, radio, alpha, "theorem1", evaluations, value)
 
 
 def _allocation_at(
@@ -211,56 +198,16 @@ def _allocation_at(
     residual: float,
     hops: list | None = None,
 ) -> AllocationResult:
-    """The split at allocation factor alpha of the total power, with its outage:
-    from ``hops``, both hops' ``_hop_hazards`` terms at that split, where
-    given (the result keeps them), else by ``end_to_end_outage``."""
+    """The split at allocation factor alpha of the total power, with its outage
+    from both hops' ``outage._link_terms`` there: ``hops`` where given, else
+    evaluated here. The result keeps them."""
     split = PowerSplit.from_alpha(alpha, radio.total_power_w)
     if hops is None:
-        outage = end_to_end_outage(budget, split, radio)
-    else:
-        outages = [math.exp(log_out) for _, log_out, _, _ in hops]
-        outage = _link_outage(_link_args(budget, radio, split.p_s, split.p_u), outages)
+        hops = _link_terms(budget, radio, split.p_s, split.p_u)
+    outage = _link_outage(hops)
     if not 0.0 <= outage <= 1.0:  # a numerical fault, reported as a solver failure
         raise RuntimeError(f"outage {outage!r} at alpha {alpha!r} is not a probability")
     return AllocationResult(alpha, split.p_s, split.p_u, outage, method, iterations, residual, hops)
-
-
-def _hop_hazards(
-    budget: LinkBudget, radio: RadioConfig, split: PowerSplit
-) -> list[tuple[float, float, float, float]]:
-    """(log Q_1(a, b), log(1 - Q_1(a, b)), L, dL/d(log b)) of each hop at the
-    powers of ``split``, with L = log(hazard * b), all from one ``_log_marcum``
-    call per hop.
-
-    Hop i survives with Q_1(a_i, b_i), (a_i, b_i) from ``outage._hop_args``.
-    b_i scales as 1/sqrt(p_i), so d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i),
-    with the hazard h = -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1.
-    So L = 2 log b - (a - b)^2/2 + log I_0e(ab) - log Q_1, and with
-    d log I_0e(x)/dx = I_1(x)/I_0(x) - 1,
-    b dL/db = 2 + b (a - b) + ab (I_1/I_0 - 1) + h b; ``_log_marcum`` gives
-    both Bessel terms. Where b > a, -(a - b)^2/2 - log Q_1 would be the
-    difference of two terms of size (a - b)^2/2, rounding noise where they
-    are large, so L takes log Q_1 + (a - b)^2/2 as the kernel's log of its
-    sum before the shift. The logs stay finite where Q_1 underflows. The
-    hazard is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean
-    SNR that overflows; the derivative is NaN at both. It is NaN too where
-    L passes the log of the largest double, where h b overflows.
-    """
-    hops = []
-    for a, b in _link_args(budget, radio, split.p_s, split.p_u):
-        log_q, log_out, log_i0e, ratio, log_sum = _log_marcum(a, b)
-        if log_q == -math.inf:
-            hops.append((log_q, log_out, math.inf, math.nan))
-        elif b == 0.0:
-            hops.append((log_q, log_out, -math.inf, math.nan))
-        else:
-            if b > a:
-                log_hb = 2.0 * math.log(b) + log_i0e - log_sum
-            else:
-                log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
-            elastic = math.nan if log_hb > _LOG_MAX else 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
-            hops.append((log_q, log_out, log_hb, elastic))
-    return hops
 
 
 def minimize_outage_exact(
@@ -279,14 +226,14 @@ def minimize_outage_exact(
 
         g(alpha) = d log S/d alpha = h_1 b_1 / (2 alpha) - h_2 b_2 / (2 (1 - alpha))
 
-    (see ``_hop_hazards``). ``_slope_root`` brackets the root of
+    (see ``outage._link_terms``). ``_slope_root`` brackets the root of
     f = log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign,
     over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at
     most ``cfg.max_iter`` slope evaluations. It starts at the alpha of
-    ``theorem1``, the ``solve_theorem1`` result of the same budget, radio and
-    cfg (solved here when it is None), whose hop terms are the slope
-    evaluation there, and takes Newton steps on f in
-    u = logit(alpha):
+    ``theorem1``, a ``solve_theorem1`` result whose hop terms are the slope
+    evaluation there: they must be this budget and radio's (a, b) at an alpha
+    in this cfg's bracket, else (or if it is None) the start is solved here.
+    It takes Newton steps on f in u = logit(alpha):
 
         df/du = -((E_1 + 2) (1 - alpha) + (E_2 + 2) alpha) / 2,
 
@@ -307,16 +254,21 @@ def minimize_outage_exact(
     the start, and ``residual`` is the search's final bracket width. The
     total power constraint is treated as active: p_u = P_t - p_s.
     """
-    if theorem1 is None:
-        theorem1 = solve_theorem1(budget, radio, cfg)
+    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     total = radio.total_power_w
+    # NaN, where no hop terms are handed over, fails the bracket test.
+    start = math.nan if theorem1 is None or theorem1._hops is None else theorem1.alpha_star
+    if not lo <= start <= hi or [hop[:2] for hop in theorem1._hops] != _link_args(
+        budget, radio, start * total, (1.0 - start) * total
+    ):
+        theorem1 = solve_theorem1(budget, radio, cfg)
     evaluated = {theorem1.alpha_star: theorem1._hops}  # alpha -> its hop terms
 
     def slope(alpha: float) -> tuple[float, float]:
         hops = evaluated.get(alpha)
         if hops is None:
-            hops = evaluated[alpha] = _hop_hazards(budget, radio, PowerSplit.from_alpha(alpha, total))
-        (log_q_1, _, log_hb_1, elastic_1), (log_q_2, _, log_hb_2, elastic_2) = hops
+            hops = evaluated[alpha] = _link_terms(budget, radio, alpha * total, (1.0 - alpha) * total)
+        (_, _, log_q_1, _, log_hb_1, elastic_1), (_, _, log_q_2, _, log_hb_2, elastic_2) = hops
         if log_q_1 == log_q_2 == -math.inf:
             raise BracketError(_SATURATED)
         if log_hb_1 == log_hb_2 == -math.inf:  # no hazard on either hop, so g = 0
@@ -324,11 +276,10 @@ def minimize_outage_exact(
         value = (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
         return value, -0.5 * ((elastic_1 + 2.0) * (1.0 - alpha) + (elastic_2 + 2.0) * alpha)
 
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
     alpha, evaluations, width, _ = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
 
     def log_survival(x: float) -> float:
-        (log_q_1, _, _, _), (log_q_2, _, _, _) = evaluated[x]
+        (_, _, log_q_1, _, _, _), (_, _, log_q_2, _, _, _) = evaluated[x]
         return log_q_1 + log_q_2
 
     best = max(evaluated, key=log_survival)
@@ -415,14 +366,14 @@ def outage_gradient_ps(
     """Derivative of the end-to-end outage in p_s along p_u = P_t - p_s.
 
     With survival S = Q_1(a_1, b_1) Q_1(a_2, b_2) and the per-hop hazards of
-    ``_hop_hazards``, dO/dp_s = -S g / P_t, where
+    ``outage._link_terms``, dO/dp_s = -S g / P_t, where
     g / P_t = d log S/dp_s = h_1 b_1 / (2 p_s) - h_2 b_2 / (2 p_u).
     """
     if split.p_s <= 0.0 or split.p_u <= 0.0:
         raise ValueError("gradient is defined only for interior splits")
     if not math.isclose(split.total, radio.total_power_w, rel_tol=1e-9):
         raise ValueError("split must exhaust the total power budget")
-    (log_q_1, _, log_hb_1, _), (log_q_2, _, log_hb_2, _) = _hop_hazards(budget, radio, split)
+    (_, _, log_q_1, _, log_hb_1, _), (_, _, log_q_2, _, log_hb_2, _) = _link_terms(budget, radio, split.p_s, split.p_u)
     survival = math.exp(log_q_1 + log_q_2)
     if survival == 0.0:  # the outage is 1 to double precision around this split
         return 0.0

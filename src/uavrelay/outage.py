@@ -3,7 +3,9 @@
 A hop is in outage when its instantaneous capacity falls below the target
 rate; with decode-and-forward the end-to-end capacity is the minimum of the
 hop capacities, so under independent fading the link survival probability is
-the product of the per-hop Marcum Q terms.
+the product of the per-hop Marcum Q terms. Their scalar evaluator,
+``_link_terms``, feeds the end-to-end outage and every optimizer row, slope
+and gradient.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import LinkBudget, RadioConfig
-from .specfun import _marcum_q1_complement
+from .specfun import _LOG_MAX, _log_marcum, _marcum_q1_complement
 
 __all__ = [
     "PowerSplit",
@@ -102,23 +104,68 @@ def end_to_end_outage(budget: LinkBudget, split: PowerSplit, radio: RadioConfig)
     outage, returned as exactly 1, not an error, so optimizer line searches
     can probe the boundary safely.
     """
-    hops = _link_args(budget, radio, split.p_s, split.p_u)
-    return _link_outage(hops, [_marcum_q1_complement(a, b) for a, b in hops])
+    return _link_outage(_link_terms(budget, radio, split.p_s, split.p_u))
 
 
-def _link_outage(hops, outages: list[float]) -> float:
-    """The link's outage 1 - (1 - out_su)(1 - out_ud) from both hops' (a, b)
-    of ``_link_args`` and their outages 1 - Q_1(a, b).
+def _link_outage(terms) -> float:
+    """The link's outage 1 - (1 - out_su)(1 - out_ud) from both hops'
+    ``_link_terms``, with out = 1 - Q_1(a, b) of each hop.
 
     A hop with b = inf gives exactly 1, which the sum below need not round to.
     """
-    (_, b_su), (_, b_ud) = hops
+    (_, b_su, _, log_out_su, _, _), (_, b_ud, _, log_out_ud, _, _) = terms
     if b_su == math.inf or b_ud == math.inf:
         return 1.0
-    out_su, out_ud = outages
+    out_su, out_ud = math.exp(log_out_su), math.exp(log_out_ud)
     # Same quantity as 1 - (1 - out_su)(1 - out_ud), arranged so small
     # outages are not rounded away against the leading 1.
     return out_su + out_ud - out_su * out_ud
+
+
+def _link_terms(budget: LinkBudget, radio: RadioConfig, p_s: float, p_u: float) -> list[tuple[float, ...]]:
+    """(a, b, log Q_1(a, b), log(1 - Q_1(a, b)), L, dL/d(log b)) of each hop at
+    the powers ``p_s`` and ``p_u``, with (a, b) from ``_link_args`` and
+    L = log(hazard * b), all from one ``_log_marcum`` call per hop.
+
+    Hop i survives with Q_1(a_i, b_i). b_i scales as 1/sqrt(p_i), so
+    d(log Q_1)/d(p_i) = hazard_i * b_i / (2 p_i), with the hazard
+    h = -dQ_1/db / Q_1 = b exp(-(a - b)^2/2) I_0e(ab) / Q_1.
+    So L = 2 log b - (a - b)^2/2 + log I_0e(ab) - log Q_1, and with
+    d log I_0e(x)/dx = I_1(x)/I_0(x) - 1,
+    b dL/db = 2 + b (a - b) + ab (I_1/I_0 - 1) + h b; ``_log_marcum`` gives
+    both Bessel terms. Where b > a, -(a - b)^2/2 - log Q_1 would be the
+    difference of two terms of size (a - b)^2/2, rounding noise where they
+    are large, so L takes log Q_1 + (a - b)^2/2 as the kernel's log of its
+    sum before the shift. The logs stay finite where Q_1 underflows. The
+    hazard is inf where Q_1 is 0 (b = inf), and 0 where b is 0, from a mean
+    SNR that overflows; the derivative is NaN at both. It is NaN too where
+    L passes the log of the largest double, where h b overflows.
+    """
+    terms = []
+    for a, b in _link_args(budget, radio, p_s, p_u):
+        log_q, log_out, log_i0e, ratio, log_sum = _log_marcum(a, b)
+        if log_q == -math.inf:
+            log_hb, elastic = math.inf, math.nan
+        elif b == 0.0:
+            log_hb, elastic = -math.inf, math.nan
+        else:
+            if b > a:
+                log_hb = 2.0 * math.log(b) + log_i0e - log_sum
+            else:
+                log_hb = 2.0 * math.log(b) - 0.5 * (a - b) ** 2 + log_i0e - log_q
+            elastic = math.nan if log_hb > _LOG_MAX else 2.0 + b * (a - b) + a * b * (ratio - 1.0) + math.exp(log_hb)
+        terms.append((a, b, log_q, log_out, log_hb, elastic))
+    return terms
+
+
+def _saturated(budget: LinkBudget, radio: RadioConfig, p_s: float, p_u: float) -> bool:
+    """Whether a hop is in outage with probability 1 at the powers ``p_s``
+    and ``p_u``. A hop with b <= a needs no Marcum call, as
+    Q_1(a, b) >= Q_1(a, a) = (1 + e^(-a^2) I_0(a^2))/2 > 1/2 there
+    (Simon & Alouini, IEEE TCOM 46(12), 1998); a NaN fails b <= a, so it
+    still reaches the kernel's ValueError.
+    """
+    return any(not b <= a and math.exp(_log_marcum(a, b)[1]) == 1.0 for a, b in _link_args(budget, radio, p_s, p_u))
 
 
 def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:

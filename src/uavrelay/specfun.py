@@ -272,7 +272,7 @@ def marcum_q1_partial_b(a: float, b: float) -> float:
 
     Always <= 0: raising the threshold can only shrink the survival
     probability. log I_0e comes from the nodes of ``_log_marcum``, the same
-    term as the exact solver's hazard (``optimizer._hop_hazards``), so the
+    term as the exact solver's hazard (``outage._link_terms``), so the
     product stays finite where I_0 alone would overflow. At b = inf it is its
     limit 0. A NaN argument raises ValueError.
     """

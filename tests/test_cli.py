@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavrelay import cli, optimizer, specfun
+from uavrelay import cli, optimizer, outage, specfun
 from uavrelay import LinkBudget, OutageEstimate, equal_power
 from uavrelay.cli import (
     EXIT_OK,
@@ -451,7 +451,7 @@ class TestExitCodes:
             # from a Bessel series that does not converge. No CLI route
             # reaches that series now (the kernel's own Bessel terms replaced
             # it); specfun's tests cover the error itself.
-            (optimizer, "_log_marcum", _unconverged, "I_0("),
+            (outage, "_log_marcum", _unconverged, "I_0("),
         ],
         ids=["non-finite-value", "unconverged-series"],
     )
@@ -464,7 +464,7 @@ class TestExitCodes:
         assert captured.err.startswith(f"solver error: {message}")
 
     def test_non_finite_solver_outage_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(optimizer, "end_to_end_outage", lambda *args: math.nan)
+        monkeypatch.setattr(optimizer, "_link_outage", lambda *args: math.nan)
         assert main(["sweep-power", "--excess-loss-convention", "paper", "--pt", "0.25"]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -595,38 +595,26 @@ PAPER_SWEEP = ["sweep-power", "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"]
 def count_solver_work(monkeypatch, argvs):
     """Per-request means of the solver work that ``argvs`` cause, by name:
     saturation checks, Theorem 1 searches (``solve_theorem1`` calls at the
-    cli name) and residual evaluations, Marcum kernel calls, and
-    end_to_end_outage calls made inside an exact solve.
+    cli name) and residual evaluations, and Marcum kernel calls.
     ``_theorem1_residual_du`` counts every residual evaluation: the searches
-    call it, and ``theorem1_residual`` goes through it."""
-    counts = dict.fromkeys(["_check_saturated", "solve_theorem1", "_theorem1_residual_du", "kernel", "outage_in_exact"], 0)
-    inside_exact = [False]
+    call it, and ``theorem1_residual`` goes through it. That the exact
+    solve takes no outage of its own is structural: ``optimizer`` reaches
+    the kernel only through ``outage`` (``test_package``'s layering test)."""
+    counts = dict.fromkeys(["_saturated", "solve_theorem1", "_theorem1_residual_du", "kernel"], 0)
 
-    def counted(fn, key, only_inside_exact=False):
+    def counted(fn, key):
         def wrapper(*args, **kwargs):
-            if inside_exact[0] or not only_inside_exact:
-                counts[key] += 1
+            counts[key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    true_exact = cli.minimize_outage_exact
-
-    def exact(*args, **kwargs):
-        inside_exact[0] = True
-        try:
-            return true_exact(*args, **kwargs)
-        finally:
-            inside_exact[0] = False
-
-    monkeypatch.setattr(cli, "minimize_outage_exact", exact)
     monkeypatch.setattr(cli, "solve_theorem1", counted(cli.solve_theorem1, "solve_theorem1"))
-    for name in ("_check_saturated", "_theorem1_residual_du"):
+    for name in ("_saturated", "_theorem1_residual_du"):
         monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), name))
-    monkeypatch.setattr(optimizer, "end_to_end_outage", counted(optimizer.end_to_end_outage, "outage_in_exact", True))
     kernel = counted(specfun._log_marcum, "kernel")
     monkeypatch.setattr(specfun, "_log_marcum", kernel)
-    monkeypatch.setattr(optimizer, "_log_marcum", kernel)
+    monkeypatch.setattr(outage, "_log_marcum", kernel)
     for argv in argvs:
         assert main(argv) == EXIT_OK
     return {key: value / len(argvs) for key, value in counts.items()}
@@ -679,11 +667,10 @@ class TestSolverSharing:
         # the root, 60 residual evaluations.
         counts = count_solver_work(monkeypatch, [PAPER_SWEEP + ["--excess-loss-convention", "paper"]])
         assert counts == {
-            "_check_saturated": 10,
+            "_saturated": 10,
             "solve_theorem1": 10,
             "_theorem1_residual_du": 50,
             "kernel": 106,
-            "outage_in_exact": 0,
         }
 
     def test_paper_sweep_family_counts(self, monkeypatch, capsys, tmp_path):
@@ -699,10 +686,9 @@ class TestSolverSharing:
                 path = write_scenario(tmp_path, name, geometry={"h_u": h_u, "L": length}, excess_loss_convention="paper")
                 argvs.append(PAPER_SWEEP + ["--scenario", path])
         counts = count_solver_work(monkeypatch, argvs)
-        assert counts["_check_saturated"] == counts["solve_theorem1"] == 10
+        assert counts["_saturated"] == counts["solve_theorem1"] == 10
         assert counts["kernel"] <= 108.7  # 108.625 here, 148.25 before the hop terms were shared
         assert counts["_theorem1_residual_du"] <= 50.0  # 50 here: 5 per search
-        assert counts["outage_in_exact"] == 0
 
 
 class TestSweepAlpha:

@@ -13,6 +13,7 @@ from scipy.stats import ncx2
 from uavrelay import (
     AllocationResult,
     BracketError,
+    DEFAULT_SOLVER,
     HopEnvironment,
     LinkBudget,
     LinkGeometry,
@@ -34,7 +35,7 @@ from uavrelay import (
 from uavrelay import optimizer, outage, specfun
 from uavrelay.specfun import marcum_q1
 
-from conftest import count_sign_changes, make_budget, make_radio, make_symmetric_budget
+from conftest import TABLE1, count_sign_changes, make_budget, make_radio, make_symmetric_budget
 
 # Frozen 50-digit evaluations of the root-equation constants at the
 # reference parameters, per excess-loss convention.
@@ -256,29 +257,66 @@ class TestSolveTheorem1:
         result = solve_theorem1(budget, radio)
         assert result.alpha_star == pytest.approx(0.6 if mirrored else 0.4, abs=1e-8)
 
+    def test_region_of_fidelity_narrows_with_k(self):
+        # Where Theorem 1 holds: the share of solved budgets whose theorem1
+        # row meets criterion 5's bounds (alpha gap <= 0.05, outage ratio
+        # <= 1.10), per 10 dB band of the smaller hop's K. A seeded pool over
+        # the paper's ranges: each hop's K_0 from -10 to 40 dB and K_pi/2 up
+        # to 10 dB above it, h_u 100-2000 m, L 500-3000 m, r_s on [0, L],
+        # R in {0.5, 1, 2, 4} and P_t from 1 mW to 10 W. Saturated budgets,
+        # and those whose exact outage underflows to 0, have no ratio.
+        rng = random.Random(11)
+        bands = {band: [0, 0] for band in (-10, 0, 10, 20, 30)}  # band -> [within, solved]
+        for _ in range(600):
+            endpoints = []
+            for _ in range(2):
+                k0_db = rng.uniform(-10.0, 40.0)
+                endpoints.append(RicianEndpoints(k0_db=k0_db, kpi2_db=k0_db + rng.uniform(0.0, 10.0)))
+            h_u, length = rng.uniform(100.0, 2000.0), rng.uniform(500.0, 3000.0)
+            geometry = LinkGeometry(h_u=h_u, r_s=rng.uniform(0.0, length), L=length)
+            radio = make_radio(total_power_w=10.0 ** rng.uniform(-3.0, 1.0), rate=rng.choice([0.5, 1.0, 2.0, 4.0]))
+            budget = link_budget(geometry, TABLE1["env_su"], TABLE1["env_ud"], *endpoints, radio, "paper")
+            try:
+                approx = solve_theorem1(budget, radio)
+            except BracketError:
+                continue
+            exact = minimize_outage_exact(budget, radio, theorem1=approx)
+            if exact.outage == 0.0:
+                continue
+            k_db = 10.0 * math.log10(min(budget.k_su, budget.k_ud))
+            band = bands[min(30, 10 * math.floor(k_db / 10.0))]
+            band[0] += abs(approx.alpha_star - exact.alpha_star) <= 0.05 and approx.outage / exact.outage <= 1.10
+            band[1] += 1
+        assert bands == {-10: [61, 135], 0: [64, 134], 10: [57, 115], 20: [14, 51], 30: [0, 7]}
+        # About half below 20 dB, then falling: 0.45, 0.48, 0.50, 0.27, 0.
+        shares = [within / solved for within, solved in bands.values()]
+        assert min(shares[:3]) > shares[3] > shares[4]
+
     def test_saturation_check_skips_hops_below_the_diagonal(self, radio, table1_budget, monkeypatch):
         # Where b <= a, Q_1(a, b) > 1/2, so the check cannot fire: at full
         # power both reference hops are there, and the kernel is not asked.
-        # The saturated budgets still reach it and raise, and so does a NaN.
+        # The saturated budgets still reach it, and solve_theorem1 raises
+        # before it forms the Theorem 1 constants; a NaN raises too.
         calls = []
-        true_kernel = specfun._log_marcum
+        true_kernel = outage._log_marcum
 
         def kernel(a, b):
             calls.append((a, b))
             return true_kernel(a, b)
 
-        monkeypatch.setattr(specfun, "_log_marcum", kernel)
+        monkeypatch.setattr(outage, "_log_marcum", kernel)
         lo, hi = 1e-6, 1.0 - 1e-6
-        optimizer._check_saturated(table1_budget, radio, lo, hi)
+        total = radio.total_power_w
+        assert not outage._saturated(table1_budget, radio, hi * total, (1.0 - lo) * total)
         assert calls == []
         for saturated in (make_radio(rate=511.9), make_radio(total_power_w=1e-318)):
             with pytest.raises(BracketError, match="^saturated objective: "):
-                optimizer._check_saturated(make_budget(radio=saturated), saturated, lo, hi)
+                solve_theorem1(make_budget(radio=saturated), saturated)
             assert calls
             calls.clear()
-        monkeypatch.setattr(optimizer, "_link_args", lambda *args: [(1.0, 0.5), (1.0, math.nan)])
+        monkeypatch.setattr(outage, "_link_args", lambda *args: [(1.0, 0.5), (1.0, math.nan)])
         with pytest.raises(ValueError):
-            optimizer._check_saturated(table1_budget, radio, lo, hi)
+            outage._saturated(table1_budget, radio, hi * total, (1.0 - lo) * total)
 
     @given(
         st.floats(min_value=-14.0, max_value=-4.0),
@@ -326,6 +364,28 @@ class TestMinimizeOutageExact:
         split = PowerSplit.from_alpha(result.alpha_star, radio.total_power_w)
         assert result.outage <= 1e-11
         assert end_to_end_outage(budget, split, radio) <= 1e-11
+
+    @pytest.mark.parametrize("foreign", ["budget", "total-power", "bracket"])
+    def test_foreign_theorem1_is_ignored(self, radio, table1_budget, foreign):
+        # A theorem1 result of another objective once seeded the search with
+        # its own hop terms. Handed the reference row, the reference budget
+        # with both gains 30 times weaker read alpha 0.1375 and the
+        # reference's outage, 8.5e-5, where the closed form gives 0.664 at
+        # that split. Such a hand-off is ignored, bit for bit.
+        budget, cfg, handed = table1_budget, DEFAULT_SOLVER, solve_theorem1(table1_budget, radio)
+        if foreign == "budget":
+            budget = LinkBudget(budget.g_su / 30.0, budget.g_ud / 30.0, budget.k_su, budget.k_ud)
+        elif foreign == "total-power":
+            handed = solve_theorem1(budget, make_radio(total_power_w=1.0))
+        else:
+            # The theorem1 root, alpha 0.0029, lies below this bracket.
+            budget = LinkBudget(budget.g_su * 1e3, budget.g_ud, budget.k_su, budget.k_ud)
+            handed, cfg = solve_theorem1(budget, radio), SolverConfig(bracket_epsilon=0.005)
+            assert handed.alpha_star < cfg.bracket_epsilon
+        cold = minimize_outage_exact(budget, radio, cfg)
+        assert result_bytes(minimize_outage_exact(budget, radio, cfg, theorem1=handed)) == result_bytes(cold)
+        split = PowerSplit.from_alpha(cold.alpha_star, radio.total_power_w)
+        assert cold.outage == end_to_end_outage(budget, split, radio)
 
     def test_large_k_keeps_half_the_theorem1_survival(self):
         # K from 150 to 1500 dB per hop, full-power SNR margins 10^-0.5 to
@@ -396,7 +456,7 @@ class TestMinimizeOutageExact:
         symmetric = budget == "symmetric"
         budget, evaluations = (make_symmetric_budget(), 1) if symmetric else (make_budget(), 4)
         grid_calls, marcum_calls, bessel_calls = [], [], []
-        true_grid, true_marcum = outage.end_to_end_outage_grid, optimizer._log_marcum
+        true_grid, true_marcum = outage.end_to_end_outage_grid, outage._log_marcum
         true_bessel = specfun._bessel_series
 
         def grid(*args):
@@ -412,7 +472,7 @@ class TestMinimizeOutageExact:
             return true_bessel(*args)
 
         monkeypatch.setattr(outage, "end_to_end_outage_grid", grid)
-        monkeypatch.setattr(optimizer, "_log_marcum", marcum)
+        monkeypatch.setattr(outage, "_log_marcum", marcum)
         monkeypatch.setattr(specfun, "_bessel_series", bessel)
         res = minimize_outage_exact(budget, radio)
         assert grid_calls == [] and bessel_calls == []  # the kernel gives the Bessel terms
@@ -431,8 +491,8 @@ class TestMinimizeOutageExact:
 
     def test_saturated_probe_raises(self, radio, table1_budget, monkeypatch):
         # Both hops' Q_1 read 0 at a probe that the full-power check (which
-        # does not call optimizer._log_marcum) lets through.
-        monkeypatch.setattr(optimizer, "_log_marcum", lambda a, b: (-math.inf, 0.0, -math.inf, 1.0, -math.inf))
+        # asks the kernel nothing for these hops, since b <= a) lets through.
+        monkeypatch.setattr(outage, "_log_marcum", lambda a, b: (-math.inf, 0.0, -math.inf, 1.0, -math.inf))
         with pytest.raises(BracketError, match="^saturated objective: "):
             minimize_outage_exact(table1_budget, radio)
 
@@ -460,9 +520,8 @@ class TestMinimizeOutageExact:
         assert res.outage == 0.0  # far below the double range
 
         def log_slope(alpha):
-            (_, _, log_hb_1, _), (_, _, log_hb_2, _) = optimizer._hop_hazards(
-                budget, radio, PowerSplit.from_alpha(alpha, radio.total_power_w)
-            )
+            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
+            (_, _, _, _, log_hb_1, _), (_, _, _, _, log_hb_2, _) = outage._link_terms(budget, radio, split.p_s, split.p_u)
             return log_hb_1 + math.log1p(-alpha) - log_hb_2 - math.log(alpha)
 
         assert log_slope(res.alpha_star - 1e-8) > 0.0 > log_slope(res.alpha_star + 1e-8)
@@ -588,10 +647,11 @@ class TestMinimizeOutageExact:
 
             return record
 
+        kernel = outage._log_marcum
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optimizer, "_log_marcum", recorder(slope_args, optimizer._log_marcum))
-            patch.setattr(outage, "_marcum_q1_complement", recorder(outage_args, outage._marcum_q1_complement))
-            optimizer._hop_hazards(budget, radio, split)
+            patch.setattr(outage, "_log_marcum", recorder(slope_args, kernel))
+            outage._link_terms(budget, radio, split.p_s, split.p_u)
+            patch.setattr(outage, "_log_marcum", recorder(outage_args, kernel))
             end_to_end_outage(budget, split, radio)
         assert len(slope_args) == 2
         assert slope_args == outage_args
@@ -628,8 +688,8 @@ class TestMinimizeOutageExact:
         scale = 2.0 * snr_threshold(radio.rate) * radio.noise_power_w
         for alpha in (0.01, 0.2, 0.5, 0.9):
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
-            hops = optimizer._hop_hazards(table1_budget, radio, split)
-            for (log_q, _, log_hb, _), k, gain, power in zip(
+            hops = outage._link_terms(table1_budget, radio, split.p_s, split.p_u)
+            for (_, _, log_q, _, log_hb, _), k, gain, power in zip(
                 hops,
                 (table1_budget.k_su, table1_budget.k_ud),
                 (table1_budget.g_su, table1_budget.g_ud),
@@ -654,10 +714,10 @@ class TestMinimizeOutageExact:
         for alpha in (0.01, 0.2, 0.5, 0.9):
             split = PowerSplit.from_alpha(alpha, radio.total_power_w)
             hops, up, down = (
-                optimizer._hop_hazards(budget, radio, PowerSplit(split.p_s * scale, split.p_u * scale))
+                outage._link_terms(budget, radio, split.p_s * scale, split.p_u * scale)
                 for scale in (1.0, math.exp(-2.0 * eps), math.exp(2.0 * eps))
             )
-            for (_, _, _, derivative), (_, _, log_hb_up, _), (_, _, log_hb_down, _) in zip(hops, up, down):
+            for (*_, derivative), (*_, log_hb_up, _), (*_, log_hb_down, _) in zip(hops, up, down):
                 assert derivative == pytest.approx((log_hb_up - log_hb_down) / (2.0 * eps), rel=1e-6, abs=1e-6)
 
     @given(
@@ -697,11 +757,10 @@ class TestMinimizeOutageExact:
                 assert best <= oracle(alpha) * (1.0 + 1e-12)
 
     def test_array_thresholds_skip_the_scalar_entry_point(self, radio, table1_budget, monkeypatch):
-        # The benchmark's per-call tracer replaces these module attributes and
+        # The benchmark's per-call tracer replaces this module attribute and
         # buckets each call by its scalar threshold b, so an array b must
         # reach the Marcum kernel another way.
-        assert callable(optimizer._log_marcum)
-        scalar = outage._marcum_q1_complement
+        scalar = outage._log_marcum
         calls = []
 
         def scalar_only(a, b):
@@ -710,10 +769,13 @@ class TestMinimizeOutageExact:
             calls.append(b)
             return scalar(a, b)
 
-        monkeypatch.setattr(outage, "_marcum_q1_complement", scalar_only)
+        monkeypatch.setattr(outage, "_log_marcum", scalar_only)
         end_to_end_outage_grid(table1_budget, [0.0, 0.25, 0.5, 0.75], radio)
-        minimize_outage_exact(table1_budget, radio)
-        assert calls == []  # both solver rows take their outages from slope terms
+        assert calls == []
+        exact = minimize_outage_exact(table1_budget, radio)
+        # Both solver rows take their outages from slope terms.
+        assert len(calls) == 2 * exact.iterations
+        calls.clear()
         equal_power(radio, table1_budget)
         assert len(calls) == 2  # the equal row's outage stays two scalar calls
 

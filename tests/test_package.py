@@ -108,3 +108,29 @@ def test_every_private_name_has_a_caller_in_src():
         if not any(_is_used(other, other_name == module, module, name) for other_name, other in trees.items())
     ]
     assert unused == []
+
+
+def _specfun_imports(tree):
+    """Names a module's tree imports from ``specfun``, by ``from .specfun
+    import`` or ``from uavrelay.specfun import``, and modules it imports
+    whole from the package (``from . import specfun``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("specfun", "uavrelay.specfun"):
+                names |= {alias.name for alias in node.names}
+            elif node.module in (None, "uavrelay"):
+                names |= {"specfun" for alias in node.names if alias.name == "specfun"}
+    return names
+
+
+def test_marcum_calls_layer_through_outage():
+    # specfun <- outage <- optimizer: every scalar Marcum evaluation of a
+    # link is outage's, so the optimizer only searches.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert _specfun_imports(trees["optimizer"]) == set()
+    kernel = {"_log_marcum", "_marcum_q1_complement"}
+    assert [module for module, tree in trees.items() if _specfun_imports(tree) & kernel] == ["outage"]
+    # The check sees the import that the optimizer once had.
+    trees["optimizer"].body.insert(0, ast.parse("from .specfun import _log_marcum").body[0])
+    assert _specfun_imports(trees["optimizer"]) == {"_log_marcum"}
