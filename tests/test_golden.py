@@ -47,6 +47,11 @@ HIGH_K_SCENARIO = {
     "rician_ud": {"k0_db": 17.0, "kpi2_db": 27.0},
 }
 
+DEEP_TAIL_SCENARIO = {
+    "rician_su": {"k0_db": 35.0, "kpi2_db": 45.0},
+    "rician_ud": {"k0_db": 32.0, "kpi2_db": 42.0},
+}
+
 #: case name -> (argv, scenario written to a file and passed by --scenario, or None).
 CASES = {
     "solve_default": (["solve"], None),
@@ -56,6 +61,8 @@ CASES = {
     # K near 25 dB: Marcum a*b well above 25, so the quadrature takes its window branch, and
     # the grid edges put b on both sides of a.
     "sweep_alpha_high_k": (["sweep-alpha", *PAPER, "--alpha-grid", "0.001:0.999:199"], HIGH_K_SCENARIO),
+    # K near 40 dB: grid outages with three-digit exponents, subnormal ones and exact zeros.
+    "sweep_alpha_deep_tail": (["sweep-alpha", *PAPER, "--alpha-grid", "0.91:0.97:121"], DEEP_TAIL_SCENARIO),
     "sweep_power_R": (["sweep-power", *PAPER, "--pt", "0.1,0.25,0.5", "--R", "1,2"], None),
     "sweep_power_L": (["sweep-power", *PAPER, "--pt", "0.1,0.5", "--L", "1000,3000"], None),
     "sweep_power_default": (["sweep-power", *PAPER], None),
