@@ -1,9 +1,10 @@
-"""The array paths of the package: the alpha-grid Marcum kernel and the Monte
-Carlo sampler.
+"""The array paths of the package: the alpha-grid Marcum kernel, the text of
+the alpha grid's sweep rows and the Monte Carlo sampler.
 
-This is the only module that imports numpy. ``outage.end_to_end_outage_grid``
-and ``mcsim.estimate_outage`` import it when first called, so the commands
-that make only scalar calls (``solve``, ``sweep-power``) never load numpy.
+This is the only module that imports numpy. ``outage.end_to_end_outage_grid``,
+``mcsim.estimate_outage`` and ``cli.cmd_sweep_alpha`` import it when first
+called, so the commands that make only scalar calls (``solve``,
+``sweep-power``) never load numpy.
 """
 
 from __future__ import annotations
@@ -145,6 +146,94 @@ def _outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) ->
     out_su = _complement_quadrature(a_su, b_su)
     out_ud = _complement_quadrature(a_ud, b_ud)
     return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud).tolist()
+
+
+# -- the alpha grid's sweep rows ----------------------------------------------
+
+# Bytes of the longest "%.12e" cell, "-d.dddddddddddde-ddd"; a shorter cell is
+# followed by zero bytes, which no cell's text holds.
+_CELL = 20
+# The decimal exponents e that ``_format_e12`` forms itself; for each, the
+# scale 10^(12 - e) as a factor where 12 - e >= 0, else as a divisor (the
+# other is 1), each the correctly rounded float(10**j); and the cell's tail
+# "e+dd" or "e+ddd", zero-padded to 8 bytes. The tails, and the four digit
+# characters of each integer 0 to 9999, are read as one word each, so that
+# each cell's part is one gathered element.
+_LOW_E, _HIGH_E = -290, 290
+_POWERS = np.array([float(10**j) for j in range(12 - _LOW_E + 1)])
+_TIMES = _POWERS[np.maximum(12 - np.arange(_LOW_E, _HIGH_E + 1), 0)]
+_OVER = _POWERS[np.maximum(np.arange(_LOW_E, _HIGH_E + 1) - 12, 0)]
+_EXPONENT = np.frombuffer(
+    "".join(("e%+03d" % e).ljust(8, "\0") for e in range(_LOW_E, _HIGH_E + 1)).encode(), np.uint64
+)
+# Column j holds digit j of 0 to 9999 in order: each digit for 10^(3 - j)
+# integers, a cycle repeated 10^j times.
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_GROUPS = np.stack([np.tile(np.repeat(_DIGITS, 10 ** (3 - j)), 10**j) for j in range(4)], axis=1)
+_GROUPS = _GROUPS.view(np.uint32)[:, 0]
+
+
+def _format_e12(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.12e" % v`` for each entry v of the float array ``x`` into
+    ``out``, a uint8 array of shape ``x.shape + (_CELL,)``: the cell's text,
+    then zero bytes.
+
+    The 13 digits are round(m), m = v 10^(12 - e) with e = floor(log10 v),
+    formed as one product or quotient by a correctly rounded power of ten.
+    Below 1e13, m is then within 2.3e-3 of its exact value (two roundings of
+    at most 2^-53 relative). Where m is at least 0.01 from every
+    half-integer and lies in [1e12 + 0.01, 1e13 - 0.51), the exact value
+    rounds to the same integer, in [1e12, 1e13), so e and the digits are
+    those of the correctly rounded conversion. Every other entry takes
+    Python's own ``"%.12e" % v``: near-ties, decade edges, and every v
+    outside [1e-290, 1e290] (zeros, negatives, subnormals, NaN and
+    infinities).
+    """
+    fast = (x >= 1e-290) & (x <= 1e290)
+    v = np.where(fast, x, 1.0)
+    e = np.log10(v)
+    np.floor(e, out=e)
+    row = np.clip(e - _LOW_E, 0, _HIGH_E - _LOW_E).astype(np.intp)  # log10 may round past either end
+    m = v * _TIMES[row]
+    m /= _OVER[row]
+    digits = np.rint(m)
+    exact = fast & (np.abs(m - digits) <= 0.49) & (m >= 1e12 + 0.01) & (m < 1e13 - 0.51)
+    lead = np.floor(digits / 1e12)
+    digits -= lead * 1e12  # the 12 digits after the point, as an integer
+    np.add(lead, ord("0"), out=out[..., 0], casting="unsafe")
+    out[..., 1] = ord(".")
+    for start, place in ((2, 1e8), (6, 1e4), (10, 1.0)):
+        group = np.floor(digits / place)  # exact: digits / place lies at least 1/place below the next integer
+        digits -= group * place
+        out[..., start : start + 4] = _GROUPS[group.astype(np.intp)][..., None].view(np.uint8)
+    out[..., 14:] = _EXPONENT[row][..., None].view(np.uint8)[..., : _CELL - 14]
+    slow = ~exact
+    cells = (("%.12e" % value).encode().ljust(_CELL, b"\0") for value in x[slow].tolist())
+    out[slow] = np.frombuffer(b"".join(cells), np.uint8).reshape(-1, _CELL)
+
+
+def _grid_rows(prefix: str, alphas: list[float], total: float, outages: list[float]) -> str:
+    """The sweep rows ``prefix + cli.SWEEP_CELLS % (alpha, p_s, p_u, outage,
+    "grid")`` of an alpha grid, joined by newlines, with p_s = alpha * total
+    and p_u = (1 - alpha) * total, the products of ``PowerSplit.from_alpha``.
+
+    The rows are one (rows, width) byte block: the prefix, the four cells of
+    ``_format_e12`` each followed by a comma, and ``grid``. The cells' zero
+    bytes are dropped and the block decoded once. Raises RuntimeError if a
+    cell is not finite, as ``cli._lines`` does.
+    """
+    alpha = np.asarray(alphas, dtype=float)
+    cells = np.stack([alpha, alpha * total, (1.0 - alpha) * total, np.asarray(outages, dtype=float)], axis=1)
+    if not np.isfinite(cells).all():
+        raise RuntimeError("refusing to emit a non-finite value")
+    head, tail = prefix.encode(), b"grid\n"
+    block = np.zeros((alpha.size, len(head) + 4 * (_CELL + 1) + len(tail)), np.uint8)
+    block[:, : len(head)] = np.frombuffer(head, np.uint8)
+    body = block[:, len(head) : -len(tail)].reshape(alpha.size, 4, _CELL + 1)
+    _format_e12(cells, body[..., :_CELL])
+    body[..., _CELL] = ord(",")
+    block[:, -len(tail) :] = np.frombuffer(tail, np.uint8)
+    return block[block != 0][:-1].tobytes().decode()
 
 
 # -- the Monte Carlo sampler --------------------------------------------------

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import typing
-from itertools import repeat
 
 from . import __version__
 from .channel import (
@@ -283,17 +282,25 @@ def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tu
     return minimize_outage_exact(budget, radio, cfg, theorem1=approx), approx
 
 
-def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells) -> str:
-    """Sweep table: ``cells(swept, budget)`` yields the rows of each override
-    value. Every row is computed before any is formatted, and each value's
+def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells, grid=None) -> str:
+    """Sweep table: ``grid(swept, budget)``, if given, returns the alpha
+    grid's ``_arrays._grid_rows`` arguments after the prefix, and
+    ``cells(swept, budget)`` yields the other rows of each override value.
+    Every row is computed before any is formatted, and each value's
     ``SWEEP_PREFIX`` is formatted once and heads all of its rows."""
     tables = []
     for value in override_values:
         swept = _with_override(scenario, override_name, value)
-        tables.append(((override_name, value), list(cells(swept, swept.budget()))))
+        budget = swept.budget()
+        grid_args = grid(swept, budget) if grid else None
+        tables.append(((override_name, value), grid_args, list(cells(swept, budget))))
     lines = []
-    for head, rows in tables:
+    for head, grid_args, rows in tables:
         [prefix] = _lines(SWEEP_PREFIX, [head])
+        if grid_args:
+            from ._arrays import _grid_rows
+
+            lines.append(_grid_rows(prefix, *grid_args))
         lines += [prefix + line for line in _lines(SWEEP_CELLS, rows)]
     return _render(scenario, SWEEP_HEADER, lines)
 
@@ -304,20 +311,21 @@ def cmd_sweep_alpha(
     override_name: str,
     override_values: list[float],
 ) -> str:
-    """Closed-form outage over an alpha grid, plus both solver allocations."""
+    """Closed-form outage over an alpha grid, plus both solver allocations.
+
+    The grid rows are one text block of ``_arrays._grid_rows``, which
+    formats each cell as ``SWEEP_CELLS`` does."""
     for alpha in alpha_grid:
         if not 0.0 < alpha < 1.0:
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
-    def cells(swept, budget):
-        total = swept.radio.total_power_w
-        # The products of PowerSplit.from_alpha, entry by entry.
-        p_s, p_u = [alpha * total for alpha in alpha_grid], [(1.0 - alpha) * total for alpha in alpha_grid]
-        outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
-        yield from zip(alpha_grid, p_s, p_u, outages, repeat("grid"))
-        yield from map(_allocation, _solve_both(budget, swept.radio, swept.solver))
+    def grid(swept, budget):
+        return alpha_grid, swept.radio.total_power_w, end_to_end_outage_grid(budget, alpha_grid, swept.radio)
 
-    return _sweep(scenario, override_name, override_values, cells)
+    def cells(swept, budget):
+        return map(_allocation, _solve_both(budget, swept.radio, swept.solver))
+
+    return _sweep(scenario, override_name, override_values, cells, grid)
 
 
 def cmd_sweep_power(
@@ -523,9 +531,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     return code
 
 

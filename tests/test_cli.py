@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uavrelay import cli, optimizer, outage, specfun
+from uavrelay import _arrays, cli, optimizer, outage, specfun
 from uavrelay import LinkBudget, OutageEstimate, equal_power
 from uavrelay.cli import (
     EXIT_OK,
@@ -150,6 +151,16 @@ class TestExitCodes:
 
     def test_missing_file_exits_2(self):
         assert main(["solve", "--scenario", "/nonexistent.json"]) == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-alpha"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "x.csv"
+        assert main([command, "--out", str(out)]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write output file: ")
+        assert str(out) in captured.err and not out.parent.exists()
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["solve", "--frobnicate"]) == EXIT_SCENARIO
@@ -993,6 +1004,40 @@ def _table_rows(table):
     return st.tuples(st.just(table), st.lists(row, max_size=3))
 
 
+def _powers_of_ten_and_neighbours():
+    for p in range(-308, 309):
+        power = float(f"1e{p}")
+        yield from (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf))
+
+
+#: Doubles where a %.12e fast path can go wrong: decade edges, the decimal
+#: ties d.dddddddddddd5 10^p (the nearest double lies above or below the tie),
+#: exact binary ties, the ends of the double range, and two cells just below
+#: a decade, which a fast path that accepted m in [1e12 - 0.5, 1e12) printed
+#: as 1.000000000000e-282 and 1.000000000000e+257.
+_EDGE_VALUES = [
+    *_powers_of_ten_and_neighbours(),
+    *(
+        float(f"{d}.{tail}e{p}")
+        for d in range(1, 10)
+        for tail in ("5", "0000000000005", "9999999999995")
+        for p in range(-308, 308, 5)
+    ),
+    2.0**-20, 5.0**20, 1234567890123.5,
+    5e-324, 2.2250738585072014e-308, sys.float_info.max, 0.0,
+    9.9999999999995e-283, 9.999999999999499e256,
+]
+
+
+def _array_cells(values):
+    """``_arrays._format_e12`` of ``values``, one text per value. The buffer
+    starts as 0xff bytes, so a byte the formatter leaves unwritten shows."""
+    x = np.array(values, dtype=float)
+    out = np.full(x.shape + (_arrays._CELL,), 0xFF, np.uint8)
+    _arrays._format_e12(x, out)
+    return [cell.tobytes().rstrip(b"\0").decode("latin-1") for cell in out]
+
+
 def _record_lines(monkeypatch):
     """The (template, rows) of every ``cli._lines`` call, in call order."""
     emitted = []
@@ -1049,14 +1094,40 @@ class TestRowTemplates:
     def test_sweep_formats_each_override_value_once(self, monkeypatch, capsys):
         # Each override value's name and value cells are formatted once, as
         # the prefix of all its rows; the row cells hold no override cell.
+        # The grid rows are one array block, so only the solver rows pass
+        # through the row templates.
         emitted = _record_lines(monkeypatch)
         argv = ["sweep-alpha", "--alpha-grid", "0.2:0.8:4", "--pt", "0.25,1.0", "--excess-loss-convention", "paper"]
         assert main(argv) == EXIT_OK
         assert [rows for template, rows in emitted if template == cli.SWEEP_PREFIX] == [[("pt", 0.25)], [("pt", 1.0)]]
-        assert [len(rows) for template, rows in emitted if template == cli.SWEEP_CELLS] == [6, 6]
+        assert [len(rows) for template, rows in emitted if template == cli.SWEEP_CELLS] == [2, 2]
         assert len(emitted) == 4
         data = capsys.readouterr().out.splitlines()[4:]
         assert [line.split(",", 2)[:2] for line in data] == [["pt", "2.500000000000e-01"]] * 6 + [["pt", "1.000000000000e+00"]] * 6
+        assert [line.rsplit(",", 1)[1] for line in data] == (["grid"] * 4 + ["exact", "theorem1"]) * 2
+
+    # The grid rows' array path is held to the % templates, which stay the
+    # one formatting authority.
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_array_cells_at_the_edges(self, sign):
+        values = [sign * value for value in _EDGE_VALUES]
+        assert _array_cells(values) == ["%.12e" % value for value in values]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_array_cells_match_the_template(self, values):
+        assert _array_cells(values) == ["%.12e" % value for value in values]
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(0.0, 1.0)), min_size=1),
+        st.floats(0.0, 1e300, exclude_min=True),
+    )
+    def test_grid_rows_match_the_templates(self, rows, total):
+        [prefix] = cli._lines(cli.SWEEP_PREFIX, [("pt", total)])
+        expected = [
+            prefix + cli.SWEEP_CELLS % (alpha, alpha * total, (1.0 - alpha) * total, out, "grid") for alpha, out in rows
+        ]
+        got = _arrays._grid_rows(prefix, [alpha for alpha, _ in rows], total, [out for _, out in rows])
+        assert got == "\n".join(expected)
 
 
 def _src_env():
