@@ -39,7 +39,6 @@ from .optimizer import (
     minimize_outage_exact,
     solve_theorem1,
     theorem1_residual,
-    theorem1_constants,
 )
 from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid
 
@@ -357,16 +356,14 @@ def cmd_solve(scenario: Scenario) -> str:
         (res.method, res.alpha_star, res.p_s, res.p_u, res.outage, res.iterations, res.residual)
         for res in (exact, approx, equal)
     ]
-    consts = theorem1_constants(budget, scenario.radio)
-    residual_at_exact = theorem1_residual(
-        PowerSplit(exact.p_s, exact.p_u), consts, budget.k_su, budget.k_ud
-    )
     comments = [
-        ("residual_at_exact", residual_at_exact),
+        ("residual_at_exact", theorem1_residual(budget, PowerSplit(exact.p_s, exact.p_u), scenario.radio)),
         ("vs_exact_alpha_gap", abs(approx.alpha_star - exact.alpha_star)),
     ]
-    if exact.outage > 0.0:
-        comments.append(("vs_exact_outage_ratio", approx.outage / exact.outage))
+    # No ratio to a zero exact outage, nor one past the double range.
+    ratio = approx.outage / exact.outage if exact.outage > 0.0 else math.inf
+    if math.isfinite(ratio):
+        comments.append(("vs_exact_outage_ratio", ratio))
     text = _render(scenario, SOLVE_HEADER, _lines(SOLVE_ROW, rows))
     return text + "\n".join(_lines("# theorem1_%s: %.12e", comments)) + "\n"
 
@@ -391,12 +388,14 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
         closed = end_to_end_outage(budget, split, scenario.radio)
         spec = dataclasses.replace(scenario.sim, seed=(scenario.sim.seed + index) % 2**64)
         estimate = estimate_outage(budget, split, scenario.radio, spec)
-        if 0.0 < closed < 1.0:
-            # Score test: the binomial spread that the closed form predicts.
-            # The estimate's own spread shrinks when its count comes out low.
-            z_score = (estimate.p_hat - closed) / math.sqrt(closed * (1.0 - closed) / estimate.trials)
+        # Score test: the binomial spread that the closed form predicts.
+        # The estimate's own spread shrinks when its count comes out low.
+        spread = closed * (1.0 - closed) / estimate.trials
+        if spread > 0.0:
+            z_score = (estimate.p_hat - closed) / math.sqrt(spread)
         else:
-            # Degenerate closed form (0 or 1 exactly): score the raw gap per trial.
+            # No spread (a closed form of 0 or 1, or one so small that the
+            # spread underflows): score the raw gap per trial.
             z_score = (estimate.p_hat - closed) * estimate.trials
         passed = passed and abs(z_score) <= 3.0
         rows.append((alpha, closed, estimate.p_hat, estimate.std_err, z_score))

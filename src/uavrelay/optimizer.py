@@ -25,7 +25,6 @@ __all__ = [
     "SolverConfig",
     "DEFAULT_SOLVER",
     "AllocationResult",
-    "Theorem1Constants",
     "BracketError",
     "theorem1_constants",
     "theorem1_residual",
@@ -98,33 +97,19 @@ class AllocationResult:
             raise ValueError(f"method must be one of {_METHODS}")
 
 
-@dataclass(frozen=True)
-class Theorem1Constants:
-    """Natural logs of the per-hop constants gamma_i of the approximate root
-    equation, gamma_i in watts. Logs, because gamma_i itself can overflow
-    where K is large."""
-
-    log_gamma_1: float
-    log_gamma_2: float
-
-    def __post_init__(self):
-        if not (self.log_gamma_1 > -math.inf and self.log_gamma_2 > -math.inf):
-            raise ValueError("root-equation constants must be positive")
-
-
-def theorem1_constants(budget: LinkBudget, radio: RadioConfig) -> Theorem1Constants:
-    """log gamma_i for gamma_i = K_i (K_i + 1) (2^(2R) - 1) N_0 / G_i of each
-    hop, as a sum of logs, so that no product overflows."""
+def theorem1_constants(budget: LinkBudget, radio: RadioConfig) -> tuple[float, float]:
+    """(log gamma_1, log gamma_2): the natural logs of each hop's constant
+    gamma_i = K_i (K_i + 1) (2^(2R) - 1) N_0 / G_i of the approximate root
+    equation, in watts. Each is a sum of logs, since gamma_i itself can
+    overflow where K is large."""
     log_scale = math.log(snr_threshold(radio.rate)) + math.log(radio.noise_power_w)
-    return Theorem1Constants(
-        log_gamma_1=math.log(budget.k_su) + math.log1p(budget.k_su) + log_scale - math.log(budget.g_su),
-        log_gamma_2=math.log(budget.k_ud) + math.log1p(budget.k_ud) + log_scale - math.log(budget.g_ud),
+    return (
+        math.log(budget.k_su) + math.log1p(budget.k_su) + log_scale - math.log(budget.g_su),
+        math.log(budget.k_ud) + math.log1p(budget.k_ud) + log_scale - math.log(budget.g_ud),
     )
 
 
-def theorem1_residual(
-    split: PowerSplit, consts: Theorem1Constants, k_su: float, k_ud: float
-) -> float:
+def theorem1_residual(budget: LinkBudget, split: PowerSplit, radio: RadioConfig) -> float:
     """Natural log of the left-hand side of the approximate optimality equation.
 
     A root identifies the approximately optimal split. The residual decreases
@@ -133,28 +118,31 @@ def theorem1_residual(
     sqrt(gamma_i / p_i) is exp((log gamma_i - log p_i) / 2), which is
     a_i b_i / 2 and so finite wherever the Marcum arguments are.
     """
-    return _theorem1_residual_du(split, consts, k_su, k_ud)[0]
+    return _theorem1_residual_du(budget, theorem1_constants(budget, radio), split.p_s, split.p_u)[0]
 
 
 def _theorem1_residual_du(
-    split: PowerSplit, consts: Theorem1Constants, k_su: float, k_ud: float
+    budget: LinkBudget, log_gammas: tuple[float, float], p_s: float, p_u: float
 ) -> tuple[float, float]:
-    """``theorem1_residual`` and its derivative in u = logit(alpha) along the
+    """``theorem1_residual`` at the powers p_s and p_u, from the budget's
+    ``theorem1_constants``, and its derivative in u = logit(alpha) along the
     total power, -1.75 - (1 - alpha) sqrt(gamma_1 / p_s) - alpha sqrt(gamma_2 / p_u),
     which is negative and takes the two square roots the residual forms."""
-    if split.p_s <= 0.0 or split.p_u <= 0.0:
+    if p_s <= 0.0 or p_u <= 0.0:
         raise ValueError("both powers must be positive")
-    root_1 = math.exp(0.5 * (consts.log_gamma_1 - math.log(split.p_s)))
-    root_2 = math.exp(0.5 * (consts.log_gamma_2 - math.log(split.p_u)))
+    log_gamma_1, log_gamma_2 = log_gammas
+    root_1 = math.exp(0.5 * (log_gamma_1 - math.log(p_s)))
+    root_2 = math.exp(0.5 * (log_gamma_2 - math.log(p_u)))
     residual = (
-        1.75 * math.log(split.p_u / split.p_s)
-        + 0.75 * (consts.log_gamma_1 - consts.log_gamma_2)
-        + 0.5 * math.log(k_ud / k_su)
+        1.75 * math.log(p_u / p_s)
+        + 0.75 * (log_gamma_1 - log_gamma_2)
+        + 0.5 * math.log(budget.k_ud / budget.k_su)
         + 2.0 * root_1
         - 2.0 * root_2
-        + (k_ud - k_su)
+        + (budget.k_ud - budget.k_su)
     )
-    return residual, -1.75 - split.p_u / split.total * root_1 - split.p_s / split.total * root_2
+    total = p_s + p_u
+    return residual, -1.75 - p_u / total * root_1 - p_s / total * root_2
 
 
 def solve_theorem1(
@@ -179,12 +167,12 @@ def solve_theorem1(
     total = radio.total_power_w
     if _saturated(budget, radio, hi * total, (1.0 - lo) * total):
         raise BracketError(_SATURATED)
-    consts = theorem1_constants(budget, radio)
+    log_gammas = theorem1_constants(budget, radio)
 
     def residual(alpha: float) -> tuple[float, float]:
-        return _theorem1_residual_du(PowerSplit.from_alpha(alpha, total), consts, budget.k_su, budget.k_ud)
+        return _theorem1_residual_du(budget, log_gammas, alpha * total, (1.0 - alpha) * total)
 
-    start = min(max(_logistic(consts.log_gamma_1 - consts.log_gamma_2), lo), hi)
+    start = min(max(_logistic(log_gammas[0] - log_gammas[1]), lo), hi)
     alpha, evaluations, _, value = _slope_root(residual, lo, hi, start, cfg)
     return _allocation_at(budget, radio, alpha, "theorem1", evaluations, value)
 

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uavrelay import _arrays, cli, optimizer, outage, specfun
-from uavrelay import LinkBudget, OutageEstimate, equal_power
+from uavrelay import LinkBudget, OutageEstimate, PowerSplit, equal_power, minimize_outage_exact, theorem1_residual
 from uavrelay.cli import (
     EXIT_OK,
     EXIT_SCENARIO,
@@ -300,6 +300,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("solver error: saturated objective: ")
+
+    def test_subnormal_exact_outage_omits_the_outage_ratio(self, monkeypatch, capsys):
+        # The exact outage is 4.2e-312 and the theorem1 outage 0.58, so their
+        # ratio is past the double range. The ratio line once read inf, and
+        # solve refused the whole report of a budget that sweep-power answers.
+        budget = LinkBudget(1.7831178483593306e-13, 5.932099081039597e-13, 153216.16165976884, 268173.08765712345)
+        monkeypatch.setattr(cli, "link_budget", lambda *args: budget)
+        assert main(["sweep-power", "--pt", "0.25"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["solve"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = solver_rows("solve", captured.out)
+        assert 0.0 < rows["exact"][1] < 1e-300 < 0.5 < rows["theorem1"][1]
+        comments = [line.split(":")[0] for line in captured.out.splitlines() if line.startswith("# theorem1_")]
+        assert comments == ["# theorem1_residual_at_exact", "# theorem1_vs_exact_alpha_gap"]
 
     @pytest.mark.parametrize(
         "budget, edge",
@@ -589,6 +605,16 @@ class TestSolve:
         assert "# theorem1_vs_exact_alpha_gap:" in out
         assert "# theorem1_vs_exact_outage_ratio:" in out
         assert "# theorem1_residual_at_exact:" in out
+
+    def test_residual_at_exact_is_the_public_residual(self, tmp_path, capsys):
+        path = paper_scenario(tmp_path)
+        assert main(["solve", "--scenario", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        scenario = load_scenario(path)
+        budget, radio = scenario.budget(), scenario.radio
+        exact = minimize_outage_exact(budget, radio, scenario.solver)
+        residual = theorem1_residual(budget, PowerSplit(exact.p_s, exact.p_u), radio)
+        assert f"# theorem1_residual_at_exact: {residual:.12e}" in out.splitlines()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = paper_scenario(tmp_path)
@@ -893,6 +919,22 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert parse_rows(captured.out, header)[0][column] == "1.000000000000e+00"
+
+    def test_subnormal_closed_form_scores_the_raw_gap(self, monkeypatch, capsys):
+        # The closed form is 1.1e-320, so p (1 - p) / n underflows to 0 at
+        # 20 000 trials. That spread once raised ZeroDivisionError out of
+        # main; with no spread, z is the raw gap per trial.
+        budget = LinkBudget(1.57814109191836e-13, 1.63904068192873e-12, 88210.06589316114, 448208.86324859166)
+        monkeypatch.setattr(cli, "link_budget", lambda *args: budget)
+        argv = ["validate", "--alpha-grid", "0.92047385351148:0.92047385351148:1", "--trials", "20000"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [row] = parse_rows(captured.out, cli.VALIDATE_HEADER)
+        closed = float(row[1])
+        assert 0.0 < closed < 1e-300
+        assert closed * (1.0 - closed) / 20_000 == 0.0
+        assert float(row[4]) == (float(row[2]) - closed) * 20_000
 
     def test_corrupted_gain_fails_with_exit_4(self, tmp_path, capsys, monkeypatch):
         path = paper_scenario(tmp_path)

@@ -20,7 +20,6 @@ from uavrelay import (
     PowerSplit,
     RicianEndpoints,
     SolverConfig,
-    Theorem1Constants,
     end_to_end_outage,
     end_to_end_outage_grid,
     equal_power,
@@ -77,8 +76,8 @@ def random_budget(rng: random.Random, radio) -> LinkBudget:
 
 class TestTheorem1Constants:
     def test_symmetric_hops_equal(self, radio, symmetric_budget):
-        consts = theorem1_constants(symmetric_budget, radio)
-        assert consts.log_gamma_1 == consts.log_gamma_2
+        log_gamma_1, log_gamma_2 = theorem1_constants(symmetric_budget, radio)
+        assert log_gamma_1 == log_gamma_2
 
     def test_linear_in_noise(self, table1_budget):
         radio = make_radio()
@@ -87,40 +86,36 @@ class TestTheorem1Constants:
             radio, noise_power_dbm=radio.noise_power_dbm + 10.0 * math.log10(2.0)
         )
         hi = theorem1_constants(table1_budget, doubled)
-        assert hi.log_gamma_1 == pytest.approx(lo.log_gamma_1 + math.log(2.0), abs=1e-12)
-        assert hi.log_gamma_2 == pytest.approx(lo.log_gamma_2 + math.log(2.0), abs=1e-12)
+        assert hi[0] == pytest.approx(lo[0] + math.log(2.0), abs=1e-12)
+        assert hi[1] == pytest.approx(lo[1] + math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("convention", ["standard", "paper"])
     def test_frozen_reference_pair(self, radio, convention):
         budget = make_budget(convention=convention)
-        consts = theorem1_constants(budget, radio)
+        log_gamma_1, log_gamma_2 = theorem1_constants(budget, radio)
         expected_1, expected_2 = FROZEN_GAMMA[convention]
         # Within 1e-12 in log: 1e-12 relative in gamma.
-        assert consts.log_gamma_1 == pytest.approx(math.log(expected_1), abs=1e-12)
-        assert consts.log_gamma_2 == pytest.approx(math.log(expected_2), abs=1e-12)
+        assert log_gamma_1 == pytest.approx(math.log(expected_1), abs=1e-12)
+        assert log_gamma_2 == pytest.approx(math.log(expected_2), abs=1e-12)
 
     def test_logs_do_not_overflow(self, radio):
         # K = 1500 dB: K (K + 1) alone is 1e300, and gamma_i itself is inf.
         budget = LinkBudget(1e-12, 1e-9, 1e150, 1e150)
-        consts = theorem1_constants(budget, radio)
+        log_gamma_1, log_gamma_2 = theorem1_constants(budget, radio)
         expected = 2.0 * math.log(1e150) + math.log(snr_threshold(radio.rate) * radio.noise_power_w)
-        assert consts.log_gamma_1 == pytest.approx(expected - math.log(1e-12), rel=1e-14)
-        assert consts.log_gamma_2 == pytest.approx(expected - math.log(1e-9), rel=1e-14)
-        assert math.isfinite(theorem1_residual(PowerSplit(0.5, 0.5), consts, budget.k_su, budget.k_ud))
+        assert log_gamma_1 == pytest.approx(expected - math.log(1e-12), rel=1e-14)
+        assert log_gamma_2 == pytest.approx(expected - math.log(1e-9), rel=1e-14)
+        assert math.isfinite(theorem1_residual(budget, PowerSplit(0.5, 0.5), radio))
 
 
 class TestTheorem1Residual:
     def test_symmetric_equal_split_is_exact_zero(self, radio, symmetric_budget):
-        consts = theorem1_constants(symmetric_budget, radio)
         split = PowerSplit.from_alpha(0.5, radio.total_power_w)
-        assert theorem1_residual(split, consts, symmetric_budget.k_su, symmetric_budget.k_ud) == 0.0
+        assert theorem1_residual(symmetric_budget, split, radio) == 0.0
 
     def test_boundary_divergence(self, radio, table1_budget):
-        consts = theorem1_constants(table1_budget, radio)
-
         def residual(alpha):
-            split = PowerSplit.from_alpha(alpha, radio.total_power_w)
-            return theorem1_residual(split, consts, table1_budget.k_su, table1_budget.k_ud)
+            return theorem1_residual(table1_budget, PowerSplit.from_alpha(alpha, radio.total_power_w), radio)
 
         assert residual(1e-9) > 100.0
         assert residual(1.0 - 1e-9) < -100.0
@@ -129,23 +124,13 @@ class TestTheorem1Residual:
         rng = random.Random(7)
         for _ in range(20):
             budget = random_budget(rng, radio)
-            consts = theorem1_constants(budget, radio)
             alphas = [0.01 + 0.98 * i / 60 for i in range(61)]
-            values = [
-                theorem1_residual(
-                    PowerSplit.from_alpha(a, radio.total_power_w),
-                    consts,
-                    budget.k_su,
-                    budget.k_ud,
-                )
-                for a in alphas
-            ]
+            values = [theorem1_residual(budget, PowerSplit.from_alpha(a, radio.total_power_w), radio) for a in alphas]
             assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_rejects_boundary_powers(self, radio, table1_budget):
-        consts = theorem1_constants(table1_budget, radio)
         with pytest.raises(ValueError):
-            theorem1_residual(PowerSplit(0.0, 0.25), consts, 10.0, 10.0)
+            theorem1_residual(table1_budget, PowerSplit(0.0, 0.25), radio)
 
     @given(
         st.floats(min_value=-10.0, max_value=60.0),
@@ -163,18 +148,20 @@ class TestTheorem1Residual:
         # 1e5 scratch draws of these ranges.
         radio = make_radio()
         budget = LinkBudget(10.0**log_g_su, 10.0**log_g_ud, 10.0 ** (k_su_db / 10.0), 10.0 ** (k_ud_db / 10.0))
-        consts = theorem1_constants(budget, radio)
+
+        def residual_at(u):
+            return theorem1_residual(budget, split(u), radio)
 
         def split(u):
             return PowerSplit.from_alpha(0.5 + 0.5 * math.tanh(0.5 * u), radio.total_power_w)
 
         h = 1e-3
-        central = (
-            theorem1_residual(split(u + h), consts, budget.k_su, budget.k_ud)
-            - theorem1_residual(split(u - h), consts, budget.k_su, budget.k_ud)
-        ) / (2.0 * h)
-        residual, derivative = optimizer._theorem1_residual_du(split(u), consts, budget.k_su, budget.k_ud)
-        assert residual == theorem1_residual(split(u), consts, budget.k_su, budget.k_ud)
+        central = (residual_at(u + h) - residual_at(u - h)) / (2.0 * h)
+        at_u = split(u)
+        residual, derivative = optimizer._theorem1_residual_du(
+            budget, theorem1_constants(budget, radio), at_u.p_s, at_u.p_u
+        )
+        assert residual == residual_at(u)
         assert derivative <= -1.75
         assert derivative == pytest.approx(central, rel=2e-6)
 
@@ -252,8 +239,8 @@ class TestSolveTheorem1:
             hops.reverse()
         (g_su, k_su), (g_ud, k_ud) = hops
         budget = LinkBudget(g_su, g_ud, k_su, k_ud)
-        consts = theorem1_constants(budget, radio)
-        assert abs(consts.log_gamma_1 - consts.log_gamma_2) > 710.0
+        log_gamma_1, log_gamma_2 = theorem1_constants(budget, radio)
+        assert abs(log_gamma_1 - log_gamma_2) > 710.0
         result = solve_theorem1(budget, radio)
         assert result.alpha_star == pytest.approx(0.6 if mirrored else 0.4, abs=1e-8)
 
@@ -331,7 +318,8 @@ class TestSolveTheorem1:
         # The theorem1 row's outage comes from the hop terms that the exact
         # search then takes as its first slope evaluation: the same bits as
         # end_to_end_outage at that split, and the same exact row as a
-        # search that evaluates its start itself.
+        # search that evaluates its start itself. Its residual is the public
+        # theorem1_residual at that split, to the bit.
         budget = LinkBudget(10.0**g_su, 10.0**g_ud, 10.0 ** (k_su / 10.0), 10.0 ** (k_ud / 10.0))
         radio = make_radio(total_power_w=10.0**pt, rate=rate)
         try:
@@ -340,6 +328,7 @@ class TestSolveTheorem1:
             assume(False)
         split = PowerSplit.from_alpha(approx.alpha_star, radio.total_power_w)
         assert approx.outage.hex() == end_to_end_outage(budget, split, radio).hex()
+        assert approx.residual.hex() == theorem1_residual(budget, split, radio).hex()
         handed = minimize_outage_exact(budget, radio, theorem1=approx)
         cold = minimize_outage_exact(budget, radio, theorem1=dataclasses.replace(approx, _hops=None))
         assert result_bytes(handed) == result_bytes(cold) == result_bytes(minimize_outage_exact(budget, radio))
@@ -999,10 +988,8 @@ class TestEqualPower:
             ),
             "outage must be a probability",
         ),
-        (lambda: Theorem1Constants(-math.inf, 0.0), "constants must be positive"),
-        (lambda: Theorem1Constants(0.0, -math.inf), "constants must be positive"),
     ],
-    ids=["max-iter-zero", "outage-above-one", "gamma-1-zero", "gamma-2-zero"],
+    ids=["max-iter-zero", "outage-above-one"],
 )
 def test_value_types_reject_out_of_range_fields(build, message):
     with pytest.raises(ValueError, match=message):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import uavrelay
 from test_cli import _src_env
 
 SRC = Path(uavrelay.__file__).resolve().parent
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 MODULES = ("channel", "mcsim", "optimizer", "outage", "specfun")
 
 
@@ -134,3 +136,24 @@ def test_marcum_calls_layer_through_outage():
     # The check sees the import that the optimizer once had.
     trees["optimizer"].body.insert(0, ast.parse("from .specfun import _log_marcum").body[0])
     assert _specfun_imports(trees["optimizer"]) == {"_log_marcum"}
+
+
+def test_benchmark_spans_name_live_entry_points():
+    # The benchmark's traced run wraps each SPANS entry point wherever a
+    # uavrelay module binds it, so a solver renamed or moved out of its
+    # module would leave the per-layer solver counts at 0 without an error.
+    # bench/spans.py is read, not imported, so tier-1 runs no benchmark code.
+    tree = ast.parse(BENCH_SPANS.read_text(encoding="utf-8"))
+    [spans] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANS"]
+    ]
+    assert spans
+    cli = importlib.import_module("uavrelay.cli")
+    for module_name, name in spans:
+        function = vars(importlib.import_module(module_name)).get(name)
+        assert inspect.isfunction(function) and function.__module__ == module_name, (module_name, name)
+        # solve_theorem1, minimize_outage_exact and estimate_outage: the CLI
+        # calls each through its own attribute, which the tracer replaces.
+        assert vars(cli).get(name) is function, name

@@ -1,15 +1,16 @@
-"""README's library example runs as printed and its scenario block is the
-default scenario, so neither can drift from the code."""
+"""README's library example and command lines run as printed and its
+scenario block is the default scenario, so none can drift from the code."""
 
 import contextlib
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from uavrelay.cli import DEFAULT_SCENARIO
+from uavrelay.cli import DEFAULT_SCENARIO, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,21 @@ def test_scenario_block_is_the_default_scenario():
     assert len(blocks) == 1
     # Serialized, so key order and int-versus-float must match as well.
     assert json.dumps(json.loads(blocks[0])) == json.dumps(DEFAULT_SCENARIO)
+
+
+def test_command_lines_run(tmp_path, capsys):
+    # Each example line runs with scenario.json holding README's scenario block.
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^```sh\n(.*?)^```", text.split("## Command line\n", 1)[1], re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("uavrelay ")]
+    assert [line.split()[1] for line in lines] == ["solve", "sweep-alpha", "sweep-power", "validate"]
+    [scenario] = re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario, encoding="utf-8")
+    for line in lines:
+        argv = [str(path) if arg == "scenario.json" else arg for arg in shlex.split(line)[1:]]
+        assert main(argv) == 0, line
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        table = [row for row in captured.out.splitlines() if not row.startswith("#")]
+        assert len(table) > 1 and all(row.count(",") == table[0].count(",") for row in table), line
