@@ -91,6 +91,8 @@ class RicianEndpoints:
     def __post_init__(self):
         if self.kpi2_db < self.k0_db:
             raise ValueError("K at pi/2 must be at least K at zenith angle 0")
+        if self.k0_db < 0.0 and 10.0 ** (self.k0_db / 10.0) == 0.0:
+            raise ValueError("K at zenith angle 0 must be above about -3233 dB, where 10^(k0_db/10) underflows")
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ class RadioConfig:
     total_power_w: float
 
     def __post_init__(self):
-        if self.f_c <= 0.0:
-            raise ValueError("carrier frequency must be positive")
+        omega = 4.0 * math.pi * self.f_c
+        if not (self.f_c > 0.0 and omega * omega > 0.0):
+            raise ValueError("carrier frequency f_c must be positive, with a (4 pi f_c)^2 that does not underflow")
         if self.n < 2.0:
             raise ValueError("path-loss exponent must be at least 2")
         if self.rate >= 512.0:
@@ -137,9 +140,10 @@ class RadioConfig:
 class LinkBudget:
     """Per-hop mean path gain (linear power ratio) and linear Rician factor.
 
-    K is at most 1e150 (1500 dB), so that K (K + 1) and the Marcum
-    noncentrality a b stay finite: a = sqrt(2K) <= 1.5e75, and a finite b
-    is below 1.4e154.
+    K lies in [1e-150, 1e150] (within 1500 dB of 0 dB), so that K (K + 1)
+    and the Marcum noncentrality a b stay finite (a = sqrt(2K) <= 1.5e75,
+    and a finite b is below 1.4e154), and the ratio of the two hops' K is a
+    positive double.
     """
 
     g_su: float
@@ -150,8 +154,8 @@ class LinkBudget:
     def __post_init__(self):
         if not all(0.0 < g < 1.0 for g in (self.g_su, self.g_ud)):
             raise ValueError("mean path gains must lie in (0, 1)")
-        if not all(0.0 < k <= 1e150 for k in (self.k_su, self.k_ud)):
-            raise ValueError("Rician factors must lie in (0, 1e150], i.e. at most 1500 dB")
+        if not all(1e-150 <= k <= 1e150 for k in (self.k_su, self.k_ud)):
+            raise ValueError("Rician factors must lie in [1e-150, 1e150], i.e. within 1500 dB of 0 dB")
 
 
 def elevation_angle(h: float, r: float) -> float:

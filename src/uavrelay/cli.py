@@ -217,33 +217,14 @@ def load_scenario(
         geometry.setdefault("r_s", 0.5 * geometry["L"])  # null r_s: relay at the midpoint
         sections = {section: _SECTIONS[section](**kwargs) for section, kwargs in values.items()}
         sections["geometry"] = LinkGeometry(**geometry)
+    except ScenarioError:
+        raise
     except (ValueError, OverflowError) as exc:  # OverflowError: integer beyond the float range
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return Scenario(**sections, excess_loss_convention=convention_value, sha256=digest)
-
-
-def _with_override(scenario: Scenario, name: str, value: float) -> Scenario:
-    """A copy of the scenario with one swept parameter replaced.
-
-    Distance overrides redeploy the relay at the midpoint, matching the sweep
-    convention of the reference experiments.
-    """
-    try:
-        if name == "pt":
-            radio = dataclasses.replace(scenario.radio, total_power_w=value)
-            return dataclasses.replace(scenario, radio=radio)
-        if name == "L":
-            geometry = LinkGeometry.midpoint(scenario.geometry.h_u, value)
-            return dataclasses.replace(scenario, geometry=geometry)
-        if name == "R":
-            radio = dataclasses.replace(scenario.radio, rate=value)
-            return dataclasses.replace(scenario, radio=radio)
-    except ValueError as exc:
-        raise ScenarioError(f"invalid --{name} value {value}: {exc}") from exc
-    raise ScenarioError(f"unknown override {name!r}")
 
 
 def _lines(template: str, rows: list[tuple]) -> list[str]:
@@ -268,11 +249,6 @@ def _render(scenario: Scenario, header: str, lines: list[str]) -> str:
     return "\n".join(head + lines) + "\n"
 
 
-def _allocation(result) -> tuple:
-    """Sweep cells alpha, p_s_w, p_u_w, outage and method of one solved allocation."""
-    return (result.alpha_star, result.p_s, result.p_u, result.outage, result.method)
-
-
 def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tuple:
     """The exact and theorem1 allocations of one budget. The exact solve
     starts from the theorem1 result, so the budget's saturation check and
@@ -281,35 +257,28 @@ def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tu
     return minimize_outage_exact(budget, radio, cfg, theorem1=approx), approx
 
 
-def _sweep(scenario: Scenario, override_name: str, override_values: list[float], cells, grid=None) -> str:
-    """Sweep table: ``grid(swept, budget)``, if given, returns the alpha
-    grid's ``_arrays._grid_rows`` arguments after the prefix, and
-    ``cells(swept, budget)`` yields the other rows of each override value.
-    Every row is computed before any is formatted, and each value's
-    ``SWEEP_PREFIX`` is formatted once and heads all of its rows."""
-    tables = []
-    for value in override_values:
-        swept = _with_override(scenario, override_name, value)
-        budget = swept.budget()
-        grid_args = grid(swept, budget) if grid else None
-        tables.append(((override_name, value), grid_args, list(cells(swept, budget))))
-    lines = []
-    for head, grid_args, rows in tables:
-        [prefix] = _lines(SWEEP_PREFIX, [head])
-        if grid_args:
-            from ._arrays import _grid_rows
+def _cells(prefix: str, results) -> list[str]:
+    """Sweep rows of solved allocations, each headed by ``prefix``."""
+    rows = [(res.alpha_star, res.p_s, res.p_u, res.outage, res.method) for res in results]
+    return [prefix + line for line in _lines(SWEEP_CELLS, rows)]
 
-            lines.append(_grid_rows(prefix, *grid_args))
-        lines += [prefix + line for line in _lines(SWEEP_CELLS, rows)]
+
+def _sweep(scenario: Scenario, overlays: list[tuple], rows) -> str:
+    """Sweep table of the overlays ``(name, value, swept scenario)``.
+
+    Every overlay's link budget is formed before any solve, so an invalid
+    one exits 2 before a solver failure can exit 3. ``rows(swept, budget,
+    prefix)`` returns an overlay's lines, each headed by its ``SWEEP_PREFIX``,
+    which is formatted once."""
+    budgets = [swept.budget() for _, _, swept in overlays]
+    lines = []
+    for (name, value, swept), budget in zip(overlays, budgets):
+        [prefix] = _lines(SWEEP_PREFIX, [(name, value)])
+        lines += rows(swept, budget, prefix)
     return _render(scenario, SWEEP_HEADER, lines)
 
 
-def cmd_sweep_alpha(
-    scenario: Scenario,
-    alpha_grid: list[float],
-    override_name: str,
-    override_values: list[float],
-) -> str:
+def cmd_sweep_alpha(scenario: Scenario, alpha_grid: list[float], overlays: list[tuple]) -> str:
     """Closed-form outage over an alpha grid, plus both solver allocations.
 
     The grid rows are one text block of ``_arrays._grid_rows``, which
@@ -318,33 +287,30 @@ def cmd_sweep_alpha(
         if not 0.0 < alpha < 1.0:
             raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
-    def grid(swept, budget):
-        return alpha_grid, swept.radio.total_power_w, end_to_end_outage_grid(budget, alpha_grid, swept.radio)
+    def rows(swept, budget, prefix):
+        from ._arrays import _grid_rows
 
-    def cells(swept, budget):
-        return map(_allocation, _solve_both(budget, swept.radio, swept.solver))
+        outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
+        cells = _cells(prefix, _solve_both(budget, swept.radio, swept.solver))
+        return [_grid_rows(prefix, alpha_grid, swept.radio.total_power_w, outages), *cells]
 
-    return _sweep(scenario, override_name, override_values, cells, grid)
+    return _sweep(scenario, overlays, rows)
 
 
-def cmd_sweep_power(
-    scenario: Scenario,
-    pt_grid: list[float],
-    override_name: str,
-    override_values: list[float],
-) -> str:
+def cmd_sweep_power(scenario: Scenario, pt_grid: list[float], overlays: list[tuple]) -> str:
     """Outage of the exact, approximate, and equal allocations over a power grid."""
     for total in pt_grid:
         if total <= 0.0:
             raise ScenarioError("total power grid values must be positive")
 
-    def cells(swept, budget):
+    def rows(swept, budget, prefix):
+        results = []
         for total in pt_grid:
             radio = dataclasses.replace(swept.radio, total_power_w=total)
-            yield from map(_allocation, _solve_both(budget, radio, swept.solver))
-            yield _allocation(equal_power(radio, budget))
+            results += [*_solve_both(budget, radio, swept.solver), equal_power(radio, budget)]
+        return _cells(prefix, results)
 
-    return _sweep(scenario, override_name, override_values, cells)
+    return _sweep(scenario, overlays, rows)
 
 
 def cmd_solve(scenario: Scenario) -> str:
@@ -432,19 +398,33 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _sweep_override(args: argparse.Namespace, scenario: Scenario, *names: str) -> tuple[str, list[float]]:
-    """Name and values of the swept parameter.
+def _overlays(args: argparse.Namespace, scenario: Scenario, *names: str) -> list[tuple[str, float, Scenario]]:
+    """The swept scenarios of a sweep, as ``(name, value, swept scenario)``.
 
-    The one of the two override flags in ``names`` that was given, or else
-    the first, held at its scenario value.
+    One per value of the one override flag in ``names`` that was given, or
+    else the scenario itself, held at its own value of the first name. A
+    distance override redeploys the relay at the midpoint, matching the
+    sweep convention of the reference experiments.
     """
     given = [name for name in names if getattr(args, name) is not None]
     if len(given) > 1:
         raise ScenarioError(f"choose one of --{names[0]} or --{names[1]} for a sweep")
-    if given:
-        return given[0], _parse_float_list(getattr(args, given[0]), f"--{given[0]}")
-    current = {"pt": scenario.radio.total_power_w, "L": scenario.geometry.L}
-    return names[0], [current[names[0]]]
+    if not given:
+        own = {"pt": scenario.radio.total_power_w, "L": scenario.geometry.L}
+        return [(names[0], own[names[0]], scenario)]
+    [name] = given
+    overlays = []
+    for value in _parse_float_list(getattr(args, name), f"--{name}"):
+        try:
+            if name == "L":
+                swept = dataclasses.replace(scenario, geometry=LinkGeometry.midpoint(scenario.geometry.h_u, value))
+            else:
+                radio = dataclasses.replace(scenario.radio, **{{"pt": "total_power_w", "R": "rate"}[name]: value})
+                swept = dataclasses.replace(scenario, radio=radio)
+        except ValueError as exc:
+            raise ScenarioError(f"invalid --{name} value {value}: {exc}") from exc
+        overlays.append((name, value, swept))
+    return overlays
 
 
 _DEFAULT_ALPHA_GRID = "0.01:0.99:99"
@@ -512,10 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_OK
         if args.command == "sweep-alpha":
             grid = _parse_alpha_grid(args.alpha_grid)
-            text = cmd_sweep_alpha(scenario, grid, *_sweep_override(args, scenario, "pt", "L"))
+            text = cmd_sweep_alpha(scenario, grid, _overlays(args, scenario, "pt", "L"))
         elif args.command == "sweep-power":
             grid = _parse_float_list(args.pt, "--pt")
-            text = cmd_sweep_power(scenario, grid, *_sweep_override(args, scenario, "L", "R"))
+            text = cmd_sweep_power(scenario, grid, _overlays(args, scenario, "L", "R"))
         elif args.command == "solve":
             text = cmd_solve(scenario)
         else:

@@ -63,8 +63,8 @@ class SolverConfig:
     bracket_epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.bracket_epsilon < 0.01:
-            raise ValueError("bracket_epsilon must lie in (0, 0.01)")
+        if not 0.0 < self.bracket_epsilon < 0.01 or 1.0 - self.bracket_epsilon == 1.0:
+            raise ValueError("bracket_epsilon must lie in (0, 0.01) and exceed ~5.6e-17, where 1 - epsilon rounds to 1")
         if not 0.0 < self.alpha_tol <= 1e-6:
             raise ValueError("alpha_tol must lie in (0, 1e-6]")
         if self.max_iter < 1:

@@ -204,9 +204,11 @@ class TestTypeInvariants:
                 LinkBudget(1e-10, 1e-10, 10.0, k)
 
     def test_link_budget_bounds_k(self):
-        # Up to 1e150 (1500 dB), K (K + 1) and the Marcum a b stay finite.
+        # Up to 1e150 (1500 dB), K (K + 1) and the Marcum a b stay finite;
+        # from 1e-150 up, the ratio of the two hops' K is a positive double.
         assert LinkBudget(1e-10, 1e-10, 1e150, 1e150).k_ud == 1e150
-        for k in (math.nextafter(1e150, math.inf), 1e300, math.inf, math.nan):
+        assert LinkBudget(1e-10, 1e-10, 1e-150, 1e150).k_su == 1e-150
+        for k in (math.nextafter(1e150, math.inf), 1e300, math.inf, math.nan, math.nextafter(1e-150, 0.0)):
             with pytest.raises(ValueError):
                 LinkBudget(1e-10, 1e-10, k, 10.0)
             with pytest.raises(ValueError):

@@ -131,6 +131,11 @@ class TestScenarioLoading:
         assert scenario.geometry.r_d == pytest.approx(1400.0)
 
 
+_EPSILON_LINE = (
+    "error: invalid scenario value: bracket_epsilon must lie in (0, 0.01) and exceed ~5.6e-17, where 1 - epsilon rounds to 1"
+)
+
+
 class TestExitCodes:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, bogus={"x": 1})
@@ -576,16 +581,66 @@ class TestExitCodes:
 
     def test_sweep_power_rejects_a_nonpositive_total(self):
         # The parser already rejects it, so only a direct call reaches this check.
+        scenario = load_scenario(None)
         with pytest.raises(ScenarioError, match="total power grid values must be positive"):
-            cli.cmd_sweep_power(load_scenario(None), [0.0], "L", [2000.0])
+            cli.cmd_sweep_power(scenario, [0.0], [("L", 2000.0, scenario)])
+
+    def test_invalid_override_precedes_any_solve(self, capsys):
+        # 1e-320 W saturates the first distance's solve (exit 3), but the
+        # second distance has no link budget, and every budget comes first.
+        argv = ["sweep-power", "--excess-loss-convention", "paper", "--pt", "1e-320,0.25", "--L", "1000,1e308"]
+        assert main(argv) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: invalid link budget: mean path gains must lie in (0, 1)"]
 
     @pytest.mark.parametrize(
-        "command, grid", [(cli.cmd_sweep_alpha, [0.5]), (cli.cmd_sweep_power, [0.25])], ids=["sweep-alpha", "sweep-power"]
+        "argv, sections, line",
+        [
+            # (4 pi f_c)^2 underflows to 0, the path gain's divisor.
+            (
+                ["solve"],
+                {"radio": {"f_c_mhz": 1e-200}},
+                "error: invalid scenario value: carrier frequency f_c must be positive,"
+                " with a (4 pi f_c)^2 that does not underflow",
+            ),
+            # K0 is 0 in linear units, the divisor of K's elevation slope.
+            (
+                ["solve"],
+                {"rician_su": {"k0_db": -3300}},
+                "error: invalid scenario value: K at zenith angle 0 must be above about -3233 dB,"
+                " where 10^(k0_db/10) underflows",
+            ),
+            # K_ud / K_su = 1e-330 rounds to 0, whose log the Theorem 1 residual takes.
+            (
+                ["solve"],
+                {"rician_su": {"k0_db": 1500.0, "kpi2_db": 1500.0}, "rician_ud": {"k0_db": -1800.0, "kpi2_db": -1800.0}},
+                "error: invalid link budget: Rician factors must lie in [1e-150, 1e150], i.e. within 1500 dB of 0 dB",
+            ),
+            # 1 - 1e-17 is 1.0, so the bracket would reach alpha = 1, where
+            # the relay has no power.
+            (["solve"], {"solver": {"bracket_epsilon": 1e-17}}, _EPSILON_LINE),
+            (
+                ["sweep-power", "--pt", "0.25"],
+                {"rician_su": {"k0_db": 100.0, "kpi2_db": 100.0}, "solver": {"bracket_epsilon": 1e-17}},
+                _EPSILON_LINE,
+            ),
+        ],
+        ids=["carrier-square-underflows", "k0-underflows", "k-ratio-underflows", "epsilon-solve", "epsilon-sweep-power"],
     )
-    def test_unknown_override_is_a_scenario_error(self, command, grid):
-        # The parser offers only the known overrides, so only a direct call reaches this check.
-        with pytest.raises(ScenarioError, match="unknown override 'h_u'"):
-            command(load_scenario(None), grid, "h_u", [1000.0])
+    def test_arithmetic_faults_in_the_input_exit_2(self, tmp_path, capsys, argv, sections, line):
+        assert main(argv + ["--scenario", paper_scenario(tmp_path, **sections)]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    def test_scenario_field_error_is_not_wrapped_again(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"radio": {"rate": 1e400}}', encoding="utf-8")  # 1e400 reads as inf
+        assert main(["solve", "--scenario", str(path)]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: scenario field 'radio'.'rate' must be finite"]
 
 
 class TestSolve:
@@ -867,6 +922,18 @@ class TestSweepPower:
         for pt in (0.25, 0.5):
             for method in ("exact", "equal"):
                 assert cell[(2.0, pt, method)] > cell[(1.0, pt, method)]
+
+    def test_scenario_geometry_without_an_override(self, tmp_path, capsys):
+        # With no --L or --R the table is at the scenario's own relay
+        # position, so it repeats solve's rows.
+        path = paper_scenario(tmp_path, geometry={"r_s": 500.0})
+        assert main(["solve", "--scenario", path]) == EXIT_OK
+        solved = {row[0]: row[1:5] for row in parse_rows(capsys.readouterr().out, cli.SOLVE_HEADER)}
+        assert main(["sweep-power", "--scenario", path, "--pt", "0.25"]) == EXIT_OK
+        rows = parse_rows(capsys.readouterr().out, cli.SWEEP_HEADER)
+        assert {row[6]: row[2:6] for row in rows} == solved
+        assert [row[:2] for row in rows] == [["L", "2.000000000000e+03"]] * 3
+        assert solved["exact"][0] == "1.617653009267e-02"
 
 
 class TestValidate:

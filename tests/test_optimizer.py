@@ -1067,5 +1067,8 @@ class TestSolverConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(bracket_epsilon=0.5)
+        with pytest.raises(ValueError, match="1 - epsilon rounds to 1"):
+            SolverConfig(bracket_epsilon=2.0**-54)
+        assert 1.0 - SolverConfig(bracket_epsilon=math.nextafter(2.0**-54, 1.0)).bracket_epsilon < 1.0
         with pytest.raises(ValueError):
             SolverConfig(alpha_tol=1e-3)
