@@ -93,6 +93,10 @@ class RicianEndpoints:
             raise ValueError("K at pi/2 must be at least K at zenith angle 0")
         if self.k0_db < 0.0 and 10.0 ** (self.k0_db / 10.0) == 0.0:
             raise ValueError("K at zenith angle 0 must be above about -3233 dB, where 10^(k0_db/10) underflows")
+        try:
+            10.0 ** (self.kpi2_db / 10.0)
+        except OverflowError:
+            raise ValueError("K at pi/2 must be below about 3082 dB, where 10^(kpi2_db/10) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,8 @@ class RadioConfig:
         omega = 4.0 * math.pi * self.f_c
         if not (self.f_c > 0.0 and omega * omega > 0.0):
             raise ValueError("carrier frequency f_c must be positive, with a (4 pi f_c)^2 that does not underflow")
+        if omega * omega == math.inf:
+            raise ValueError("carrier frequency f_c must be below about 1.07e153 Hz, where (4 pi f_c)^2 overflows")
         if self.n < 2.0:
             raise ValueError("path-loss exponent must be at least 2")
         if self.rate >= 512.0:
@@ -185,8 +191,11 @@ def path_gain_excess(
     """
     if d <= 0.0:
         raise ValueError("distance must be positive")
-    kernel = SPEED_OF_LIGHT**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
-    return kernel * _excess_factor(eta_db, convention)
+    return _distance_kernel(d, radio) * _excess_factor(eta_db, convention)
+
+
+def _distance_kernel(d: float, radio: RadioConfig) -> float:
+    return SPEED_OF_LIGHT**2 * d ** (-radio.n) / (4.0 * math.pi * radio.f_c) ** 2
 
 
 def p_los(theta: float, a: float, b: float) -> float:
@@ -216,12 +225,29 @@ def _hop_budget(
     endpoints: RicianEndpoints,
     radio: RadioConfig,
     convention: str,
+    hop: str,
 ) -> tuple[float, float]:
     theta = elevation_angle(h, r)
     d = math.hypot(h, r)
-    prob_los = p_los(theta, env.a, env.b)
-    gain_los = path_gain_excess(d, env.eta_los_db, radio, convention)
-    gain_nlos = path_gain_excess(d, env.eta_nlos_db, radio, convention)
+    try:
+        prob_los = p_los(theta, env.a, env.b)
+    except OverflowError:
+        raise ValueError(
+            f"env_{hop} a and b must keep b (a - theta) below about 709.78, where the LoS probability's exp overflows"
+        ) from None
+    try:
+        kernel = _distance_kernel(d, radio)
+    except OverflowError:
+        raise ValueError(
+            f"geometry h_u and radio path_loss_exponent must keep d^(-n) finite at hop {hop}'s distance d = {d:.6g} m"
+        ) from None
+    try:
+        gain_los = kernel * _excess_factor(env.eta_los_db, convention)
+        gain_nlos = kernel * _excess_factor(env.eta_nlos_db, convention)
+    except OverflowError:
+        raise ValueError(
+            f"env_{hop} eta_los_db must exceed about 10/1024 dB under the paper convention, where 2^(10/eta) overflows"
+        ) from None
     gain = prob_los * gain_los + (1.0 - prob_los) * gain_nlos
     return gain, rician_k(theta, endpoints)
 
@@ -240,7 +266,8 @@ def link_budget(
     The mean gain of each hop is the LoS/NLoS gain mixture weighted by the
     elevation-dependent LoS probability. A symmetric configuration (equal
     legs, identical environments and endpoints) yields bitwise-equal hops.
+    A term past the double range is a ValueError naming the inputs behind it.
     """
-    g_su, k_su = _hop_budget(geom.h_u, geom.r_s, env_su, endpoints_su, radio, convention)
-    g_ud, k_ud = _hop_budget(geom.h_u, geom.r_d, env_ud, endpoints_ud, radio, convention)
+    g_su, k_su = _hop_budget(geom.h_u, geom.r_s, env_su, endpoints_su, radio, convention, "su")
+    g_ud, k_ud = _hop_budget(geom.h_u, geom.r_d, env_ud, endpoints_ud, radio, convention, "ud")
     return LinkBudget(g_su=g_su, g_ud=g_ud, k_su=k_su, k_ud=k_ud)

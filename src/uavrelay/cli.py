@@ -7,8 +7,8 @@ in dB; conversions to internal units happen at load time. All outputs are
 deterministic for a fixed scenario and seed.
 
 Exit codes: 0 success, 2 scenario or argument error, 3 solver failure (a
-saturated objective, a non-finite result, or an outage that is not a
-probability), 4 validation failure.
+saturated objective, a root search that does not converge, a non-finite
+result, or an outage that is not a probability), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from .channel import (
     link_budget,
 )
 from .mcsim import SimSpec, estimate_outage
-from .optimizer import (
-    SolverConfig,
-    equal_power,
-    minimize_outage_exact,
-    solve_theorem1,
-    theorem1_residual,
-)
+from .optimizer import equal_power, minimize_outage_exact, solve_theorem1, theorem1_residual
 from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid
 
 __all__ = [
@@ -85,7 +79,6 @@ DEFAULT_SCENARIO = {
         "rate": 1.0,
         "total_power_w": 0.25,
     },
-    "solver": dataclasses.asdict(SolverConfig()),
     "sim": {"trials": 1_000_000, "seed": 12345, "chunk_size": 100_000},
     "excess_loss_convention": "standard",
 }
@@ -156,7 +149,6 @@ class Scenario:
     rician_su: RicianEndpoints
     rician_ud: RicianEndpoints
     radio: RadioConfig
-    solver: SolverConfig
     sim: SimSpec
     excess_loss_convention: str
     sha256: str
@@ -249,12 +241,12 @@ def _render(scenario: Scenario, header: str, lines: list[str]) -> str:
     return "\n".join(head + lines) + "\n"
 
 
-def _solve_both(budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig) -> tuple:
+def _solve_both(budget: LinkBudget, radio: RadioConfig) -> tuple:
     """The exact and theorem1 allocations of one budget. The exact solve
     starts from the theorem1 result, so the budget's saturation check and
     Theorem 1 search run once."""
-    approx = solve_theorem1(budget, radio, cfg)
-    return minimize_outage_exact(budget, radio, cfg, theorem1=approx), approx
+    approx = solve_theorem1(budget, radio)
+    return minimize_outage_exact(budget, radio, theorem1=approx), approx
 
 
 def _cells(prefix: str, results) -> list[str]:
@@ -291,7 +283,7 @@ def cmd_sweep_alpha(scenario: Scenario, alpha_grid: list[float], overlays: list[
         from ._arrays import _grid_rows
 
         outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
-        cells = _cells(prefix, _solve_both(budget, swept.radio, swept.solver))
+        cells = _cells(prefix, _solve_both(budget, swept.radio))
         return [_grid_rows(prefix, alpha_grid, swept.radio.total_power_w, outages), *cells]
 
     return _sweep(scenario, overlays, rows)
@@ -307,7 +299,7 @@ def cmd_sweep_power(scenario: Scenario, pt_grid: list[float], overlays: list[tup
         results = []
         for total in pt_grid:
             radio = dataclasses.replace(swept.radio, total_power_w=total)
-            results += [*_solve_both(budget, radio, swept.solver), equal_power(radio, budget)]
+            results += [*_solve_both(budget, radio), equal_power(radio, budget)]
         return _cells(prefix, results)
 
     return _sweep(scenario, overlays, rows)
@@ -316,7 +308,7 @@ def cmd_sweep_power(scenario: Scenario, pt_grid: list[float], overlays: list[tup
 def cmd_solve(scenario: Scenario) -> str:
     """All three allocations plus the root-equation residual at the exact one."""
     budget = scenario.budget()
-    exact, approx = _solve_both(budget, scenario.radio, scenario.solver)
+    exact, approx = _solve_both(budget, scenario.radio)
     equal = equal_power(scenario.radio, budget)
     rows = [
         (res.method, res.alpha_star, res.p_s, res.p_u, res.outage, res.iterations, res.residual)
@@ -504,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except (RuntimeError, OverflowError) as exc:  # a BracketError, a non-finite output, or an arithmetic overflow
+    except (RuntimeError, OverflowError) as exc:  # a BracketError, an open search, a non-finite output, or an overflow
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

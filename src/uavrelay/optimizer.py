@@ -22,8 +22,6 @@ from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, _link_args, _link_outage, _link_terms, _saturated, snr_threshold
 
 __all__ = [
-    "SolverConfig",
-    "DEFAULT_SOLVER",
     "AllocationResult",
     "BracketError",
     "theorem1_constants",
@@ -46,32 +44,13 @@ class BracketError(RuntimeError):
     """The outage is 1 at every split, so no allocation factor is optimal."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the allocation solvers.
-
-    alpha_tol: absolute tolerance on the allocation factor: the width of
-        the final bracket of both solvers.
-    max_iter: cap on the evaluations of the root search of both solvers,
-        counting the bracket ends.
-    bracket_epsilon: exclusion margin at alpha in {0, 1}, where the residual
-        diverges and the outage degenerates.
-    """
-
-    alpha_tol: float = 1e-8
-    max_iter: int = 200
-    bracket_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.bracket_epsilon < 0.01 or 1.0 - self.bracket_epsilon == 1.0:
-            raise ValueError("bracket_epsilon must lie in (0, 0.01) and exceed ~5.6e-17, where 1 - epsilon rounds to 1")
-        if not 0.0 < self.alpha_tol <= 1e-6:
-            raise ValueError("alpha_tol must lie in (0, 1e-6]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-
-
-DEFAULT_SOLVER = SolverConfig()
+# Both root searches run over [_BRACKET_EPSILON, 1 - _BRACKET_EPSILON], which
+# excludes alpha in {0, 1}, where a hop has no power and the residual diverges.
+# Each ends once its bracket is narrower than _ALPHA_TOL; one that has not
+# after _MAX_EVALUATIONS evaluations raises rather than return its last probe.
+_BRACKET_EPSILON = 1e-6
+_ALPHA_TOL = 1e-8
+_MAX_EVALUATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -145,16 +124,14 @@ def _theorem1_residual_du(
     return residual, -1.75 - p_u / total * root_1 - p_s / total * root_2
 
 
-def solve_theorem1(
-    budget: LinkBudget, radio: RadioConfig, cfg: SolverConfig = DEFAULT_SOLVER
-) -> AllocationResult:
+def solve_theorem1(budget: LinkBudget, radio: RadioConfig) -> AllocationResult:
     """Solve the approximate root equation for the allocation factor.
 
     ``_slope_root`` finds the one root of the decreasing log-domain residual
-    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` by
-    Newton steps from the balance point gamma_1 / (gamma_1 + gamma_2), the
-    root on symmetric hops, taken as the logistic of log gamma_1 - log gamma_2,
-    since that gap can pass 709, where exp overflows. A residual that keeps
+    over [1e-6, 1 - 1e-6] to 1e-8 by Newton steps from the balance point
+    gamma_1 / (gamma_1 + gamma_2), the root on symmetric hops, taken as the
+    logistic of log gamma_1 - log gamma_2, since that gap can pass 709,
+    where exp overflows. A residual that keeps
     its sign over the whole bracket puts the root at that end.
     ``iterations`` counts residual evaluations, ends included, and
     ``residual`` is the residual at the returned alpha. The outage comes from
@@ -163,7 +140,7 @@ def solve_theorem1(
     mean SNR or from constants that overflow, a BracketError names the
     saturated objective.
     """
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    lo, hi = _BRACKET_EPSILON, 1.0 - _BRACKET_EPSILON
     total = radio.total_power_w
     if _saturated(budget, radio, hi * total, (1.0 - lo) * total):
         raise BracketError(_SATURATED)
@@ -173,7 +150,7 @@ def solve_theorem1(
         return _theorem1_residual_du(budget, log_gammas, alpha * total, (1.0 - alpha) * total)
 
     start = min(max(_logistic(log_gammas[0] - log_gammas[1]), lo), hi)
-    alpha, evaluations, _, value = _slope_root(residual, lo, hi, start, cfg)
+    alpha, evaluations, _, value = _slope_root(residual, lo, hi, start)
     return _allocation_at(budget, radio, alpha, "theorem1", evaluations, value)
 
 
@@ -201,7 +178,6 @@ def _allocation_at(
 def minimize_outage_exact(
     budget: LinkBudget,
     radio: RadioConfig,
-    cfg: SolverConfig = DEFAULT_SOLVER,
     *,
     theorem1: AllocationResult | None = None,
 ) -> AllocationResult:
@@ -216,12 +192,10 @@ def minimize_outage_exact(
 
     (see ``outage._link_terms``). ``_slope_root`` brackets the root of
     f = log(h_1 b_1 (1 - alpha)) - log(h_2 b_2 alpha), which has g's sign,
-    over [bracket_epsilon, 1 - bracket_epsilon] to ``cfg.alpha_tol`` in at
-    most ``cfg.max_iter`` slope evaluations. It starts at the alpha of
-    ``theorem1``, a ``solve_theorem1`` result whose hop terms are the slope
-    evaluation there: they must be this budget and radio's (a, b) at an alpha
-    in this cfg's bracket, else (or if it is None) the start is solved here.
-    It takes Newton steps on f in u = logit(alpha):
+    over [1e-6, 1 - 1e-6] to 1e-8. It starts at the alpha of ``theorem1``,
+    a ``solve_theorem1`` result whose hop terms are the slope evaluation
+    there: they must be this budget and radio's (a, b) at an alpha in the
+    bracket, else (or if it is None) the start is solved here. It takes Newton steps on f in u = logit(alpha):
 
         df/du = -((E_1 + 2) (1 - alpha) + (E_2 + 2) alpha) / 2,
 
@@ -242,14 +216,14 @@ def minimize_outage_exact(
     the start, and ``residual`` is the search's final bracket width. The
     total power constraint is treated as active: p_u = P_t - p_s.
     """
-    lo, hi = cfg.bracket_epsilon, 1.0 - cfg.bracket_epsilon
+    lo, hi = _BRACKET_EPSILON, 1.0 - _BRACKET_EPSILON
     total = radio.total_power_w
     # NaN, where no hop terms are handed over, fails the bracket test.
     start = math.nan if theorem1 is None or theorem1._hops is None else theorem1.alpha_star
     if not lo <= start <= hi or [hop[:2] for hop in theorem1._hops] != _link_args(
         budget, radio, start * total, (1.0 - start) * total
     ):
-        theorem1 = solve_theorem1(budget, radio, cfg)
+        theorem1 = solve_theorem1(budget, radio)
     evaluated = {theorem1.alpha_star: theorem1._hops}  # alpha -> its hop terms
 
     def slope(alpha: float) -> tuple[float, float]:
@@ -264,7 +238,7 @@ def minimize_outage_exact(
         value = (log_hb_1 + math.log1p(-alpha)) - (log_hb_2 + math.log(alpha))
         return value, -0.5 * ((elastic_1 + 2.0) * (1.0 - alpha) + (elastic_2 + 2.0) * alpha)
 
-    alpha, evaluations, width, _ = _slope_root(slope, lo, hi, theorem1.alpha_star, cfg)
+    alpha, evaluations, width, _ = _slope_root(slope, lo, hi, theorem1.alpha_star)
 
     def log_survival(x: float) -> float:
         (_, _, log_q_1, _, _, _), (_, _, log_q_2, _, _, _) = evaluated[x]
@@ -281,7 +255,7 @@ def _logistic(u: float) -> float:
     return 0.5 + 0.5 * math.tanh(0.5 * u)
 
 
-def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tuple[float, int, float, float]:
+def _slope_root(f, lo: float, hi: float, start: float) -> tuple[float, int, float, float]:
     """Root of a decreasing function on [lo, hi] within (0, 1) by Newton
     steps safeguarded by bisection.
 
@@ -306,8 +280,9 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
     too. A Newton step shorter than half the tolerance is carried a quarter
     of the tolerance past the root it predicts, so that its value can close
     the bracket. The search stops once the bracket is narrower than
-    ``cfg.alpha_tol`` (width 0 if a value is exactly 0), or at
-    ``cfg.max_iter`` evaluations. Follows ``rtsafe`` in Press et al.,
+    ``_ALPHA_TOL`` (width 0 if a value is exactly 0); a RuntimeError
+    reports a search still open after ``_MAX_EVALUATIONS`` evaluations,
+    whose last probe is no root. Follows ``rtsafe`` in Press et al.,
     Numerical Recipes, 3rd ed. (2007), sec. 9.4, with the acceptance test of
     Brent, Algorithms for Minimization without Derivatives (1973), ch. 4.
     """
@@ -321,10 +296,12 @@ def _slope_root(f, lo: float, hi: float, start: float, cfg: SolverConfig) -> tup
     s_pre = s_cur = x_blk - x_cur
     while True:
         # Half the tolerance, and never below the spacing of doubles at x_cur.
-        delta = 0.5 * cfg.alpha_tol + 2.0 * sys.float_info.epsilon * abs(x_cur)
+        delta = 0.5 * _ALPHA_TOL + 2.0 * sys.float_info.epsilon * abs(x_cur)
         s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta or evaluations >= cfg.max_iter:
+        if f_cur == 0.0 or abs(s_bis) < delta:
             break
+        if evaluations >= _MAX_EVALUATIONS:
+            raise RuntimeError(f"root search still open after {_MAX_EVALUATIONS} evaluations")
         # Brent's acceptance test: a step toward x_blk must be shorter than
         # half the step before last and land within 3/4 of the way to x_blk.
         bound = min(abs(s_pre), 3.0 * abs(s_bis) - delta)

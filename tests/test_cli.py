@@ -131,16 +131,19 @@ class TestScenarioLoading:
         assert scenario.geometry.r_d == pytest.approx(1400.0)
 
 
-_EPSILON_LINE = (
-    "error: invalid scenario value: bracket_epsilon must lie in (0, 0.01) and exceed ~5.6e-17, where 1 - epsilon rounds to 1"
-)
-
-
 class TestExitCodes:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, bogus={"x": 1})
         assert main(["solve", "--scenario", path]) == EXIT_SCENARIO
         assert "bogus" in capsys.readouterr().err
+
+    def test_solver_section_is_unknown(self, tmp_path, capsys):
+        # The solver tolerances are constants, so a scenario cannot set them.
+        path = write_scenario(tmp_path, solver={"max_iter": 2})
+        assert main(["solve", "--scenario", path]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unknown scenario key 'solver'"]
 
     def test_bad_alpha_grid_exits_2(self, tmp_path, capsys):
         path = paper_scenario(tmp_path)
@@ -191,7 +194,7 @@ class TestExitCodes:
         [
             ('{"radio": {"total_power_w": NaN}}', ["solve"]),
             ('{"geometry": {"h_u": Infinity}}', ["solve"]),
-            ('{"solver": {"max_iter": 1e400}}', ["solve"]),
+            ('{"sim": {"trials": 1e400}}', ["solve"]),
             ('{"geometry": {"h_u": 1' + "0" * 400 + "}}", ["solve"]),
             ('{"geometry": {"h_u": 0.01, "L": 0.02}}', ["solve"]),
             ('{"geometry": {"h_u": 0.01}}', ["sweep-alpha", "--L", "0.02"]),
@@ -216,7 +219,7 @@ class TestExitCodes:
         ids=[
             "nan-power",
             "infinite-height",
-            "max-iter-overflow",
+            "trials-overflow",
             "integer-beyond-float",
             "gain-above-unity",
             "gain-above-unity-after-L",
@@ -617,16 +620,54 @@ class TestExitCodes:
                 {"rician_su": {"k0_db": 1500.0, "kpi2_db": 1500.0}, "rician_ud": {"k0_db": -1800.0, "kpi2_db": -1800.0}},
                 "error: invalid link budget: Rician factors must lie in [1e-150, 1e150], i.e. within 1500 dB of 0 dB",
             ),
-            # 1 - 1e-17 is 1.0, so the bracket would reach alpha = 1, where
-            # the relay has no power.
-            (["solve"], {"solver": {"bracket_epsilon": 1e-17}}, _EPSILON_LINE),
+            # In each of the next five a float operation overflows, and the
+            # line names the inputs behind it, not Python's "math range error"
+            # or "(34, 'Numerical result out of range')".
+            # (4 pi f_c)^2 overflows.
+            (
+                ["solve"],
+                {"radio": {"f_c_mhz": 1e150}},
+                "error: invalid scenario value: carrier frequency f_c must be below about 1.07e153 Hz,"
+                " where (4 pi f_c)^2 overflows",
+            ),
+            # K at pi/2 in linear units overflows.
+            (
+                ["solve"],
+                {"rician_su": {"k0_db": 5, "kpi2_db": 3100}},
+                "error: invalid scenario value: K at pi/2 must be below about 3082 dB, where 10^(kpi2_db/10) overflows",
+            ),
+            # The exp of the LoS probability overflows at the relay's elevation.
+            (
+                ["sweep-alpha"],
+                {"env_ud": {"a": 100.0, "b": 100.0}},
+                "error: invalid link budget: env_ud a and b must keep b (a - theta) below about 709.78,"
+                " where the LoS probability's exp overflows",
+            ),
+            # The paper convention's excess factor 2^(10/eta) overflows.
+            (
+                ["validate"],
+                {"env_su": {"eta_los_db": 0.009}},
+                "error: invalid link budget: env_su eta_los_db must exceed about 10/1024 dB under the paper"
+                " convention, where 2^(10/eta) overflows",
+            ),
+            # d^(-n) overflows at a slant distance of 1e-200 m.
             (
                 ["sweep-power", "--pt", "0.25"],
-                {"rician_su": {"k0_db": 100.0, "kpi2_db": 100.0}, "solver": {"bracket_epsilon": 1e-17}},
-                _EPSILON_LINE,
+                {"geometry": {"h_u": 1e-200, "L": 0.0}},
+                "error: invalid link budget: geometry h_u and radio path_loss_exponent must keep d^(-n) finite"
+                " at hop su's distance d = 1e-200 m",
             ),
         ],
-        ids=["carrier-square-underflows", "k0-underflows", "k-ratio-underflows", "epsilon-solve", "epsilon-sweep-power"],
+        ids=[
+            "carrier-square-underflows",
+            "k0-underflows",
+            "k-ratio-underflows",
+            "carrier-square-overflows",
+            "k-pi2-overflows",
+            "los-exp-overflows",
+            "excess-factor-overflows",
+            "distance-power-overflows",
+        ],
     )
     def test_arithmetic_faults_in_the_input_exit_2(self, tmp_path, capsys, argv, sections, line):
         assert main(argv + ["--scenario", paper_scenario(tmp_path, **sections)]) == EXIT_SCENARIO
@@ -667,7 +708,7 @@ class TestSolve:
         out = capsys.readouterr().out
         scenario = load_scenario(path)
         budget, radio = scenario.budget(), scenario.radio
-        exact = minimize_outage_exact(budget, radio, scenario.solver)
+        exact = minimize_outage_exact(budget, radio)
         residual = theorem1_residual(budget, PowerSplit(exact.p_s, exact.p_u), radio)
         assert f"# theorem1_residual_at_exact: {residual:.12e}" in out.splitlines()
 

@@ -3,8 +3,11 @@
 Every case writes one scenario file and runs one argv through ``cli.main``.
 A case passes when the exit code is 0, 2, 3 or 4, stderr holds at most one
 line, and no exception escapes ``main``: a traceback never counts as a clean
-refusal. The draws are deterministic, so a failing case reproduces from its
-index.
+refusal. Nor does Python's own overflow text on stderr, which names no input.
+Exits 0 and 4 print a complete table with finite cells, exits 2 and 3 print
+nothing, and at each power of ``solve`` and ``sweep-power`` the exact row's
+outage is at most twice the equal split's. The draws are deterministic, so a
+failing case reproduces from its index.
 """
 
 import collections
@@ -19,6 +22,16 @@ from uavrelay import cli
 CASES = 2400
 SEED = 1905
 CLEAN_EXITS = {cli.EXIT_OK, cli.EXIT_SCENARIO, cli.EXIT_SOLVER, cli.EXIT_VALIDATION}
+HEADERS = {
+    "solve": cli.SOLVE_HEADER,
+    "sweep-alpha": cli.SWEEP_HEADER,
+    "sweep-power": cli.SWEEP_HEADER,
+    "validate": cli.VALIDATE_HEADER,
+}
+#: The text cells of the tables: the methods and the override names.
+NAMES = {"grid", "exact", "theorem1", "equal", "pt", "L", "R"}
+#: What Python says when a float operation leaves the double range.
+OVERFLOW_TEXTS = ("math range error", "Numerical result out of range")
 
 
 def _wide(rng):
@@ -46,11 +59,6 @@ def _sections(rng):
             "noise_power_dbm": lambda r: r.uniform(-300.0, 300.0),
             "rate": _rate,
             "total_power_w": _wide,
-        },
-        "solver": {
-            "alpha_tol": lambda r: 10.0 ** r.uniform(-320.0, -6.0),
-            "max_iter": lambda r: r.randint(1, 3),
-            "bracket_epsilon": lambda r: 10.0 ** r.uniform(-320.0, -2.0),
         },
         "sim": {"seed": lambda r: r.randrange(2**64), "chunk_size": lambda r: r.randint(1, 10**9 - 1)},
     }
@@ -99,6 +107,32 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _table_rows(command, out):
+    """The data rows of a complete table: the command's header after the
+    ``#`` preamble, then at least one row of as many cells, each a name or a
+    finite number."""
+    table = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    assert len(table) > 1 and table[0] == HEADERS[command].split(","), out
+    for row in table[1:]:
+        assert len(row) == len(table[0]), row
+        assert all(cell in NAMES or math.isfinite(float(cell)) for cell in row), row
+    return table[1:]
+
+
+def _assert_exact_within_twice_equal(command, rows):
+    """At each power, the exact row's outage is at most twice the equal row's."""
+    if command == "solve":
+        points = [{row[0]: float(row[4]) for row in rows}]
+    elif command == "sweep-power":
+        # Each power's rows are exact, theorem1 and equal, in that order.
+        assert [row[6] for row in rows] == ["exact", "theorem1", "equal"] * (len(rows) // 3), rows
+        points = [{row[6]: float(row[5]) for row in rows[i : i + 3]} for i in range(0, len(rows), 3)]
+    else:
+        return
+    for point in points:
+        assert point["exact"] <= 2.0 * point["equal"], (rows, point)
+
+
 def test_every_case_exits_cleanly(tmp_path):
     rng = random.Random(SEED)
     path = tmp_path / "scenario.json"
@@ -113,6 +147,14 @@ def test_every_case_exits_cleanly(tmp_path):
             raise AssertionError(f"case {case} raised") from exc
         assert code in CLEAN_EXITS, case
         assert len(err.splitlines()) <= 1, (case, err)
+        assert not any(text in err for text in OVERFLOW_TEXTS), (case, err)
+        if code in (cli.EXIT_OK, cli.EXIT_VALIDATION):
+            try:
+                _assert_exact_within_twice_equal(argv[0], _table_rows(argv[0], out))
+            except AssertionError as exc:
+                raise AssertionError(f"case {case}") from exc
+        else:
+            assert out == "", case
         codes[code] += 1
     # The draws reach past every check into the solvers, not only into the
     # refusals. (Exit 4, a Monte Carlo disagreement, is rare on any draw.)

@@ -37,7 +37,6 @@ FULL_SCENARIO = {
         "rate": 1,
         "total_power_w": 0.5,
     },
-    "solver": {"alpha_tol": 1e-9, "max_iter": 150, "bracket_epsilon": 1e-6},
     "sim": {"trials": 40000, "seed": 99, "chunk_size": 7000},
     "excess_loss_convention": "paper",
 }
@@ -70,7 +69,7 @@ CASES = {
     "validate_paper": (["validate", "--trials", "50000", "--seed", "7", *PAPER], None),
     "full_solve": (["solve"], FULL_SCENARIO),
     "full_validate": (["validate", "--alpha-grid", "0.3:0.7:3"], FULL_SCENARIO),
-    "bad_max_iter": (["solve"], {"solver": {"max_iter": 2.5}}),
+    "bad_chunk_size": (["solve"], {"sim": {"chunk_size": 2.5}}),
     "bad_string_value": (["solve"], {"radio": {"rate": "1"}}),
     "bad_root": (["solve"], [1]),
     "bad_section": (["solve"], {"radio": 5}),
@@ -101,21 +100,23 @@ def test_golden(name, tmp_path):
     assert run_case(name, tmp_path).encode("utf-8") == expected
 
 
-#: case name -> (argv, scenario or None, SHA-256 of stdout). The digests
-#: were taken before the alpha-grid kernel evaluated its rows in blocks and
+#: case name -> (argv, scenario or None, SHA-256 of stdout). The rows were
+#: first frozen before the alpha-grid kernel evaluated its rows in blocks and
 #: the sweep emitter formatted each override cell once. On the 999-point
 #: high-K grid the larger row groups span several kernel blocks, and each
-#: override value heads 1001 rows.
+#: override value heads 1001 rows. The digests were retaken when the scenario
+#: lost its solver section, after a run of both commands showed that only
+#: the "# scenario_sha256:" line had changed, so they still pin those rows.
 FROZEN_DIGESTS = {
     "sweep_alpha_high_k_999": (
         ["sweep-alpha", *PAPER, "--alpha-grid", "0.001:0.999:999", "--pt", "0.25,1.0"],
         HIGH_K_SCENARIO,
-        "6c8077402ba9770f0c76cd29e396ea363f8c56547b861f13fd12ed02f19fc90b",
+        "8b44adba3f9246a1094ecc2c401dc0e707fc31e834cd972f9cddedd691622ad1",
     ),
     "sweep_power_paper_sweep": (
         ["sweep-power", *PAPER, "--pt", "0.05,0.1,0.25,0.5,1.0", "--R", "1,2"],
         None,
-        "3f9e2357955a74534f52133f1caf5e4d6807cb9c03b9a24eb04f79fdec0d604f",
+        "a195622c89b0afb6e5d8f2264cca54dbe8fcd653852c12d706b777af8fc0fd8f",
     ),
 }
 

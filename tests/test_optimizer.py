@@ -13,13 +13,11 @@ from scipy.stats import ncx2
 from uavrelay import (
     AllocationResult,
     BracketError,
-    DEFAULT_SOLVER,
     HopEnvironment,
     LinkBudget,
     LinkGeometry,
     PowerSplit,
     RicianEndpoints,
-    SolverConfig,
     end_to_end_outage,
     end_to_end_outage_grid,
     equal_power,
@@ -338,7 +336,7 @@ class TestMinimizeOutageExact:
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_cliff_returns_the_live_side(self, radio, mirrored):
         # K = 1500 dB makes the strong hop nearly deterministic: its survival
-        # jumps from 0 to 1 within far less than alpha_tol of alpha = 0.1
+        # jumps from 0 to 1 within far less than the 1e-8 tolerance of alpha = 0.1
         # (0.9 mirrored), and the final bracket straddles the jump. The end
         # where that hop fails reads an outage of 1 - 1e-16; the other end,
         # 8.2e-12.
@@ -354,25 +352,20 @@ class TestMinimizeOutageExact:
         assert result.outage <= 1e-11
         assert end_to_end_outage(budget, split, radio) <= 1e-11
 
-    @pytest.mark.parametrize("foreign", ["budget", "total-power", "bracket"])
+    @pytest.mark.parametrize("foreign", ["budget", "total-power"])
     def test_foreign_theorem1_is_ignored(self, radio, table1_budget, foreign):
         # A theorem1 result of another objective once seeded the search with
         # its own hop terms. Handed the reference row, the reference budget
         # with both gains 30 times weaker read alpha 0.1375 and the
         # reference's outage, 8.5e-5, where the closed form gives 0.664 at
         # that split. Such a hand-off is ignored, bit for bit.
-        budget, cfg, handed = table1_budget, DEFAULT_SOLVER, solve_theorem1(table1_budget, radio)
+        budget, handed = table1_budget, solve_theorem1(table1_budget, radio)
         if foreign == "budget":
             budget = LinkBudget(budget.g_su / 30.0, budget.g_ud / 30.0, budget.k_su, budget.k_ud)
-        elif foreign == "total-power":
-            handed = solve_theorem1(budget, make_radio(total_power_w=1.0))
         else:
-            # The theorem1 root, alpha 0.0029, lies below this bracket.
-            budget = LinkBudget(budget.g_su * 1e3, budget.g_ud, budget.k_su, budget.k_ud)
-            handed, cfg = solve_theorem1(budget, radio), SolverConfig(bracket_epsilon=0.005)
-            assert handed.alpha_star < cfg.bracket_epsilon
-        cold = minimize_outage_exact(budget, radio, cfg)
-        assert result_bytes(minimize_outage_exact(budget, radio, cfg, theorem1=handed)) == result_bytes(cold)
+            handed = solve_theorem1(budget, make_radio(total_power_w=1.0))
+        cold = minimize_outage_exact(budget, radio)
+        assert result_bytes(minimize_outage_exact(budget, radio, theorem1=handed)) == result_bytes(cold)
         split = PowerSplit.from_alpha(cold.alpha_star, radio.total_power_w)
         assert cold.outage == end_to_end_outage(budget, split, radio)
 
@@ -410,7 +403,7 @@ class TestMinimizeOutageExact:
     def test_symmetric_gives_half(self, radio, symmetric_budget):
         # Near the flat minimum the outage changes by less than one ulp for
         # |alpha - 0.5| below ~1e-7, so localization past that is noise; the
-        # bracket width itself still converges to alpha_tol.
+        # bracket width itself still converges to the 1e-8 tolerance.
         result = minimize_outage_exact(symmetric_budget, radio)
         assert result.alpha_star == pytest.approx(0.5, abs=1e-6)
         assert result.residual <= 1e-8
@@ -517,11 +510,11 @@ class TestMinimizeOutageExact:
 
     def test_root_against_mpmath_slope(self, radio, table1_budget):
         # The paper reference: the slope g = d log S/d alpha, at 40 digits
-        # from the same float inputs, changes sign across alpha* +- alpha_tol.
-        # Each hop's survival is Q_1 = 1 - int_0^b t exp(-(t^2 + a^2)/2) I_0(a t) dt,
-        # and its hazard the integrand at b over Q_1.
-        cfg = SolverConfig()
-        res = minimize_outage_exact(table1_budget, radio, cfg)
+        # from the same float inputs, changes sign across alpha* +- the
+        # tolerance. Each hop's survival is
+        # Q_1 = 1 - int_0^b t exp(-(t^2 + a^2)/2) I_0(a t) dt, and its hazard
+        # the integrand at b over Q_1.
+        res = minimize_outage_exact(table1_budget, radio)
         scale = snr_threshold(radio.rate) * radio.noise_power_w
 
         def slope(alpha):
@@ -538,7 +531,7 @@ class TestMinimizeOutageExact:
 
         with mp.workdps(40):
             alpha = mp.mpf(res.alpha_star)
-            assert slope(alpha - cfg.alpha_tol) > 0 > slope(alpha + cfg.alpha_tol)
+            assert slope(alpha - optimizer._ALPHA_TOL) > 0 > slope(alpha + optimizer._ALPHA_TOL)
 
     def test_lopsided_high_k_evaluations(self, radio):
         # K of 20-25 dB, one hop's full-power SNR margin near 1 and the
@@ -833,11 +826,11 @@ class TestSlopeRoot:
         ids=["linear", "log", "infinite-ends"],
     )
     def test_brackets_the_root(self, slope, root):
-        cfg = SolverConfig()
-        x, evaluations, width, value = optimizer._slope_root(lambda x: (slope(x), math.nan), 1e-6, 1.0 - 1e-6, 1e-6, cfg)
+        tol = optimizer._ALPHA_TOL
+        x, evaluations, width, value = optimizer._slope_root(lambda x: (slope(x), math.nan), 1e-6, 1.0 - 1e-6, 1e-6)
         assert value == slope(x)
-        assert 0.0 <= width <= cfg.alpha_tol
-        assert abs(x - root) <= cfg.alpha_tol
+        assert 0.0 <= width <= tol
+        assert abs(x - root) <= tol
         assert evaluations <= 60
 
     @pytest.mark.parametrize(
@@ -858,26 +851,26 @@ class TestSlopeRoot:
         ids=["logit", "linear", "log-from-the-end"],
     )
     def test_newton_steps(self, slope, logit_derivative, start, evaluations):
-        cfg = SolverConfig()
+        tol = optimizer._ALPHA_TOL
         f = lambda x: (slope(x), logit_derivative(x))
-        x, count, width, value = optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, start, cfg)
+        x, count, width, value = optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, start)
         assert value == slope(x)
-        assert 0.0 <= width <= cfg.alpha_tol
-        assert slope(x - cfg.alpha_tol) > 0.0 > slope(x + cfg.alpha_tol)
+        assert 0.0 <= width <= tol
+        assert slope(x - tol) > 0.0 > slope(x + tol)
         assert count == evaluations
 
     @pytest.mark.parametrize("sign, edge", [(-1.0, 1e-6), (1.0, 1.0 - 1e-6)])
     def test_one_signed_slope_gives_the_edge(self, sign, edge):
         slope = lambda x: sign * (2.0 - x)
         f = lambda x: (slope(x), math.nan)
-        assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig()) == (
+        assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 1e-6) == (
             edge, 1 if sign < 0 else 2, 0.0, slope(edge)
         )
         # From an interior start, the end on the root's side is evaluated
         # once a step needs it: here the first step, since a Newton step
         # fails the acceptance test.
         for f in (lambda x: (slope(x), math.nan), lambda x: (slope(x), -1.0)):
-            assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 0.5, SolverConfig()) == (edge, 2, 0.0, slope(edge))
+            assert optimizer._slope_root(f, 1e-6, 1.0 - 1e-6, 0.5) == (edge, 2, 0.0, slope(edge))
 
     @given(
         st.sampled_from(["lo", "below-half", "above-half", "hi"]),
@@ -894,7 +887,7 @@ class TestSlopeRoot:
         # derivative in u is the family's own or NaN. With infinite ends the
         # value is +-inf, with a NaN derivative, within min(root, 1e-3) / 2
         # of 0 and min(1 - root, 1e-3) / 2 of 1, as where a hop's Q_1 is 0.
-        cfg, lo, hi = SolverConfig(), 1e-6, 1.0 - 1e-6
+        tol, lo, hi = optimizer._ALPHA_TOL, 1e-6, 1.0 - 1e-6
         offset = 10.0**log_offset
         root = {"lo": offset, "below-half": 0.5 - offset, "above-half": 0.5 + offset, "hi": 1.0 - offset}[side]
         logit = lambda x: math.log(x / (1.0 - x))
@@ -914,22 +907,25 @@ class TestSlopeRoot:
             return value(x), dvalue(x) * x * (1.0 - x) if derivative else math.nan
 
         start = min(max(0.5 + 0.5 * math.tanh(0.5 * start_u), lo), hi)
-        x, evaluations, width, at_x = optimizer._slope_root(f, lo, hi, start, cfg)
+        x, evaluations, width, at_x = optimizer._slope_root(f, lo, hi, start)
         assert x in evaluated
         assert evaluations == len(evaluated) <= 60
         assert at_x == f(x)[0]
-        assert 0.0 <= width <= cfg.alpha_tol
-        if lo + cfg.alpha_tol < root < hi - cfg.alpha_tol:
-            assert value(x - cfg.alpha_tol) > 0.0 > value(x + cfg.alpha_tol)
+        assert 0.0 <= width <= tol
+        if lo + tol < root < hi - tol:
+            assert value(x - tol) > 0.0 > value(x + tol)
         elif not lo < root < hi:
-            assert abs(x - (lo if root < 0.5 else hi)) <= cfg.alpha_tol
+            assert abs(x - (lo if root < 0.5 else hi)) <= tol
 
-    def test_stops_at_max_iter(self):
-        slope = lambda x: (math.log(0.3 / x), math.nan)
-        x, evaluations, width, value = optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, 1e-6, SolverConfig(max_iter=3))
-        assert value == slope(x)[0]
-        assert evaluations == 3
-        assert width > 1e-8
+    def test_stops_at_max_iter(self, monkeypatch):
+        # A search still open at the evaluation cap raises: its last probe,
+        # here 3 evaluations into a bisection that takes 32, is no root.
+        monkeypatch.setattr(optimizer, "_MAX_EVALUATIONS", 3)
+        calls = []
+        slope = lambda x: calls.append(x) or (math.log(0.3 / x), math.nan)
+        with pytest.raises(RuntimeError, match="root search still open after 3 evaluations"):
+            optimizer._slope_root(slope, 1e-6, 1.0 - 1e-6, 1e-6)
+        assert len(calls) == 3
 
 
 class TestEqualPower:
@@ -981,7 +977,6 @@ class TestEqualPower:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: SolverConfig(max_iter=0), "max_iter must be positive"),
         (
             lambda: AllocationResult(
                 alpha_star=0.5, p_s=0.125, p_u=0.125, outage=1.5, method="equal", iterations=0, residual=0.0
@@ -989,7 +984,7 @@ class TestEqualPower:
             "outage must be a probability",
         ),
     ],
-    ids=["max-iter-zero", "outage-above-one"],
+    ids=["outage-above-one"],
 )
 def test_value_types_reject_out_of_range_fields(build, message):
     with pytest.raises(ValueError, match=message):
@@ -1061,14 +1056,3 @@ class TestOutageGradient:
             outage_gradient_ps(table1_budget, PowerSplit(0.0, 0.25), radio)
         with pytest.raises(ValueError):
             outage_gradient_ps(table1_budget, PowerSplit(0.1, 0.1), radio)
-
-
-class TestSolverConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverConfig(bracket_epsilon=0.5)
-        with pytest.raises(ValueError, match="1 - epsilon rounds to 1"):
-            SolverConfig(bracket_epsilon=2.0**-54)
-        assert 1.0 - SolverConfig(bracket_epsilon=math.nextafter(2.0**-54, 1.0)).bracket_epsilon < 1.0
-        with pytest.raises(ValueError):
-            SolverConfig(alpha_tol=1e-3)

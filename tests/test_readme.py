@@ -1,7 +1,9 @@
-"""README's library example and command lines run as printed and its
-scenario block is the default scenario, so none can drift from the code."""
+"""README's library example and command lines run as printed, its
+scenario block is the default scenario, and the names it quotes exist, so
+none can drift from the code."""
 
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -34,6 +36,18 @@ def test_scenario_block_is_the_default_scenario():
     assert len(blocks) == 1
     # Serialized, so key order and int-versus-float must match as well.
     assert json.dumps(json.loads(blocks[0])) == json.dumps(DEFAULT_SCENARIO)
+
+
+def test_quoted_names_exist():
+    # A snake_case name in backticks is a scenario section or field, a name
+    # in one of the package's modules, or a test.
+    names = {name for name in re.findall(r"`([a-z0-9_]+)`", README.read_text(encoding="utf-8")) if "_" in name}
+    names -= set(DEFAULT_SCENARIO)
+    names -= {key for section in DEFAULT_SCENARIO.values() if isinstance(section, dict) for key in section}
+    for module in ["cli", "channel", "outage", "optimizer", "specfun", "mcsim", "_arrays"]:
+        names -= set(dir(importlib.import_module(f"uavrelay.{module}")))
+    tests = "".join(path.read_text(encoding="utf-8") for path in README.parent.glob("tests/test_*.py"))
+    assert {name for name in names if f"def {name}(" not in tests} == set()
 
 
 def test_command_lines_run(tmp_path, capsys):
