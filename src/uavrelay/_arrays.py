@@ -37,11 +37,10 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     numpy blocks.
 
     The rows are split once into four groups, whole period or window and
-    b > a or not, and ``_complement_rows`` evaluates each group's one
-    weight and one integrand in blocks of at most ``_ROW_BLOCK`` rows; the
-    pole share is formed only on the rows that meet its condition. A row's
-    result depends on no other row of the array: it agrees to the bit with
-    the same threshold taken alone.
+    b > a or not, and ``_complement_group`` evaluates each group's one
+    weight and one integrand; the pole share is formed only on the rows
+    that meet its condition. A row's result depends on no other row of the
+    array: it agrees to the bit with the same threshold taken alone.
 
     Against mpmath the result is within 5e-13 relative for a up to 632,
     down to 1e-300 and for |a - b| down to 1e-12 a. It is clamped to [0, 1],
@@ -58,63 +57,38 @@ def _complement_quadrature(a: float, b: np.ndarray) -> np.ndarray:
     for rows_whole in (True, False):
         for rows_above in (True, False):
             rows = np.flatnonzero((whole == rows_whole) & (above == rows_above))
-            for start in range(0, rows.size, _ROW_BLOCK):
-                block = rows[start : start + _ROW_BLOCK]
-                out[block] = _complement_rows(a, b[block], rows_whole, rows_above)
+            if rows.size:
+                out[rows] = _complement_group(a, b[rows], rows_whole, rows_above)
     out = np.where(kappa > _MAX_KAPPA, 0.5 + 0.5 * np.sign(b - a), out)
     out = np.where(b == 0.0, 0.0, np.where(b == math.inf, 1.0, out))
     return np.clip(out, 0.0, 1.0)
 
 
-def _complement_rows(a: float, b: np.ndarray, whole: bool, above: bool) -> np.ndarray:
+def _complement_group(a: float, b: np.ndarray, whole: bool, above: bool) -> np.ndarray:
     """``_complement_quadrature`` before its limits and clamp, on rows that
     share one branch: the whole period (kappa <= ``_WHOLE_KAPPA``) or a
-    window, and b > a or not. Whole-period rows share the node table
-    ``_WHOLE_T``; window rows form their own. Each row is one row of a
-    C-contiguous (rows, ``_NODES``) block, so its sum adds the nodes in one
-    fixed order.
+    window, and b > a or not.
 
-    The (rows, ``_NODES``) intermediates are formed in place, in three
-    buffers: the window's node table, the weight and the integrand. Each
-    rounding step is the one of the plain expressions in the comments, up
-    to exact steps (a halving, a negation, the order of a sum of two or a
-    product of two).
+    Each row's terms (s, low, zeta, r, kappa, gap, the window's step, the
+    pole share and the final log and exp) are formed once for the group.
+    ``_complement_rows`` takes the sums over the nodes in blocks of at most
+    ``_ROW_BLOCK`` rows, each from that block's slice of the row terms.
     """
     s, low = np.maximum(a, b), np.minimum(a, b)
-    zeta = (low / s)[:, None]
-    r = ((s - low) / s)[:, None]  # not 1 - zeta, which would lose r's digits as b nears a
+    zeta = low / s
+    r = (s - low) / s  # not 1 - zeta, which would lose r's digits as b nears a
     kappa = a * b
     gap = 0.5 * (a - b) ** 2
-    if whole:
-        step, t = np.full(b.size, _WHOLE_STEP), _WHOLE_T
-    else:
-        step = 2.0 * np.arcsin(np.sqrt(_WHOLE_KAPPA / kappa)) / _NODES
-        t = np.multiply(step[:, None], _HALF_J)  # t = sin(step (j + 1/2) / 2)^2
-        np.sin(t, out=t)
-        t *= t
-    # weight = (r + 2 zeta t) / (r^2 + 4 zeta t) where b > a, else zeta (r - 2 t) / (r^2 + 4 zeta t)
-    denominator = np.multiply(4.0 * zeta, t)
-    denominator += r * r
-    weight = np.multiply(2.0 * zeta if above else -2.0, t, out=np.empty_like(denominator))
-    weight += r
-    if not above:
-        weight *= zeta
-    weight /= denominator
-    # integrand = exp(-decay) on a window; on the whole period -expm1(-gap - decay)
-    # where b > a, else exp(-kappa) expm1(kappa - decay); decay = 2 kappa t
-    integrand = np.multiply((-2.0 * kappa)[:, None], t, out=denominator)
-    if not whole:
-        np.exp(integrand, out=integrand)
-    elif above:
-        integrand -= gap[:, None]
-        np.expm1(integrand, out=integrand)
-        np.negative(integrand, out=integrand)
-    else:
-        integrand += kappa[:, None]
-        np.expm1(integrand, out=integrand)
-        integrand *= np.exp(-kappa)[:, None]
-    weight *= integrand
-    total = weight.sum(axis=1) * (step / math.pi)
+    step = np.full(b.size, _WHOLE_STEP) if whole else 2.0 * np.arcsin(np.sqrt(_WHOLE_KAPPA / kappa)) / _NODES
+    terms = [step, 4.0 * zeta, r * r, r, 2.0 * zeta if above else zeta, -2.0 * kappa]
+    if whole:  # the integrand is scale * expm1(shift - 2 kappa t)
+        terms += [-gap, np.full(b.size, -1.0)] if above else [kappa, np.exp(-kappa)]
+    terms = np.stack(terms)
+    total = np.empty(b.size)
+    for start in range(0, b.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        total[rows] = _complement_rows(terms[:, rows, None], whole, above)
+    total *= step / math.pi
     if whole and above:  # 1 - Q_1 itself, with no pole; through its log, as the other groups
         return np.exp(np.log(total))
     pole = (s * s - low * low) * step < 4.0 * math.pi
@@ -124,6 +98,52 @@ def _complement_rows(a: float, b: np.ndarray, whole: bool, above: bool) -> np.nd
     total[pole] += share
     log_small = np.log(total) - gap
     return -np.expm1(log_small) if above and not whole else np.exp(log_small)
+
+
+def _complement_rows(terms: np.ndarray, whole: bool, above: bool) -> np.ndarray:
+    """The sum over the nodes t of weight * integrand, for each row of one
+    block of a ``_complement_group``.
+
+    ``terms`` holds the block's row terms as (rows, 1) columns: the step,
+    4 zeta, r^2, r, 2 zeta where b > a or else zeta, -2 kappa, and on the
+    whole period the shift and scale of the integrand's expm1.
+    Whole-period rows share the node table ``_WHOLE_T``; window rows form
+    their own. Each row is one row of a C-contiguous (rows, ``_NODES``)
+    block, so its sum adds the nodes in one fixed order.
+
+    The (rows, ``_NODES``) intermediates are formed in place, in three
+    buffers: the window's node table, the weight and the integrand. Each
+    rounding step is the one of the plain expressions in the comments, up
+    to exact steps (a halving, a negation, the order of a sum of two or a
+    product of two).
+    """
+    step, zeta4, r2, r, slope, decay, *expm1_terms = terms
+    if whole:
+        t = _WHOLE_T
+    else:
+        t = np.multiply(step, _HALF_J)  # t = sin(step (j + 1/2) / 2)^2
+        np.sin(t, out=t)
+        t *= t
+    # weight = (r + 2 zeta t) / (r^2 + 4 zeta t) where b > a, else zeta (r - 2 t) / (r^2 + 4 zeta t)
+    denominator = np.multiply(zeta4, t)
+    denominator += r2
+    weight = np.multiply(slope if above else -2.0, t, out=np.empty_like(denominator))
+    weight += r
+    if not above:
+        weight *= slope
+    weight /= denominator
+    # integrand = exp(-2 kappa t) on a window; on the whole period -expm1(-gap - 2 kappa t)
+    # where b > a, else exp(-kappa) expm1(kappa - 2 kappa t), as scale * expm1(shift - 2 kappa t)
+    integrand = np.multiply(decay, t, out=denominator)
+    if whole:
+        shift, scale = expm1_terms
+        integrand += shift
+        np.expm1(integrand, out=integrand)
+        integrand *= scale
+    else:
+        np.exp(integrand, out=integrand)
+    weight *= integrand
+    return weight.sum(axis=1)
 
 
 @np.errstate(over="ignore", divide="ignore")  # an overflow is inf, and a zero SNR gives b = inf, as for floats
@@ -136,8 +156,9 @@ def _grid_args(budget: LinkBudget, radio: RadioConfig, alpha: np.ndarray) -> lis
     return [(math.sqrt(2.0 * k), np.sqrt(2.0 * (k + 1.0) * (threshold / (p * g / noise)))) for k, g, p in hops]
 
 
-def _outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) -> list[float]:
-    """The body of ``outage.end_to_end_outage_grid``: each hop's outages are
+def _outage_grid(budget: LinkBudget, alphas, radio: RadioConfig) -> np.ndarray:
+    """``outage.end_to_end_outage_grid`` as an array, at the allocation
+    factors ``alphas`` (a sequence or a float array): each hop's outages are
     one ``_complement_quadrature`` call, which already clamps."""
     alpha = np.asarray(alphas, dtype=float)
     if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
@@ -145,14 +166,28 @@ def _outage_grid(budget: LinkBudget, alphas: list[float], radio: RadioConfig) ->
     (a_su, b_su), (a_ud, b_ud) = _grid_args(budget, radio, alpha)
     out_su = _complement_quadrature(a_su, b_su)
     out_ud = _complement_quadrature(a_ud, b_ud)
-    return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud).tolist()
+    return np.where((b_su == math.inf) | (b_ud == math.inf), 1.0, out_su + out_ud - out_su * out_ud)
+
+
+@np.errstate(all="ignore")  # an infinite step gives NaN points, as in float arithmetic
+def _alpha_grid(start: float, stop: float, count: int) -> np.ndarray:
+    """The ``count`` points of ``cli._parse_alpha_grid`` as one array, the
+    same floats: ``start`` alone, or start + i * step with step =
+    (stop - start) / (count - 1), each product and sum rounded once."""
+    if count == 1:
+        return np.array([start])
+    return start + np.arange(count) * ((stop - start) / (count - 1))
 
 
 # -- the alpha grid's sweep rows ----------------------------------------------
 
 # Bytes of the longest "%.12e" cell, "-d.dddddddddddde-ddd"; a shorter cell is
-# followed by zero bytes, which no cell's text holds.
-_CELL = 20
+# followed by zero bytes, which no cell's text holds. +0, and every v in
+# _SHORT_RANGE, print with no sign and a two-digit exponent in _SHORT_CELL
+# bytes, "d.dddddddddddde-dd": the range ends at the decimal tie below 1e100,
+# from which "%.12e" may round up to 1.000000000000e+100.
+_CELL, _SHORT_CELL = 20, 18
+_SHORT_RANGE = (1e-99, 9.9999999999995e99)
 # The decimal exponents e that ``_format_e12`` forms itself; for each, the
 # scale 10^(12 - e) as a factor where 12 - e >= 0, else as a divisor (the
 # other is 1), each the correctly rounded float(10**j); and the cell's tail
@@ -175,8 +210,9 @@ _GROUPS = _GROUPS.view(np.uint32)[:, 0]
 
 def _format_e12(x: np.ndarray, out: np.ndarray) -> None:
     """Write ``"%.12e" % v`` for each entry v of the float array ``x`` into
-    ``out``, a uint8 array of shape ``x.shape + (_CELL,)``: the cell's text,
-    then zero bytes.
+    ``out``, a uint8 array of shape ``x.shape + (width,)``: the cell's text,
+    then zero bytes. The width is ``_CELL``, or ``_SHORT_CELL`` where every
+    cell prints in that many bytes.
 
     The 13 digits are round(m), m = v 10^(12 - e) with e = floor(log10 v),
     formed as one product or quotient by a correctly rounded power of ten.
@@ -206,34 +242,41 @@ def _format_e12(x: np.ndarray, out: np.ndarray) -> None:
         group = np.floor(digits / place)  # exact: digits / place lies at least 1/place below the next integer
         digits -= group * place
         out[..., start : start + 4] = _GROUPS[group.astype(np.intp)][..., None].view(np.uint8)
-    out[..., 14:] = _EXPONENT[row][..., None].view(np.uint8)[..., : _CELL - 14]
+    width = out.shape[-1]
+    out[..., 14:] = _EXPONENT[row][..., None].view(np.uint8)[..., : width - 14]
     slow = ~exact
-    cells = (("%.12e" % value).encode().ljust(_CELL, b"\0") for value in x[slow].tolist())
-    out[slow] = np.frombuffer(b"".join(cells), np.uint8).reshape(-1, _CELL)
+    cells = (("%.12e" % value).encode().ljust(width, b"\0") for value in x[slow].tolist())
+    out[slow] = np.frombuffer(b"".join(cells), np.uint8).reshape(-1, width)
 
 
-def _grid_rows(prefix: str, alphas: list[float], total: float, outages: list[float]) -> str:
+def _grid_rows(prefix: str, alpha: np.ndarray, total: float, outage: np.ndarray) -> str:
     """The sweep rows ``prefix + cli.SWEEP_CELLS % (alpha, p_s, p_u, outage,
-    "grid")`` of an alpha grid, joined by newlines, with p_s = alpha * total
-    and p_u = (1 - alpha) * total, the products of ``PowerSplit.from_alpha``.
+    "grid")`` of the float arrays ``alpha`` and ``outage``, joined by
+    newlines, with p_s = alpha * total and p_u = (1 - alpha) * total, the
+    products of ``PowerSplit.from_alpha``.
 
-    The rows are one (rows, width) byte block: the prefix, the four cells of
-    ``_format_e12`` each followed by a comma, and ``grid``. The cells' zero
-    bytes are dropped and the block decoded once. Raises RuntimeError if a
-    cell is not finite, as ``cli._lines`` does.
+    The rows are one (rows, width) byte block, decoded once: the prefix, the
+    four cells of ``_format_e12`` each followed by a comma, and ``grid``.
+    Where every cell prints in ``_SHORT_CELL`` bytes, the cells are that
+    wide and the block is the text; otherwise they are ``_CELL`` wide and
+    their zero bytes are dropped. Raises RuntimeError if a cell is not
+    finite, as ``cli._lines`` does.
     """
-    alpha = np.asarray(alphas, dtype=float)
-    cells = np.stack([alpha, alpha * total, (1.0 - alpha) * total, np.asarray(outages, dtype=float)], axis=1)
+    cells = np.stack([alpha, alpha * total, (1.0 - alpha) * total, outage], axis=1)
     if not np.isfinite(cells).all():
         raise RuntimeError("refusing to emit a non-finite value")
+    low, high = _SHORT_RANGE
+    short = ((cells >= low) & (cells < high) | (cells.view(np.uint64) == 0)).all()  # +0.0 has no bit set
+    width = _SHORT_CELL if short else _CELL
     head, tail = prefix.encode(), b"grid\n"
-    block = np.zeros((alpha.size, len(head) + 4 * (_CELL + 1) + len(tail)), np.uint8)
+    block = np.empty((alpha.size, len(head) + 4 * (width + 1) + len(tail)), np.uint8)  # every byte is written
     block[:, : len(head)] = np.frombuffer(head, np.uint8)
-    body = block[:, len(head) : -len(tail)].reshape(alpha.size, 4, _CELL + 1)
-    _format_e12(cells, body[..., :_CELL])
-    body[..., _CELL] = ord(",")
+    body = block[:, len(head) : -len(tail)].reshape(alpha.size, 4, width + 1)
+    _format_e12(cells, body[..., :width])
+    body[..., width] = ord(",")
     block[:, -len(tail) :] = np.frombuffer(tail, np.uint8)
-    return block[block != 0][:-1].tobytes().decode()
+    text = block.reshape(-1) if short else block[block != 0]
+    return text[:-1].tobytes().decode()
 
 
 # -- the Monte Carlo sampler --------------------------------------------------

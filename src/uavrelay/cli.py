@@ -34,7 +34,7 @@ from .channel import (
 )
 from .mcsim import SimSpec, estimate_outage
 from .optimizer import equal_power, minimize_outage_exact, solve_theorem1, theorem1_residual
-from .outage import PowerSplit, end_to_end_outage, end_to_end_outage_grid
+from .outage import PowerSplit, end_to_end_outage
 
 __all__ = [
     "Scenario",
@@ -123,7 +123,11 @@ def _field_values(section: str, content: dict) -> dict:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"scenario field {section!r}.{key!r} must be a number")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the double range
+            raise ScenarioError(f"scenario field {section!r}.{key!r} must lie in the double range") from None
+        if not finite:
             raise ScenarioError(f"scenario field {section!r}.{key!r} must be finite")
         name, scale = _RENAMED.get(key, (key, 1.0))
         if name in _INTEGER_FIELDS[section]:
@@ -211,7 +215,7 @@ def load_scenario(
         sections["geometry"] = LinkGeometry(**geometry)
     except ScenarioError:
         raise
-    except (ValueError, OverflowError) as exc:  # OverflowError: integer beyond the float range
+    except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
@@ -270,21 +274,23 @@ def _sweep(scenario: Scenario, overlays: list[tuple], rows) -> str:
     return _render(scenario, SWEEP_HEADER, lines)
 
 
-def cmd_sweep_alpha(scenario: Scenario, alpha_grid: list[float], overlays: list[tuple]) -> str:
-    """Closed-form outage over an alpha grid, plus both solver allocations.
+def cmd_sweep_alpha(scenario: Scenario, alpha_grid: tuple[float, float, int], overlays: list[tuple]) -> str:
+    """Closed-form outage over the alpha grid (START, STOP, COUNT), plus
+    both solver allocations.
 
-    The grid rows are one text block of ``_arrays._grid_rows``, which
-    formats each cell as ``SWEEP_CELLS`` does."""
-    for alpha in alpha_grid:
-        if not 0.0 < alpha < 1.0:
-            raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
+    The grid is one float array from ``_arrays._alpha_grid`` to the text
+    block of ``_arrays._grid_rows``, which formats each cell as
+    ``SWEEP_CELLS`` does."""
+    from ._arrays import _alpha_grid, _grid_rows, _outage_grid
+
+    alphas = _alpha_grid(*alpha_grid)
+    if not ((alphas > 0.0) & (alphas < 1.0)).all():  # NaN fails both
+        raise ScenarioError("alpha grid values must lie strictly inside (0, 1)")
 
     def rows(swept, budget, prefix):
-        from ._arrays import _grid_rows
-
-        outages = end_to_end_outage_grid(budget, alpha_grid, swept.radio)
+        outages = _outage_grid(budget, alphas, swept.radio)
         cells = _cells(prefix, _solve_both(budget, swept.radio))
-        return [_grid_rows(prefix, alpha_grid, swept.radio.total_power_w, outages), *cells]
+        return [_grid_rows(prefix, alphas, swept.radio.total_power_w, outages), *cells]
 
     return _sweep(scenario, overlays, rows)
 
@@ -360,7 +366,9 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
     return _render(scenario, VALIDATE_HEADER, _lines(VALIDATE_ROW, rows)), passed
 
 
-def _parse_alpha_grid(text: str) -> list[float]:
+def _alpha_grid_bounds(text: str) -> tuple[float, float, int]:
+    """START, STOP and COUNT of an ``--alpha-grid`` value, checked: COUNT in
+    [1, ``_MAX_GRID_POINTS``] and STOP not below START."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ScenarioError("--alpha-grid expects START:STOP:COUNT")
@@ -372,6 +380,13 @@ def _parse_alpha_grid(text: str) -> list[float]:
         raise ScenarioError(f"--alpha-grid count must lie in [1, {_MAX_GRID_POINTS}]")
     if stop < start:
         raise ScenarioError("--alpha-grid stop must not precede start")
+    return start, stop, count
+
+
+def _parse_alpha_grid(text: str) -> list[float]:
+    """The points of an ``--alpha-grid`` value as floats; ``sweep-alpha``
+    forms the same floats as one array in ``_arrays._alpha_grid``."""
+    start, stop, count = _alpha_grid_bounds(text)
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -483,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         code = EXIT_OK
         if args.command == "sweep-alpha":
-            grid = _parse_alpha_grid(args.alpha_grid)
+            grid = _alpha_grid_bounds(args.alpha_grid)
             text = cmd_sweep_alpha(scenario, grid, _overlays(args, scenario, "pt", "L"))
         elif args.command == "sweep-power":
             grid = _parse_float_list(args.pt, "--pt")

@@ -178,4 +178,4 @@ def end_to_end_outage_grid(budget: LinkBudget, alphas: list[float], radio: Radio
     """
     from ._arrays import _outage_grid
 
-    return _outage_grid(budget, alphas, radio)
+    return _outage_grid(budget, alphas, radio).tolist()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import _arrays, cli, optimizer, outage, specfun
@@ -45,6 +45,15 @@ def symmetric_scenario(tmp_path):
         excess_loss_convention="paper",
         env_ud={"a": 0.28, "b": 9.6, "eta_los_db": 1.0, "eta_nlos_db": 20.0},
     )
+
+
+# The one-line messages of test_out_of_model_values_exit_2 that several cases share.
+_BEYOND = "must lie in the double range"
+_GAINS = "mean path gains must lie in (0, 1)"
+_RATE_HIGH = "rate must be below 512 bits/s/Hz, where 2^(2R) overflows"
+_RATE_LOW = "rate must be positive, with an SNR threshold 2^(2R) - 1 that does not round to 0"
+_NOISE = "noise power must be positive and finite in watts"
+_RICIAN = "Rician factors must lie in [1e-150, 1e150], i.e. within 1500 dB of 0 dB"
 
 
 def rician_scenario_text(k_db):
@@ -190,37 +199,39 @@ class TestExitCodes:
         assert {row[1] for row in rows} == {"2.500000000000e-01"}
 
     @pytest.mark.parametrize(
-        "scenario_text, argv",
+        "scenario_text, argv, message",
         [
-            ('{"radio": {"total_power_w": NaN}}', ["solve"]),
-            ('{"geometry": {"h_u": Infinity}}', ["solve"]),
-            ('{"sim": {"trials": 1e400}}', ["solve"]),
-            ('{"geometry": {"h_u": 1' + "0" * 400 + "}}", ["solve"]),
-            ('{"geometry": {"h_u": 0.01, "L": 0.02}}', ["solve"]),
-            ('{"geometry": {"h_u": 0.01}}', ["sweep-alpha", "--L", "0.02"]),
-            (None, ["sweep-power", "--pt", "nan"]),
-            (None, ["sweep-alpha", "--pt", "nan"]),
-            (None, ["sweep-power", "--L", "nan"]),
-            (None, ["sweep-alpha", "--L", "inf"]),
-            (None, ["sweep-power", "--R", "inf", "--pt", "0.1"]),
-            ('{"radio": {"rate": 600}}', ["solve"]),
-            (None, ["sweep-power", "--R", "600", "--pt", "0.1"]),
-            ('{"radio": {"noise_power_dbm": 4000}}', ["solve"]),
-            ('{"radio": {"noise_power_dbm": -4000}}', ["solve"]),
-            ('{"radio": {"rate": 1e-17}}', ["solve"]),
-            (None, ["sweep-power", "--R", "1e-17", "--pt", "0.1"]),
+            ('{"radio": {"total_power_w": NaN}}', ["solve"], "scenario numbers must be finite, not NaN"),
+            ('{"geometry": {"h_u": Infinity}}', ["solve"], "scenario numbers must be finite, not Infinity"),
+            ('{"sim": {"trials": 1e400}}', ["solve"], "scenario field 'sim'.'trials' must be finite"),
+            ('{"geometry": {"h_u": 1' + "0" * 400 + "}}", ["solve"], f"scenario field 'geometry'.'h_u' {_BEYOND}"),
+            ('{"sim": {"trials": 1' + "0" * 400 + "}}", ["validate"], f"scenario field 'sim'.'trials' {_BEYOND}"),
+            ('{"geometry": {"h_u": 0.01, "L": 0.02}}', ["solve"], f"invalid link budget: {_GAINS}"),
+            ('{"geometry": {"h_u": 0.01}}', ["sweep-alpha", "--L", "0.02"], f"invalid link budget: {_GAINS}"),
+            (None, ["sweep-power", "--pt", "nan"], "--pt values must be finite and positive"),
+            (None, ["sweep-alpha", "--pt", "nan"], "--pt values must be finite and positive"),
+            (None, ["sweep-power", "--L", "nan"], "--L values must be finite and positive"),
+            (None, ["sweep-alpha", "--L", "inf"], "--L values must be finite and positive"),
+            (None, ["sweep-power", "--R", "inf", "--pt", "0.1"], "--R values must be finite and positive"),
+            ('{"radio": {"rate": 600}}', ["solve"], f"invalid scenario value: {_RATE_HIGH}"),
+            (None, ["sweep-power", "--R", "600", "--pt", "0.1"], f"invalid --R value 600.0: {_RATE_HIGH}"),
+            ('{"radio": {"noise_power_dbm": 4000}}', ["solve"], f"invalid scenario value: {_NOISE}"),
+            ('{"radio": {"noise_power_dbm": -4000}}', ["solve"], f"invalid scenario value: {_NOISE}"),
+            ('{"radio": {"rate": 1e-17}}', ["solve"], f"invalid scenario value: {_RATE_LOW}"),
+            (None, ["sweep-power", "--R", "1e-17", "--pt", "0.1"], f"invalid --R value 1e-17: {_RATE_LOW}"),
             # K above 1e150 (1500 dB). At 1545 dB the Theorem 1 constants
             # overflowed, at 3079 dB the Marcum a b did (a traceback), and at
             # 3080 dB the closed form read a false certain outage.
-            (rician_scenario_text(1545.0), ["solve"]),
-            (rician_scenario_text(3079.0), ["sweep-alpha"]),
-            (rician_scenario_text(3080.0), ["validate"]),
+            (rician_scenario_text(1545.0), ["solve"], f"invalid link budget: {_RICIAN}"),
+            (rician_scenario_text(3079.0), ["sweep-alpha"], f"invalid link budget: {_RICIAN}"),
+            (rician_scenario_text(3080.0), ["validate"], f"invalid link budget: {_RICIAN}"),
         ],
         ids=[
             "nan-power",
             "infinite-height",
             "trials-overflow",
             "integer-beyond-float",
+            "integer-beyond-float-trials",
             "gain-above-unity",
             "gain-above-unity-after-L",
             "sweep-power-pt-nan",
@@ -239,7 +250,7 @@ class TestExitCodes:
             "rician-k-3080db",
         ],
     )
-    def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv):
+    def test_out_of_model_values_exit_2(self, tmp_path, capsys, scenario_text, argv, message):
         if scenario_text is not None:
             path = tmp_path / "scenario.json"
             path.write_text(scenario_text, encoding="utf-8")
@@ -247,8 +258,7 @@ class TestExitCodes:
         assert main(argv) == EXIT_SCENARIO
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ")
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_bracket_failure_exits_3(self, tmp_path, monkeypatch):
         path = paper_scenario(tmp_path)
@@ -511,14 +521,14 @@ class TestExitCodes:
     def test_non_finite_table_cell_exits_3(self, monkeypatch, capsys, command, bad):
         if command == "sweep-alpha":
             # One grid row's outage.
-            true_grid = cli.end_to_end_outage_grid
+            true_grid = _arrays._outage_grid
 
             def patched(budget, alphas, radio):
                 outages = true_grid(budget, alphas, radio)
                 outages[len(outages) // 2] = bad
                 return outages
 
-            monkeypatch.setattr(cli, "end_to_end_outage_grid", patched)
+            monkeypatch.setattr(_arrays, "_outage_grid", patched)
         else:
             # The relay power of the equal split. A non-finite outage never
             # gets this far: the solvers reject it (see the test above).
@@ -576,6 +586,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(1, 100_000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_array_grid_is_the_float_grid(self, start, stop, count):
+        # sweep-alpha's one array and validate's floats are the same points.
+        start, stop = min(start, stop), max(start, stop)
+        text = f"{start!r}:{stop!r}:{count}"
+        step = (stop - start) / max(count - 1, 1)
+        expected = [(start + i * step if count > 1 else start).hex() for i in range(count)]
+        assert [value.hex() for value in cli._parse_alpha_grid(text)] == expected
+        assert [value.hex() for value in _arrays._alpha_grid(*cli._alpha_grid_bounds(text)).tolist()] == expected
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            *((grid, "alpha grid values must lie strictly inside (0, 1)") for grid in (
+                "nan:0.5:3", "0.1:nan:3", "nan:nan:1", "-inf:0.5:3", "0.1:inf:3", "inf:inf:1", "-inf:-inf:2",
+                "0:0.5:3", "0.5:1:3", "1:1:1",
+            )),
+            ("0.9:0.1:3", "--alpha-grid stop must not precede start"),
+            ("0.5:-inf:3", "--alpha-grid stop must not precede start"),
+        ],
+    )
+    def test_alpha_grid_outside_the_open_interval_exits_2(self, capsys, grid, message):
+        assert main(["sweep-alpha", "--excess-loss-convention", "paper", f"--alpha-grid={grid}"]) == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_alpha_grid_cap_is_inclusive(self):
         assert len(cli._parse_alpha_grid("0:1:100000")) == 100_000
@@ -1179,13 +1221,29 @@ _EDGE_VALUES = [
 ]
 
 
-def _array_cells(values):
-    """``_arrays._format_e12`` of ``values``, one text per value. The buffer
-    starts as 0xff bytes, so a byte the formatter leaves unwritten shows."""
+def _array_cells(values, width=_arrays._CELL):
+    """``_arrays._format_e12`` of ``values`` in cells of ``width`` bytes,
+    one text per value. The buffer starts as 0xff bytes, so a byte the
+    formatter leaves unwritten shows."""
     x = np.array(values, dtype=float)
-    out = np.full(x.shape + (_arrays._CELL,), 0xFF, np.uint8)
+    out = np.full(x.shape + (width,), 0xFF, np.uint8)
     _arrays._format_e12(x, out)
     return [cell.tobytes().rstrip(b"\0").decode("latin-1") for cell in out]
+
+
+def _grid_rows_text(total, alphas, outages):
+    """``_arrays._grid_rows`` of a grid under the ``pt`` prefix of ``total``."""
+    [prefix] = cli._lines(cli.SWEEP_PREFIX, [("pt", total)])
+    return _arrays._grid_rows(prefix, alphas, total, outages)
+
+
+def _template_rows(total, alphas, outages):
+    """The same rows by the % templates, cell by cell."""
+    [prefix] = cli._lines(cli.SWEEP_PREFIX, [("pt", total)])
+    return "\n".join(
+        prefix + cli.SWEEP_CELLS % (alpha, alpha * total, (1.0 - alpha) * total, out, "grid")
+        for alpha, out in zip(alphas.tolist(), outages.tolist())
+    )
 
 
 def _record_lines(monkeypatch):
@@ -1230,16 +1288,18 @@ class TestRowTemplates:
     )
     def test_every_cell_matches_its_slot(self, monkeypatch, capsys, argv):
         # An int in a %.12e slot, or a float in a %d or %s slot, would still
-        # format, with other bytes than the cell's own format.
+        # format, with other bytes than the cell's own format. The types are
+        # exact: a numpy scalar (a float subclass) in a row would mean that
+        # an array reached the scalar path, as validate's alphas must not.
         emitted = _record_lines(monkeypatch)
         assert main(argv + ["--excess-loss-convention", "paper"]) == EXIT_OK
-        kinds = {"%s": (str,), "%d": (int,), "%.12e": (float,)}
+        kinds = {"%s": str, "%d": int, "%.12e": float}
         assert emitted and all(rows for _, rows in emitted)
         for template, rows in emitted:
             for row in rows:
                 assert len(row) == len(_slots(template))
                 for slot, cell in zip(_slots(template), row):
-                    assert isinstance(cell, kinds[slot]) and not isinstance(cell, bool), (template, row)
+                    assert type(cell) is kinds[slot], (template, row)
 
     def test_sweep_formats_each_override_value_once(self, monkeypatch, capsys):
         # Each override value's name and value cells are formatted once, as
@@ -1263,6 +1323,12 @@ class TestRowTemplates:
         values = [sign * value for value in _EDGE_VALUES]
         assert _array_cells(values) == ["%.12e" % value for value in values]
 
+    def test_short_array_cells_at_the_edges(self):
+        # The 18-byte cells of a block whose every cell prints in 18 bytes.
+        values = [value for value in _EDGE_VALUES if len("%.12e" % value) == _arrays._SHORT_CELL]
+        assert len(values) > 300
+        assert _array_cells(values, _arrays._SHORT_CELL) == ["%.12e" % value for value in values]
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     def test_array_cells_match_the_template(self, values):
         assert _array_cells(values) == ["%.12e" % value for value in values]
@@ -1272,12 +1338,37 @@ class TestRowTemplates:
         st.floats(0.0, 1e300, exclude_min=True),
     )
     def test_grid_rows_match_the_templates(self, rows, total):
-        [prefix] = cli._lines(cli.SWEEP_PREFIX, [("pt", total)])
-        expected = [
-            prefix + cli.SWEEP_CELLS % (alpha, alpha * total, (1.0 - alpha) * total, out, "grid") for alpha, out in rows
-        ]
-        got = _arrays._grid_rows(prefix, [alpha for alpha, _ in rows], total, [out for _, out in rows])
-        assert got == "\n".join(expected)
+        alphas, outages = (np.array(column) for column in zip(*rows))
+        assert _grid_rows_text(total, alphas, outages) == _template_rows(total, alphas, outages)
+
+    # Each case takes one of the two paths of _grid_rows on every run: 18-byte
+    # cells where every cell prints in 18 bytes, or 20-byte cells whose zero
+    # bytes are dropped. The emitter formats any finite cell, so an outage
+    # cell may stand for any value.
+    @pytest.mark.parametrize(
+        "total, outages, width",
+        [
+            (1.0, [0.5, 1e-5, 0.0, 1e-99, 9.999999999999499e99], 18),
+            (1.0, [0.5, 1e-150, 0.1], 20),  # 1.000000000000e-150
+            (1.0, [0.0, 5e-324, 0.5], 20),  # 4.940656458412e-324
+            (1e-200, [0.5, 0.1, 0.2], 20),  # p_s and p_u near 1e-200
+            (1.0, [0.5, 9.9999999999995e99, 0.1], 20),  # rounds up to 1.000000000000e+100
+            (1.0, [0.5, -0.0, 0.1], 20),  # -0.000000000000e+00
+        ],
+        ids=["all-short", "outage-1e-150", "outage-subnormal", "total-1e-200", "tie-below-1e100", "negative-zero"],
+    )
+    def test_grid_rows_take_both_paths(self, monkeypatch, total, outages, width):
+        widths, true_format = [], _arrays._format_e12
+
+        def recording(x, out):
+            widths.append(out.shape[-1])
+            true_format(x, out)
+
+        monkeypatch.setattr(_arrays, "_format_e12", recording)
+        alphas = np.array([0.25, 0.5, 0.75] + [0.125] * (len(outages) - 3))
+        outages = np.array(outages)
+        assert _grid_rows_text(total, alphas, outages) == _template_rows(total, alphas, outages)
+        assert widths == [width]
 
 
 def _src_env():

@@ -215,9 +215,9 @@ class TestEndToEndOutageGrid:
             hops.append([])
             return true_quadrature(a, b)
 
-        def rows(a, b, whole, above):
-            hops[-1].append((whole, above, b.size))
-            return true_rows(a, b, whole, above)
+        def rows(terms, whole, above):
+            hops[-1].append((whole, above, terms.shape[1]))
+            return true_rows(terms, whole, above)
 
         alphas = [0.001 + i * (0.998 / 998) for i in range(999)]
         monkeypatch.setattr(_arrays, "_complement_quadrature", quadrature)
