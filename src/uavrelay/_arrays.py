@@ -2,7 +2,7 @@
 the alpha grid's sweep rows and the Monte Carlo sampler.
 
 This is the only module that imports numpy. ``outage.end_to_end_outage_grid``,
-``mcsim.estimate_outage`` and ``cli.cmd_sweep_alpha`` import it when first
+``mcsim.estimate_outage`` and the alpha grids of ``cli`` import it when first
 called, so the commands that make only scalar calls (``solve``,
 ``sweep-power``) never load numpy.
 """
@@ -10,6 +10,7 @@ called, so the commands that make only scalar calls (``solve``,
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -83,11 +84,10 @@ def _complement_group(a: float, b: np.ndarray, whole: bool, above: bool) -> np.n
     terms = [step, 4.0 * zeta, r * r, r, 2.0 * zeta if above else zeta, -2.0 * kappa]
     if whole:  # the integrand is scale * expm1(shift - 2 kappa t)
         terms += [-gap, np.full(b.size, -1.0)] if above else [kappa, np.exp(-kappa)]
-    terms = np.stack(terms)
     total = np.empty(b.size)
     for start in range(0, b.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        total[rows] = _complement_rows(terms[:, rows, None], whole, above)
+        total[rows] = _complement_rows([term[rows, None] for term in terms], whole, above)
     total *= step / math.pi
     if whole and above:  # 1 - Q_1 itself, with no pole; through its log, as the other groups
         return np.exp(np.log(total))
@@ -100,7 +100,7 @@ def _complement_group(a: float, b: np.ndarray, whole: bool, above: bool) -> np.n
     return -np.expm1(log_small) if above and not whole else np.exp(log_small)
 
 
-def _complement_rows(terms: np.ndarray, whole: bool, above: bool) -> np.ndarray:
+def _complement_rows(terms: list[np.ndarray], whole: bool, above: bool) -> np.ndarray:
     """The sum over the nodes t of weight * integrand, for each row of one
     block of a ``_complement_group``.
 
@@ -171,10 +171,11 @@ def _outage_grid(budget: LinkBudget, alphas, radio: RadioConfig) -> np.ndarray:
 
 @np.errstate(all="ignore")  # an infinite step gives NaN points, as in float arithmetic
 def _alpha_grid(start: float, stop: float, count: int) -> np.ndarray:
-    """The ``count`` points of ``cli._parse_alpha_grid`` as one array, the
-    same floats: ``start`` alone, or start + i * step with step =
-    (stop - start) / (count - 1), each product and sum rounded once."""
-    if count == 1:
+    """The ``count`` points of an alpha grid as one array: ``start`` alone,
+    or start + i * step with step = (stop - start) / (count - 1), each
+    product and sum rounded once. A ``count`` that is not an integer raises
+    TypeError."""
+    if operator.index(count) == 1:
         return np.array([start])
     return start + np.arange(count) * ((stop - start) / (count - 1))
 

@@ -384,13 +384,11 @@ def _alpha_grid_bounds(text: str) -> tuple[float, float, int]:
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
-    """The points of an ``--alpha-grid`` value as floats; ``sweep-alpha``
-    forms the same floats as one array in ``_arrays._alpha_grid``."""
-    start, stop, count = _alpha_grid_bounds(text)
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    """The points of an ``--alpha-grid`` value as Python floats: the array
+    of ``_arrays._alpha_grid``, which ``sweep-alpha`` keeps as it is."""
+    from ._arrays import _alpha_grid
+
+    return _alpha_grid(*_alpha_grid_bounds(text)).tolist()
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:

@@ -594,13 +594,18 @@ class TestExitCodes:
     )
     @settings(max_examples=50, deadline=None)
     def test_array_grid_is_the_float_grid(self, start, stop, count):
-        # sweep-alpha's one array and validate's floats are the same points.
+        # The one grid formula, as an array, rounds each point as float arithmetic does.
         start, stop = min(start, stop), max(start, stop)
         text = f"{start!r}:{stop!r}:{count}"
         step = (stop - start) / max(count - 1, 1)
         expected = [(start + i * step if count > 1 else start).hex() for i in range(count)]
         assert [value.hex() for value in cli._parse_alpha_grid(text)] == expected
-        assert [value.hex() for value in _arrays._alpha_grid(*cli._alpha_grid_bounds(text)).tolist()] == expected
+
+    def test_sweep_alpha_rejects_a_list_of_points(self):
+        # cmd_sweep_alpha takes (START, STOP, COUNT); three points in its place
+        # would read as a count of 0.9, so a count that is not an int raises.
+        with pytest.raises(TypeError):
+            cli.cmd_sweep_alpha(load_scenario(None), [0.1, 0.5, 0.9], [])
 
     @pytest.mark.parametrize(
         "grid, message",

@@ -216,7 +216,7 @@ class TestEndToEndOutageGrid:
             return true_quadrature(a, b)
 
         def rows(terms, whole, above):
-            hops[-1].append((whole, above, terms.shape[1]))
+            hops[-1].append((whole, above, terms[0].shape[0]))
             return true_rows(terms, whole, above)
 
         alphas = [0.001 + i * (0.998 / 998) for i in range(999)]
