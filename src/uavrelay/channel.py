@@ -9,7 +9,8 @@ plus a Rician small-scale factor that grows exponentially with elevation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -34,8 +35,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 EXCESS_LOSS_CONVENTIONS = ("standard", "paper")
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(Record):
     """Relay geometry in meters: UAV altitude, the horizontal distance r_s
     from the base station to the relay, and the end-to-end ground distance L.
     """
@@ -61,8 +61,7 @@ class LinkGeometry:
         return self.L - self.r_s
 
 
-@dataclass(frozen=True)
-class HopEnvironment:
+class HopEnvironment(Record):
     """LoS-probability sigmoid shape (a, b) and excess losses for one hop.
 
     a is dimensionless, b is per radian; eta values are in dB with the NLoS
@@ -81,8 +80,7 @@ class HopEnvironment:
             raise ValueError("excess losses must satisfy eta_nlos > eta_los > 0")
 
 
-@dataclass(frozen=True)
-class RicianEndpoints:
+class RicianEndpoints(Record):
     """Rician K factor in dB at elevation 0 and at elevation pi/2."""
 
     k0_db: float
@@ -99,8 +97,7 @@ class RicianEndpoints:
             raise ValueError("K at pi/2 must be below about 3082 dB, where 10^(kpi2_db/10) overflows") from None
 
 
-@dataclass(frozen=True)
-class RadioConfig:
+class RadioConfig(Record):
     """Carrier, propagation exponent, noise, target rate, and power budget.
 
     f_c is in Hz, noise power in dBm, rate in bits/s/Hz, total power in
@@ -142,8 +139,7 @@ class RadioConfig:
         return 10.0 ** ((self.noise_power_dbm - 30.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Record):
     """Per-hop mean path gain (linear power ratio) and linear Rician factor.
 
     K lies in [1e-150, 1e150] (within 1500 dB of 0 dB), so that K (K + 1)

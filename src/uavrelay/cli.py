@@ -14,15 +14,21 @@ result, or an outage that is not a probability), 4 validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import hashlib
 import json
 import math
 import sys
-import typing
+
+try:  # CPython's own SHA-256, which loads without OpenSSL: _sha256 to 3.11, _sha2 from 3.12
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
+from ._record import Record
 from .channel import (
     EXCESS_LOSS_CONVENTIONS,
     HopEnvironment,
@@ -143,8 +149,7 @@ def _reject_constant(name: str):
     raise ScenarioError(f"scenario numbers must be finite, not {name}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A fully validated scenario with internal units."""
 
     geometry: LinkGeometry
@@ -168,12 +173,11 @@ class Scenario:
             raise ScenarioError(f"invalid link budget: {exc}") from exc
 
 
-#: The dataclass each scenario section builds, read from the Scenario fields,
-#: and the fields of each whose annotation asks for an integer.
-_SECTIONS = {
-    name: cls for name, cls in typing.get_type_hints(Scenario).items() if dataclasses.is_dataclass(cls)
-}
-_INTEGER_FIELDS = {s: {f.name for f in dataclasses.fields(c) if f.type == "int"} for s, c in _SECTIONS.items()}
+#: The record each scenario section builds, named by the annotation of its
+#: Scenario field (every field but the two strings), and the fields of each
+#: whose annotation asks for an integer.
+_SECTIONS = {name: globals()[kind] for name, kind in Scenario.fields.items() if kind != "str"}
+_INTEGER_FIELDS = {s: {name for name, kind in c.fields.items() if kind == "int"} for s, c in _SECTIONS.items()}
 
 
 def load_scenario(
@@ -219,7 +223,7 @@ def load_scenario(
         raise ScenarioError(f"invalid scenario value: {exc}") from exc
 
     canonical = json.dumps(merged, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = sha256(canonical.encode("utf-8")).hexdigest()
     return Scenario(**sections, excess_loss_convention=convention_value, sha256=digest)
 
 
@@ -304,7 +308,7 @@ def cmd_sweep_power(scenario: Scenario, pt_grid: list[float], overlays: list[tup
     def rows(swept, budget, prefix):
         results = []
         for total in pt_grid:
-            radio = dataclasses.replace(swept.radio, total_power_w=total)
+            radio = swept.radio.replace(total_power_w=total)
             results += [*_solve_both(budget, radio), equal_power(radio, budget)]
         return _cells(prefix, results)
 
@@ -350,7 +354,7 @@ def cmd_validate(scenario: Scenario, alphas: list[float]) -> tuple[str, bool]:
     for index, alpha in enumerate(alphas):
         split = PowerSplit.from_alpha(alpha, total)
         closed = end_to_end_outage(budget, split, scenario.radio)
-        spec = dataclasses.replace(scenario.sim, seed=(scenario.sim.seed + index) % 2**64)
+        spec = scenario.sim.replace(seed=(scenario.sim.seed + index) % 2**64)
         estimate = estimate_outage(budget, split, scenario.radio, spec)
         # Score test: the binomial spread that the closed form predicts.
         # The estimate's own spread shrinks when its count comes out low.
@@ -422,10 +426,10 @@ def _overlays(args: argparse.Namespace, scenario: Scenario, *names: str) -> list
     for value in _parse_float_list(getattr(args, name), f"--{name}"):
         try:
             if name == "L":
-                swept = dataclasses.replace(scenario, geometry=LinkGeometry.midpoint(scenario.geometry.h_u, value))
+                swept = scenario.replace(geometry=LinkGeometry.midpoint(scenario.geometry.h_u, value))
             else:
-                radio = dataclasses.replace(scenario.radio, **{{"pt": "total_power_w", "R": "rate"}[name]: value})
-                swept = dataclasses.replace(scenario, radio=radio)
+                radio = scenario.radio.replace(**{{"pt": "total_power_w", "R": "rate"}[name]: value})
+                swept = scenario.replace(radio=radio)
         except ValueError as exc:
             raise ScenarioError(f"invalid --{name} value {value}: {exc}") from exc
         overlays.append((name, value, swept))

@@ -20,8 +20,8 @@ The sampler itself, which draws with numpy, lives in ``_arrays``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit
 
@@ -32,8 +32,7 @@ __all__ = ["SimSpec", "OutageEstimate", "estimate_outage"]
 _MAX_CHUNK = 10**9
 
 
-@dataclass(frozen=True)
-class SimSpec:
+class SimSpec(Record):
     """Trial count, stream seed, and trials per deterministic sub-stream.
 
     Acceptance-grade runs should use at least 10_000 trials; smaller counts
@@ -53,8 +52,7 @@ class SimSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class OutageEstimate:
+class OutageEstimate(Record):
     """Outage frequency with its binomial standard error."""
 
     p_hat: float

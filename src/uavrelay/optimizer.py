@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .channel import LinkBudget, RadioConfig
 from .outage import PowerSplit, _link_args, _link_outage, _link_terms, _saturated, snr_threshold
 
@@ -53,8 +53,7 @@ _ALPHA_TOL = 1e-8
 _MAX_EVALUATIONS = 200
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(Record):
     """A solved power split with its outage and solver diagnostics."""
 
     alpha_star: float
@@ -64,8 +63,9 @@ class AllocationResult:
     method: str
     iterations: int
     residual: float
-    # Both hops' outage._link_terms at alpha_star: an exact search's first slope.
-    _hops: list | None = field(default=None, compare=False, repr=False)
+    # Both hops' outage._link_terms at alpha_star: an exact search's first
+    # slope. Private, so equality, hashing and repr leave it out.
+    _hops: list | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha_star < 1.0:

@@ -11,8 +11,8 @@ and gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .channel import LinkBudget, RadioConfig
 from .specfun import _LOG_MAX, _log_marcum, _marcum_q1_complement
 
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSplit:
+class PowerSplit(Record):
     """Transmit powers in watts: p_s at the base station, p_u at the relay."""
 
     p_s: float

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -120,12 +119,12 @@ class TestScenarioLoading:
         assert scenario.sim.trials == 5000
         assert scenario.excess_loss_convention == "paper"
 
-    def test_default_table_matches_dataclass_fields(self):
+    def test_default_table_matches_record_fields(self):
         tables = {key for key, value in cli.DEFAULT_SCENARIO.items() if isinstance(value, dict)}
         assert tables == set(cli._SECTIONS)
         for section, cls in cli._SECTIONS.items():
             keys = {cli._RENAMED.get(key, (key,))[0] for key in cli.DEFAULT_SCENARIO[section]}
-            fields = {field.name for field in dataclasses.fields(cls) if field.init}
+            fields = set(cls.fields)
             assert keys == fields, section
 
     def test_invalid_link_budget_is_a_scenario_error(self, tmp_path):
@@ -533,7 +532,7 @@ class TestExitCodes:
             # The relay power of the equal split. A non-finite outage never
             # gets this far: the solvers reject it (see the test above).
             monkeypatch.setattr(
-                cli, "equal_power", lambda radio, budget: dataclasses.replace(equal_power(radio, budget), p_u=bad)
+                cli, "equal_power", lambda radio, budget: equal_power(radio, budget).replace(p_u=bad)
             )
         assert main([command, "--excess-loss-convention", "paper"]) == EXIT_SOLVER
         captured = capsys.readouterr()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -80,9 +79,7 @@ class TestTheorem1Constants:
     def test_linear_in_noise(self, table1_budget):
         radio = make_radio()
         lo = theorem1_constants(table1_budget, radio)
-        doubled = dataclasses.replace(
-            radio, noise_power_dbm=radio.noise_power_dbm + 10.0 * math.log10(2.0)
-        )
+        doubled = radio.replace(noise_power_dbm=radio.noise_power_dbm + 10.0 * math.log10(2.0))
         hi = theorem1_constants(table1_budget, doubled)
         assert hi[0] == pytest.approx(lo[0] + math.log(2.0), abs=1e-12)
         assert hi[1] == pytest.approx(lo[1] + math.log(2.0), abs=1e-12)
@@ -328,7 +325,7 @@ class TestSolveTheorem1:
         assert approx.outage.hex() == end_to_end_outage(budget, split, radio).hex()
         assert approx.residual.hex() == theorem1_residual(budget, split, radio).hex()
         handed = minimize_outage_exact(budget, radio, theorem1=approx)
-        cold = minimize_outage_exact(budget, radio, theorem1=dataclasses.replace(approx, _hops=None))
+        cold = minimize_outage_exact(budget, radio, theorem1=approx.replace(_hops=None))
         assert result_bytes(handed) == result_bytes(cold) == result_bytes(minimize_outage_exact(budget, radio))
 
 

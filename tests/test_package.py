@@ -26,13 +26,26 @@ def test_surface_is_the_modules_all():
 
 
 def test_library_import_leaves_the_cli_unloaded():
-    # Importing the CLI would load argparse, json and hashlib on every
-    # library import.
+    # Importing the CLI would load argparse and json on every library import.
     code = "import sys, uavrelay; print(sorted({'uavrelay.cli', 'argparse', 'json', 'hashlib'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_code_generator_and_no_openssl():
+    # dataclasses, with inspect, generated each record's methods at every
+    # launch, and hashlib loaded OpenSSL for the one scenario digest. The
+    # modules a bare interpreter holds (a host's .pth imports, say) are
+    # subtracted, so the test reads only what the import adds.
+    code = "import sys; bare = set(sys.modules); import uavrelay.cli; print(sorted(set(sys.modules) - bare))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(ast.literal_eval(done.stdout))
+    assert "uavrelay.cli" in added
+    assert added & {"dataclasses", "inspect", "hashlib", "typing", "numpy"} == set()
 
 
 def test_scalar_commands_leave_numpy_unloaded():
