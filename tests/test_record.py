@@ -2,7 +2,7 @@
 
 import pytest
 
-from uavrelay import AllocationResult, OutageEstimate, PowerSplit, SimSpec, equal_power
+from uavrelay import AllocationResult, OutageEstimate, PowerSplit, RicianEndpoints, SimSpec, equal_power
 from uavrelay.cli import load_scenario
 
 
@@ -61,6 +61,7 @@ class TestEveryRecord:
         cases = {
             "missing": lambda: cls(**{field: values[field] for field in rest}),
             "unknown": lambda: cls(**values, not_a_field=1),
+            "unknown in place of a field": lambda: cls(**{field: values[field] for field in rest}, not_a_field=1),
             "repeated": lambda: cls(values[first], **values),
             "extra position": lambda: cls(*values.values(), 1),
             "replace unknown": lambda: record.replace(not_a_field=1),
@@ -84,6 +85,7 @@ def test_positional_split_equals_the_keyword_split():
     assert PowerSplit(0.1, 0.2) == PowerSplit(p_s=0.1, p_u=0.2) == PowerSplit(0.1, p_u=0.2)
     assert PowerSplit(0.1, 0.2) != PowerSplit(0.2, 0.1)
     assert PowerSplit(0.1, 0.2) != (0.1, 0.2)
+    assert PowerSplit(0.1, 0.2) != RicianEndpoints(0.1, 0.2)  # same values, another record
 
 
 def test_default_applies_where_the_field_is_left_out():
